@@ -170,9 +170,10 @@ def sweep_points(cfg: SweepConfig) -> list[list[RdpPoint]]:
                     lambda: solve_min2(model, d, p, cfg.resolution).rate
                 )
             if method == "oracle":
-                return _rate_or_inf(
-                    lambda: oracle_min_rate(model, d, p, cfg.resolution).rate
-                )
+                # the batched form reports infeasibility as None, without
+                # the nearest-candidate search an InfeasibleError carries
+                result, = oracle_min_rates(model, [d], p, cfg.resolution)
+                return math.inf if result is None else result.rate
             return _simulated_rate(model, cfg, index, d, p)
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers()) as pool:

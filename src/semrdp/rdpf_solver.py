@@ -28,9 +28,21 @@ Two independent routes are provided on purpose:
   makes the oracle strictly better.
 
 Both searches run a deterministic coarse grid followed by one local
-refinement pass at a tenth of the resolution around the incumbent, and
-break ties toward the lexicographically smallest candidate by scanning in
-lexicographic order and keeping strict improvements only.
+refinement pass at a tenth of the resolution around the incumbent. Each
+pass minimizes a_i + b_j over the product of two branch tables, subject to
+a distortion sum and a perception deviation, and one kernel
+(``_PairSearch``) serves both programs and the oracle's infeasibility
+diagnostic. The kernel is still exhaustive in its result: it returns the
+pair a scan of the whole product returns, the lexicographically smallest
+minimizer. It scores few of the pairs. Each row gets a lower bound on its
+best feasible value from the other branch (a prefix minimum in distortion
+order, a range minimum over the perception interval), rows are scored in
+ascending bound order, and the search stops once the next bound exceeds the
+incumbent. Pruning cannot change the minimizer, for two reasons. The
+relaxations are widened by a slack far above float rounding, so a bound
+never exceeds a value the scan computes. And candidates compare as
+(value, i, j) tuples, with every row whose bound ties the incumbent still
+scored, so ties resolve as the lexicographic scan resolves them.
 
 One caveat of the single-incumbent refinement: coarse-pass minima are
 exactly monotone in the distortion and perception budgets (feasible sets
@@ -215,7 +227,162 @@ class _BranchTables:
         return float(self.s_vals[i]), float(self.t_vals[j])
 
 
-_TABLE_CACHE: dict[tuple, tuple[_BranchTables, _BranchTables]] = {}
+# ---------------------------------------------------------------------------
+# pair search: the one product-scan kernel
+# ---------------------------------------------------------------------------
+
+# Widening of the bound relaxations. Every table entry is a probability or
+# a rate of at most one bit, so float rounding in the constraint sums is
+# below 1e-15 and can never push a feasible pair outside the relaxation.
+_SLACK = 1e-9
+_FIRST_CHUNK, _MAX_CHUNK = 16, 256
+
+
+def _best_first(bound: np.ndarray, score) -> tuple[float, int, int]:
+    """Lexicographically smallest (score, i, j) over all pairs, or
+    (inf, -1, -1) when no score is finite.
+
+    ``score(rows)`` returns the score matrix of those rows over every
+    column, and ``bound[i]`` must not exceed any score in row i. Rows are
+    visited in ascending bound order (ties by index) in chunks that double
+    in size, and the visit stops once the next bound exceeds the incumbent:
+    every later row then scores strictly worse, so it can neither improve
+    on nor tie the incumbent. A row whose bound is inf holds no finite
+    score.
+    """
+    order = np.argsort(bound, kind="stable")
+    best = (math.inf, -1, -1)
+    start, size = 0, _FIRST_CHUNK
+    while start < order.size:
+        low = bound[order[start]]
+        if not (low <= best[0] and low < math.inf):
+            break
+        rows = order[start:start + size]
+        scores = score(rows)
+        cols = scores.argmin(axis=1)
+        vals = scores[np.arange(rows.size), cols]
+        k = int(np.lexsort((rows, vals))[0])
+        best = min(best, (float(vals[k]), int(rows[k]), int(cols[k])))
+        start += size
+        size = min(2 * size, _MAX_CHUNK)
+    return best
+
+
+def _sparse_table(values: np.ndarray) -> np.ndarray:
+    """table[k, x] = min(values[x : x + 2**k]) wherever that slice is full."""
+    n = values.size
+    table = np.full((max(n.bit_length(), 1), n), np.inf)
+    table[0] = values
+    for k in range(1, table.shape[0]):
+        half = 1 << (k - 1)
+        stop = n - 2 * half + 1
+        table[k, :stop] = np.minimum(table[k - 1, :stop], table[k - 1, half:half + stop])
+    return table
+
+
+class _PairSearch:
+    """Exact minimum of a_i + b_j over the pairs (i, j) with
+    d_i + e_j <= D + tol and |m_i + n_j - c| <= P + tol, where the row
+    arrays (a, d, m) belong to one branch and the column arrays (b, e, n)
+    to the other.
+
+    Every pair is scored with the same float expressions a full product
+    scan would use, and ties resolve to the smallest (i, j), so the answer
+    is the full scan's. The columns are indexed twice for lower bounds: by
+    e with prefix minima of b (the D constraint), and by n with a sparse
+    table of range minima of b (the P interval). Both depend on the tables
+    alone and serve every (D, P) query.
+    """
+
+    def __init__(self, a, d, m, b, e, n, c: float):
+        self.a, self.d, self.m = a, d, m
+        self.b, self.e, self.n = b, e, n
+        self.c = c
+        by_e = np.argsort(e, kind="stable")
+        self.e_sorted = e[by_e]
+        # b_prefix_min[k] = least b among the k smallest e (inf for k = 0)
+        self.b_prefix_min = np.r_[np.inf, np.minimum.accumulate(b[by_e])]
+        by_n = np.argsort(n, kind="stable")
+        self.n_sorted = n[by_n]
+        self.b_range_min = _sparse_table(b[by_n])
+
+    def _range_min(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """min of b over the n-sorted columns lo..hi-1; inf where empty."""
+        last = self.n_sorted.size - 1
+        level = np.frexp(np.maximum(hi - lo, 1))[1] - 1
+        left = np.minimum(lo, last)
+        right = np.maximum(hi - (1 << level), 0)
+        found = np.minimum(self.b_range_min[level, left], self.b_range_min[level, right])
+        return np.where(hi > lo, found, np.inf)
+
+    def rate_bound(self, D: float, P: float) -> np.ndarray:
+        """Per row, a lower bound on a_i + b_j over the row's feasible
+        pairs; inf where the row has none. Each constraint alone, widened
+        by the slack, bounds the least b reachable from the row."""
+        low_d = self.b_prefix_min[
+            np.searchsorted(self.e_sorted, D + _TOL + _SLACK - self.d, side="right")
+        ]
+        reach = P + _TOL + _SLACK
+        centre = self.c - self.m
+        low_p = self._range_min(
+            np.searchsorted(self.n_sorted, centre - reach, side="left"),
+            np.searchsorted(self.n_sorted, centre + reach, side="right"),
+        )
+        return self.a + np.maximum(low_d, low_p)
+
+    def excess_bound(self, D: float, P: float) -> np.ndarray:
+        """Per row, a lower bound on the excess of the row's pairs: the D
+        excess of the least e plus the P excess of the n nearest to
+        c - m_i, each less the slack."""
+        last = self.n_sorted.size - 1
+        centre = self.c - self.m
+        k = np.searchsorted(self.n_sorted, centre)
+        off_n = np.minimum(np.abs(self.n_sorted[np.maximum(k - 1, 0)] - centre),
+                           np.abs(self.n_sorted[np.minimum(k, last)] - centre))
+        return (np.maximum(self.d + self.e_sorted[0] - D - _SLACK, 0.0)
+                + np.maximum(off_n - P - _SLACK, 0.0))
+
+    def argmin(self, D: float, P: float) -> tuple[float, int, int]:
+        """(value, i, j) of the lexicographically smallest minimizer, or
+        (inf, -1, -1) when no pair is feasible."""
+
+        def score(rows):
+            feasible = (self.d[rows, None] + self.e[None, :] <= D + _TOL) & (
+                np.abs(self.m[rows, None] + self.n[None, :] - self.c) <= P + _TOL
+            )
+            return np.where(feasible, self.a[rows, None] + self.b[None, :], np.inf)
+
+        return _best_first(self.rate_bound(D, P), score)
+
+    def nearest(self, D: float, P: float) -> tuple[float, float]:
+        """(d_i + e_j, |m_i + n_j - c|) of the lexicographically smallest
+        pair minimizing the excess max(d_i + e_j - D, 0) +
+        max(|m_i + n_j - c| - P, 0); (inf, inf) when no excess is finite."""
+
+        def score(rows):
+            dtot = self.d[rows, None] + self.e[None, :]
+            ptot = np.abs(self.m[rows, None] + self.n[None, :] - self.c)
+            return np.maximum(dtot - D, 0.0) + np.maximum(ptot - P, 0.0)
+
+        _, i, j = _best_first(self.excess_bound(D, P), score)
+        if i < 0:
+            return math.inf, math.inf
+        return float(self.d[i] + self.e[j]), float(abs(self.m[i] + self.n[j] - self.c))
+
+
+def _oracle_search(model: SemanticModel, tab0: _BranchTables,
+                   tab1: _BranchTables) -> _PairSearch:
+    """Pair search over decoder pairs: rate, distortion and the signed
+    deviation of the pooled P(Shat = 0) from P(S = 0)."""
+    p_a, p_b = model.p_a, model.p_b
+    return _PairSearch(
+        p_a * tab0.info, p_a * tab0.dist, p_a * tab0.marg0,
+        p_b * tab1.info, p_b * tab1.dist, p_b * tab1.marg0,
+        1.0 - model.pi,
+    )
+
+
+_TABLE_CACHE: dict[tuple, tuple[_BranchTables, _BranchTables, _PairSearch]] = {}
 _TABLE_LOCK = threading.Lock()
 
 
@@ -226,65 +393,14 @@ def _coarse_tables(model: SemanticModel, resolution: float):
     if cached is not None:
         return cached
     grid = _axis_grid(resolution)
-    tables = (
-        _BranchTables(model, 0, grid, grid),
-        _BranchTables(model, 1, grid, grid),
-    )
+    tab0 = _BranchTables(model, 0, grid, grid)
+    tab1 = _BranchTables(model, 1, grid, grid)
+    entry = (tab0, tab1, _oracle_search(model, tab0, tab1))
     with _TABLE_LOCK:
         if len(_TABLE_CACHE) > 8:
             _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-        _TABLE_CACHE.setdefault(key, tables)
+        _TABLE_CACHE.setdefault(key, entry)
         return _TABLE_CACHE[key]
-
-
-def _scan_products(tab0: _BranchTables, tab1: _BranchTables, model: SemanticModel,
-                   d_targets, p_target: float, chunk_rows: int = 512):
-    """Minimum rate over the product of two branch tables for each distortion
-    target, under one shared perception target. Returns per-target
-    (rate, flat_index_branch0, flat_index_branch1) with rate = inf when no
-    candidate is feasible. Scan order is lexicographic, strict improvements
-    only, so ties resolve to the smallest law."""
-    p_a, p_b = model.p_a, model.p_b
-    p_s0 = 1.0 - model.pi
-    rate1 = p_b * tab1.info
-    dist1 = p_b * tab1.dist
-    marg1 = p_b * tab1.marg0
-    best = [(math.inf, -1, -1) for _ in d_targets]
-    n0 = tab0.info.size
-    for start in range(0, n0, chunk_rows):
-        stop = min(start + chunk_rows, n0)
-        rate = p_a * tab0.info[start:stop, None] + rate1[None, :]
-        dtot = p_a * tab0.dist[start:stop, None] + dist1[None, :]
-        ptot = np.abs(p_a * tab0.marg0[start:stop, None] + marg1[None, :] - p_s0)
-        feas_p = ptot <= p_target + _TOL
-        for k, d_target in enumerate(d_targets):
-            feasible = feas_p & (dtot <= d_target + _TOL)
-            if not feasible.any():
-                continue
-            masked = np.where(feasible, rate, np.inf)
-            flat = int(masked.argmin())
-            val = float(masked.flat[flat])
-            if val < best[k][0]:
-                i_local, j = divmod(flat, masked.shape[1])
-                best[k] = (val, start + i_local, j)
-    return best
-
-
-def _diagnose_infeasible(tab0, tab1, model, d_target, p_target):
-    best_gap, best_d, best_p = math.inf, math.inf, math.inf
-    p_a, p_b = model.p_a, model.p_b
-    p_s0 = 1.0 - model.pi
-    for i in range(0, tab0.dist.size, 2048):
-        sl = slice(i, i + 2048)
-        dtot = p_a * tab0.dist[sl, None] + p_b * tab1.dist[None, :]
-        ptot = np.abs(p_a * tab0.marg0[sl, None] + p_b * tab1.marg0[None, :] - p_s0)
-        gap = np.maximum(dtot - d_target, 0.0) + np.maximum(ptot - p_target, 0.0)
-        flat = int(gap.argmin())
-        if float(gap.flat[flat]) < best_gap:
-            best_gap = float(gap.flat[flat])
-            best_d = float(dtot.flat[flat])
-            best_p = float(ptot.flat[flat])
-    return best_d, best_p
 
 
 def _law_from_indices(tab0: _BranchTables, tab1: _BranchTables,
@@ -313,10 +429,10 @@ def oracle_min_rates(model: SemanticModel, d_targets, P: float,
     identical to calling ``oracle_min_rate`` per target."""
     P, resolution = _validate_oracle_args(P, resolution)
     d_targets = [float(d) for d in d_targets]
-    tab0, tab1 = _coarse_tables(model, resolution)
-    coarse = _scan_products(tab0, tab1, model, d_targets, P)
+    tab0, tab1, search = _coarse_tables(model, resolution)
     results: list[SolverResult | None] = []
-    for d_target, (rate, i, j) in zip(d_targets, coarse):
+    for d_target in d_targets:
+        rate, i, j = search.argmin(d_target, P)
         if not math.isfinite(rate):
             results.append(None)
             continue
@@ -329,7 +445,7 @@ def oracle_min_rates(model: SemanticModel, d_targets, P: float,
             model, 1,
             _refine_axis(law.s1, resolution), _refine_axis(law.t1, resolution),
         )
-        (f_rate, fi, fj), = _scan_products(fine0, fine1, model, [d_target], P)
+        f_rate, fi, fj = _oracle_search(model, fine0, fine1).argmin(d_target, P)
         if f_rate < rate:
             law = _law_from_indices(fine0, fine1, fi, fj)
         exact = evaluate_decoder(model, law)
@@ -350,13 +466,19 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
     """Exhaustive minimum of I(X; Shat | Y) over all decoding rules meeting
     the distortion and perception targets; deterministic for fixed inputs.
 
-    Raises InfeasibleError (with nearest-feasible diagnostics) when no grid
-    candidate satisfies both constraints.
+    The grid passes skip rows whose lower bound exceeds the incumbent, yet
+    return the minimizer a full scan of every grid candidate returns: the
+    bounds are float-safe and ties break on (value, i, j) (see the module
+    docstring).
+
+    Raises InfeasibleError when no grid candidate satisfies both
+    constraints. Its message gives the (D, P) of the nearest candidate, the
+    one with the least summed excess over the two targets.
     """
     result, = oracle_min_rates(model, [D], P, resolution)
     if result is None:
-        tab0, tab1 = _coarse_tables(model, float(resolution))
-        near_d, near_p = _diagnose_infeasible(tab0, tab1, model, float(D), float(P))
+        _, _, search = _coarse_tables(model, float(resolution))
+        near_d, near_p = search.nearest(float(D), float(P))
         raise InfeasibleError(
             f"no decoder meets D <= {D}, P <= {P}; nearest candidate achieves "
             f"(D = {near_d:.6f}, P = {near_p:.6f})"
@@ -399,8 +521,11 @@ def _min2_hypotheses(model: SemanticModel) -> float:
     return model.q1
 
 
-def _min2_scan(model: SemanticModel, q: float, D: float, P: float,
-               d0_vals, p0_vals, d1_vals, p1_vals):
+def _min2_search(model: SemanticModel, q: float,
+                 d0_vals, p0_vals, d1_vals, p1_vals) -> _PairSearch:
+    """Pair search over branch allocations: rate, semantic distortion and
+    aligned perception. With c = 0 the P test |m_i + n_j| <= P + tol is the
+    one-sided m_i + n_j <= P + tol, since both terms are non-negative."""
     p_a, p_b = model.p_a, model.p_b
     r0 = _branch_rate_table(min(model.a_star, 0.5), d0_vals, p0_vals)
     r1 = _branch_rate_table(min(model.b_star, 0.5), d1_vals, p1_vals)
@@ -412,22 +537,7 @@ def _min2_scan(model: SemanticModel, q: float, D: float, P: float,
     dsem1 = (p_b * np.broadcast_to(sem1[:, None], r1.shape)).ravel()
     per0 = (p_a * np.broadcast_to(p0_vals[None, :], r0.shape)).ravel()
     per1 = (p_b * np.broadcast_to(p1_vals[None, :], r1.shape)).ravel()
-    best = (math.inf, -1, -1)
-    for start in range(0, obj0.size, 512):
-        sl = slice(start, min(start + 512, obj0.size))
-        total = obj0[sl, None] + obj1[None, :]
-        feas = (dsem0[sl, None] + dsem1[None, :] <= D + _TOL) & (
-            per0[sl, None] + per1[None, :] <= P + _TOL
-        )
-        if not feas.any():
-            continue
-        masked = np.where(feas, total, np.inf)
-        flat = int(masked.argmin())
-        val = float(masked.flat[flat])
-        if val < best[0]:
-            i_local, j = divmod(flat, masked.shape[1])
-            best = (val, start + i_local, j)
-    return best
+    return _PairSearch(obj0, dsem0, per0, obj1, dsem1, per1, 0.0)
 
 
 def solve_min2(model: SemanticModel, D: float, P: float,
@@ -446,7 +556,7 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     grid = _half_grid(resolution)
 
     def pick(vals0, pvals0, vals1, pvals1):
-        return _min2_scan(model, q, D, P, vals0, pvals0, vals1, pvals1)
+        return _min2_search(model, q, vals0, pvals0, vals1, pvals1).argmin(D, P)
 
     rate, i, j = pick(grid, grid, grid, grid)
     if not math.isfinite(rate):

@@ -52,6 +52,20 @@ def test_sweep_curve_infeasible_marker():
     assert last[2] == "0.000000"
 
 
+def test_sweep_curve_p_axis_oracle_infeasible_marker(monkeypatch):
+    # P-axis oracle points report infeasibility as inf without building the
+    # nearest-candidate diagnostic that oracle_min_rate attaches to its error
+    def no_diagnostic(*args):
+        raise AssertionError("sweep called oracle_min_rate")
+
+    monkeypatch.setattr("semrdp.cli_sweeper.oracle_min_rate", no_diagnostic)
+    cfg = _closed_cfg(axis="P", axis_min=0.0, axis_max=0.2, steps=5, fixed_D=0.05,
+                      methods=("oracle",), resolution=0.05)
+    lines = sweep_curve(cfg).splitlines()
+    assert lines[0] == "D,P,R_oracle"
+    assert [line.split(",")[2] for line in lines[1:]] == ["inf"] * 5
+
+
 def test_sweep_curve_rows_sorted_by_axis():
     lines = sweep_curve(_closed_cfg()).splitlines()[1:]
     ds = [float(line.split(",")[0]) for line in lines]

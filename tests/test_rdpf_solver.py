@@ -19,6 +19,7 @@ from semrdp import (
     shat_marginal,
     solve_min2,
 )
+from semrdp import rdpf_solver as solver
 
 INF = math.inf
 
@@ -215,3 +216,219 @@ def test_min2_matches_oracle_when_perception_is_slack(model_q01):
         oracle = oracle_min_rate(model_q01, d, 0.05, 0.02).rate
         program = solve_min2(model_q01, d, 0.05, 0.02).rate
         assert abs(oracle - program) <= 0.02
+
+
+# ---------------------------------------------------------------------------
+# the pair-search kernel against the full product scans it replaced
+# ---------------------------------------------------------------------------
+
+_TOL = 1e-12
+_P_BUDGETS = (0.0, 1e-6, 1e-4, 0.05, INF)
+
+
+def _reference_scan(tab0, tab1, model, d_targets, p_target, chunk_rows=512):
+    """Full-product masked argmin over two oracle branch tables, per
+    distortion target: lexicographic scan, strict improvements only."""
+    p_a, p_b = model.p_a, model.p_b
+    p_s0 = 1.0 - model.pi
+    rate1 = p_b * tab1.info
+    dist1 = p_b * tab1.dist
+    marg1 = p_b * tab1.marg0
+    best = [(math.inf, -1, -1) for _ in d_targets]
+    n0 = tab0.info.size
+    for start in range(0, n0, chunk_rows):
+        stop = min(start + chunk_rows, n0)
+        rate = p_a * tab0.info[start:stop, None] + rate1[None, :]
+        dtot = p_a * tab0.dist[start:stop, None] + dist1[None, :]
+        ptot = np.abs(p_a * tab0.marg0[start:stop, None] + marg1[None, :] - p_s0)
+        feas_p = ptot <= p_target + _TOL
+        for k, d_target in enumerate(d_targets):
+            feasible = feas_p & (dtot <= d_target + _TOL)
+            if not feasible.any():
+                continue
+            masked = np.where(feasible, rate, np.inf)
+            flat = int(masked.argmin())
+            val = float(masked.flat[flat])
+            if val < best[k][0]:
+                i_local, j = divmod(flat, masked.shape[1])
+                best[k] = (val, start + i_local, j)
+    return best
+
+
+def _reference_diagnose(tab0, tab1, model, d_target, p_target):
+    """Full-product nearest candidate: least summed excess over (D, P)."""
+    best_gap, best_d, best_p = math.inf, math.inf, math.inf
+    p_a, p_b = model.p_a, model.p_b
+    p_s0 = 1.0 - model.pi
+    for i in range(0, tab0.dist.size, 2048):
+        sl = slice(i, i + 2048)
+        dtot = p_a * tab0.dist[sl, None] + p_b * tab1.dist[None, :]
+        ptot = np.abs(p_a * tab0.marg0[sl, None] + p_b * tab1.marg0[None, :] - p_s0)
+        gap = np.maximum(dtot - d_target, 0.0) + np.maximum(ptot - p_target, 0.0)
+        flat = int(gap.argmin())
+        if float(gap.flat[flat]) < best_gap:
+            best_gap = float(gap.flat[flat])
+            best_d = float(dtot.flat[flat])
+            best_p = float(ptot.flat[flat])
+    return best_d, best_p
+
+
+def _reference_min2_scan(obj0, dsem0, per0, obj1, dsem1, per1, D, P):
+    """Full-product masked argmin over branch allocations, with the
+    one-sided aligned perception test."""
+    best = (math.inf, -1, -1)
+    for start in range(0, obj0.size, 512):
+        sl = slice(start, min(start + 512, obj0.size))
+        total = obj0[sl, None] + obj1[None, :]
+        feas = (dsem0[sl, None] + dsem1[None, :] <= D + _TOL) & (
+            per0[sl, None] + per1[None, :] <= P + _TOL
+        )
+        if not feas.any():
+            continue
+        masked = np.where(feas, total, np.inf)
+        flat = int(masked.argmin())
+        val = float(masked.flat[flat])
+        if val < best[0]:
+            i_local, j = divmod(flat, masked.shape[1])
+            best = (val, start + i_local, j)
+    return best
+
+
+def _seeded_models(seed):
+    rng = np.random.default_rng(seed)
+    asymmetric = build_model(rng.uniform(0.2, 0.5), *rng.uniform(0.0, 0.25, 2),
+                             *rng.uniform(0.05, 0.4, 2))
+    return asymmetric, dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4))
+
+
+def _targets_from(floor):
+    """Distortion targets from infeasible, through the floor (met within
+    the 1e-12 tolerance at floor - 5e-13), to slack."""
+    return [floor - 0.02, floor - 1e-9, floor - 5e-13, floor, floor + 0.01,
+            0.5 * (floor + 0.5), 0.5, 1.0]
+
+
+@pytest.mark.parametrize("seed, resolution", [(1, 0.05), (2, 0.05), (3, 0.02)])
+def test_pair_search_matches_full_scan_on_oracle_tables(seed, resolution):
+    grid = solver._axis_grid(resolution)
+    for model in _seeded_models(seed):
+        tab0 = solver._BranchTables(model, 0, grid, grid)
+        tab1 = solver._BranchTables(model, 1, grid, grid)
+        search = solver._oracle_search(model, tab0, tab1)
+        d_targets = _targets_from(float(search.d.min() + search.e.min()))
+        for P in _P_BUDGETS:
+            expected = _reference_scan(tab0, tab1, model, d_targets, P)
+            assert [search.argmin(d, P) for d in d_targets] == expected
+            infeasible = [d for d, (_, i, _) in zip(d_targets, expected) if i < 0]
+            # the tightest infeasible target, where the diagnostic's bound prunes least
+            d = infeasible[-1]
+            assert search.nearest(d, P) == _reference_diagnose(tab0, tab1, model, d, P)
+            for d, (_, i, j) in zip(d_targets, expected):
+                if i < 0:
+                    continue
+                # the refinement box the oracle builds around this incumbent
+                law = solver._law_from_indices(tab0, tab1, i, j)
+                fine0 = solver._BranchTables(model, 0, solver._refine_axis(law.s0, resolution),
+                                             solver._refine_axis(law.t0, resolution))
+                fine1 = solver._BranchTables(model, 1, solver._refine_axis(law.s1, resolution),
+                                             solver._refine_axis(law.t1, resolution))
+                fine = solver._oracle_search(model, fine0, fine1)
+                assert fine.argmin(d, P) == _reference_scan(fine0, fine1, model, [d], P)[0]
+
+
+def test_pair_search_breaks_ties_on_mirrored_decoders():
+    # on a DSBS model a decoder (s0, t0, s1, t1) and its mirror
+    # (1 - t1, 1 - s1, 1 - t0, 1 - s0) score the same rate to the last bit;
+    # the result must be the lexicographically smaller pair of the two
+    model = dsbs_model(0.1, 0.3)
+    grid = solver._axis_grid(0.02)
+    tab0 = solver._BranchTables(model, 0, grid, grid)
+    tab1 = solver._BranchTables(model, 1, grid, grid)
+    search = solver._oracle_search(model, tab0, tab1)
+
+    def flat(s, t):
+        return int(np.abs(grid - s).argmin()) * grid.size + int(np.abs(grid - t).argmin())
+
+    for P in (0.05, INF):
+        rate, i, j = search.argmin(0.2, P)
+        assert (rate, i, j) == _reference_scan(tab0, tab1, model, [0.2], P)[0]
+        law = solver._law_from_indices(tab0, tab1, i, j)
+        mi = flat(1.0 - law.t1, 1.0 - law.s1)
+        mj = flat(1.0 - law.t0, 1.0 - law.s0)
+        assert (i, j) < (mi, mj)
+        assert search.a[mi] + search.b[mj] == rate
+        assert search.d[mi] + search.e[mj] <= 0.2 + _TOL
+        assert abs(search.m[mi] + search.n[mj] - search.c) <= P + _TOL
+
+
+@pytest.mark.parametrize("seed, resolution", [(5, 0.05), (6, 0.02)])
+def test_pair_search_matches_full_scan_on_min2_tables(seed, resolution):
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        model = dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4))
+        q = model.q1
+        grid = solver._half_grid(resolution)
+        search = solver._min2_search(model, q, grid, grid, grid, grid)
+        arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
+        for P in _P_BUDGETS:
+            for D in _targets_from(q):
+                expected = _reference_min2_scan(*arrays, D, P)
+                assert search.argmin(D, P) == expected
+                _, i, j = expected
+                if i < 0:
+                    continue
+                n = grid.size
+                box = [solver._refine_axis(float(v), resolution, upper=0.5)
+                       for v in (grid[i // n], grid[i % n], grid[j // n], grid[j % n])]
+                fine = solver._min2_search(model, q, *box)
+                assert fine.argmin(D, P) == _reference_min2_scan(
+                    fine.a, fine.d, fine.m, fine.b, fine.e, fine.n, D, P)
+
+
+def _brute_force(search, D, P):
+    """Score and excess matrices of a pair search over the whole product."""
+    dtot = search.d[:, None] + search.e[None, :]
+    ptot = np.abs(search.m[:, None] + search.n[None, :] - search.c)
+    feasible = (dtot <= D + _TOL) & (ptot <= P + _TOL)
+    value = np.where(feasible, search.a[:, None] + search.b[None, :], np.inf)
+    gap = np.maximum(dtot - D, 0.0) + np.maximum(ptot - P, 0.0)
+    return dtot, ptot, value, gap
+
+
+def test_pair_search_matches_brute_force_on_lattice_tables():
+    # entries on a coarse decimal lattice give many exact ties and sums that
+    # round across the constraint edges; up to 3000 rows cross many chunk
+    # boundaries, and few columns keep the two constraints in conflict
+    rng = np.random.default_rng(7)
+
+    def lattice(size, top):
+        return rng.integers(0, top + 1, size) * 0.1
+
+    for _ in range(60):
+        rows, cols = rng.integers(1, 3000), rng.integers(1, 30)
+        search = solver._PairSearch(lattice(rows, 4), 0.2 + lattice(rows, 8), lattice(rows, 10),
+                                    lattice(cols, 4), 0.2 + lattice(cols, 8), lattice(cols, 10),
+                                    float(rng.integers(0, 21)) * 0.1)
+        for _ in range(4):
+            D, P = float(rng.integers(0, 16)) * 0.1, float(rng.integers(0, 3)) * 0.1
+            dtot, ptot, value, gap = _brute_force(search, D, P)
+            assert np.all(search.rate_bound(D, P) <= value.min(axis=1))
+            assert np.all(search.excess_bound(D, P) <= gap.min(axis=1))
+            i, j = np.unravel_index(int(value.argmin()), value.shape)
+            best = (float(value[i, j]), int(i), int(j)) if np.isfinite(value[i, j]) \
+                else (math.inf, -1, -1)
+            assert search.argmin(D, P) == best
+            i, j = np.unravel_index(int(gap.argmin()), gap.shape)
+            assert search.nearest(D, P) == (float(dtot[i, j]), float(ptot[i, j]))
+
+
+def test_best_first_visits_rows_whose_bound_ties_the_incumbent():
+    # the bound-0 rows come first and find row `late`; a chunk must then
+    # start among the bound-1 rows, whose bound equals the incumbent, and
+    # row `early` wins the tie on its smaller index
+    early = 2 * solver._MAX_CHUNK
+    late = early + 100
+    bound = np.r_[np.ones(early + 1), np.zeros(100)]
+    scores = np.full(late + 1, 2.0)
+    scores[[early, late]] = 1.0
+    assert solver._best_first(bound, lambda rows: scores[rows, None]) == (1.0, early, 0)
