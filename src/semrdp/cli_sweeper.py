@@ -618,11 +618,6 @@ def run_verification(cfg: VerificationConfig | None = None) -> VerificationSumma
     )
 
 
-def verify_report(cfg: VerificationConfig | None = None) -> VerificationSummary:
-    """Alias kept for the operational name of the verification entry point."""
-    return run_verification(cfg)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ class TrialConfig:
 
     ``seed`` is the common randomness shared by encoder and decoder;
     ``rate_R1``/``rate_R2`` are the codebook and bin rates in bits per
-    source symbol; k and m are kept only for source/channel feasibility
-    bookkeeping and play no role in the simulation itself.
+    source symbol.
     """
 
     n: int
@@ -56,8 +55,6 @@ class TrialConfig:
     seed: int
     rate_R1: float = 0.0
     rate_R2: float = 0.0
-    k: int = 1
-    m: int = 1
 
     def __post_init__(self):
         if self.n < 1:
@@ -68,8 +65,6 @@ class TrialConfig:
             raise DomainError(
                 f"need rate_R1 >= rate_R2 >= 0, got {self.rate_R1}, {self.rate_R2}"
             )
-        if self.k < 1 or self.m < 1:
-            raise DomainError("k and m must be positive counts")
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ __all__ = [
     "entropy",
     "random_joint",
     "ternary_entropy",
+    "ternary_entropy_array",
     "tv_distance",
 ]
 
@@ -98,6 +99,16 @@ def ternary_entropy(x: float, y: float) -> float:
     return total
 
 
+def ternary_entropy_array(x: np.ndarray, y) -> np.ndarray:
+    """Vectorized ``ternary_entropy`` for arrays already known to form
+    distributions (x, y, 1 - x - y), summed in the scalar's order."""
+    z = np.maximum(1.0 - x - y, 0.0)
+    out = np.zeros(z.shape)
+    for v in np.broadcast_arrays(x, y, z):
+        np.subtract(out, v * np.log2(np.where(v > 0.0, v, 1.0)), out=out)
+    return out
+
+
 def _masses(dist) -> np.ndarray:
     if isinstance(dist, FiniteDistribution):
         return dist.masses
@@ -139,10 +150,6 @@ class FiniteDistribution:
         arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
         object.__setattr__(self, "masses", arr)
-
-    @property
-    def alphabet_size(self) -> int:
-        return int(self.masses.size)
 
     def renormalized(self) -> "FiniteDistribution":
         """Explicitly rescale to sum exactly 1; never done silently."""

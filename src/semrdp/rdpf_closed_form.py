@@ -15,7 +15,7 @@ where H_b and H_t are the binary and ternary entropies. The perception
 constraint only binds on a middle distortion band; the full function is
 piecewise:
 
-    R_pi(D)       on 0 <= D <= D1   (or everywhere when P >= pi)
+    R_pi(D)       on 0 <= D <= D1   (or everywhere when P >= pi or pi = 1/2)
     R_pi(D, P)    on D1 <= D <= D2
     0             on D >= D2
 
@@ -52,8 +52,11 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .errors import DomainError, HypothesisError, InfeasibleError
-from .probability_core import _as_probability, binary_entropy, ternary_entropy
+from .probability_core import (_as_probability, binary_entropy, binary_entropy_array,
+                               ternary_entropy, ternary_entropy_array)
 from .semantic_model import SemanticModel
 
 Method = Literal["closed_form", "min2_solver", "oracle", "simulation"]
@@ -158,7 +161,8 @@ def rdpf_piecewise(p: float, D: float, P: float) -> float:
     P = float(P)
     if math.isnan(P) or P < -_TOL:
         raise DomainError(f"perception budget must be non-negative, got {P}")
-    if P >= p:
+    # p = 1/2: the R(D) reconstruction is uniform, so perception never binds
+    if P >= p or p == 0.5:
         return rdf_pi(p, D)
     d1, d2 = perception_band(p, P)
     if D <= d1:
@@ -166,6 +170,29 @@ def rdpf_piecewise(p: float, D: float, P: float) -> float:
     if D >= d2:
         return 0.0
     return rdpf_pi(p, D, P)
+
+
+def rdpf_piecewise_array(p: float, D, P) -> np.ndarray:
+    """``rdpf_piecewise`` broadcast over arrays of distortions D >= 0 and
+    budgets P >= 0 (inf allowed), with the scalar's dispatch and float
+    expressions; entries agree with it up to the last bits of numpy's log2."""
+    if not 0.0 < p <= 0.5:
+        raise DomainError(f"p must lie in (0, 1/2], got {p}")
+    D, P = np.broadcast_arrays(np.asarray(D, dtype=float), np.asarray(P, dtype=float))
+    rate = np.where(D >= p, 0.0, binary_entropy(p) - binary_entropy_array(np.clip(D, 0.0, 1.0)))
+    if p == 0.5:
+        return rate
+    band = P < p
+    Pb = np.minimum(np.where(band, P, 0.0), p)
+    d1, d2 = perception_band(p, Pb)
+    above = band & (D > d1)
+    mid = above & (D < d2)
+    rate[above] = 0.0
+    Dm, Pm = D[mid], Pb[mid]
+    rate[mid] = (2.0 * binary_entropy(p) + binary_entropy_array(p - Pm)
+                 - ternary_entropy_array(np.maximum((Dm - Pm) / 2.0, 0.0), p)
+                 - ternary_entropy_array((Dm + Pm) / 2.0, 1.0 - p))
+    return rate
 
 
 def _require_doubly_symmetric(model: SemanticModel) -> tuple[float, float, float]:

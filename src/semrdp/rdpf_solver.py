@@ -66,7 +66,7 @@ from .probability_core import (
     conditional_mutual_information,
     tv_distance,
 )
-from .rdpf_closed_form import rdpf_piecewise
+from .rdpf_closed_form import rdpf_piecewise_array
 from .semantic_model import SemanticModel
 
 _TOL = 1e-12
@@ -473,7 +473,7 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
 
     Raises InfeasibleError when no grid candidate satisfies both
     constraints. Its message gives the (D, P) of the nearest candidate, the
-    one with the least summed excess over the two targets.
+    one with the least summed excess over the two targets, and that excess.
     """
     result, = oracle_min_rates(model, [D], P, resolution)
     if result is None:
@@ -481,7 +481,8 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
         near_d, near_p = search.nearest(float(D), float(P))
         raise InfeasibleError(
             f"no decoder meets D <= {D}, P <= {P}; nearest candidate achieves "
-            f"(D = {near_d:.6f}, P = {near_p:.6f})"
+            f"(D = {near_d:.6g}, P = {near_p:.6g}), over the targets by "
+            f"(D: {max(near_d - float(D), 0.0):.3g}, P: {max(near_p - float(P), 0.0):.3g})"
         )
     return result
 
@@ -496,14 +497,6 @@ def _half_grid(resolution: float) -> np.ndarray:
     if pts[-1] < 0.5 - 1e-12:
         pts = np.append(pts, 0.5)
     return pts
-
-
-def _branch_rate_table(star: float, d_vals: np.ndarray, p_vals: np.ndarray) -> np.ndarray:
-    table = np.empty((d_vals.size, p_vals.size))
-    for di, d in enumerate(d_vals):
-        for pi_, p in enumerate(p_vals):
-            table[di, pi_] = rdpf_piecewise(star, float(d), float(p))
-    return table
 
 
 def _min2_hypotheses(model: SemanticModel) -> float:
@@ -527,8 +520,8 @@ def _min2_search(model: SemanticModel, q: float,
     aligned perception. With c = 0 the P test |m_i + n_j| <= P + tol is the
     one-sided m_i + n_j <= P + tol, since both terms are non-negative."""
     p_a, p_b = model.p_a, model.p_b
-    r0 = _branch_rate_table(min(model.a_star, 0.5), d0_vals, p0_vals)
-    r1 = _branch_rate_table(min(model.b_star, 0.5), d1_vals, p1_vals)
+    r0 = rdpf_piecewise_array(min(model.a_star, 0.5), d0_vals[:, None], p0_vals[None, :])
+    r1 = rdpf_piecewise_array(min(model.b_star, 0.5), d1_vals[:, None], p1_vals[None, :])
     sem0 = (1.0 - 2.0 * q) * d0_vals + q
     sem1 = (1.0 - 2.0 * q) * d1_vals + q
     obj0 = (p_a * r0).ravel()

@@ -111,15 +111,6 @@ class SemanticModel:
             return _bernoulli_pair(0.5)
         return _bernoulli_pair(self.pi * (1.0 - self.q2) + (1.0 - self.pi) * self.q1)
 
-    def side_distribution(self) -> FiniteDistribution:
-        return FiniteDistribution(np.array([self.p_a, self.p_b]))
-
-    def channel_x_given_s(self) -> ChannelMatrix:
-        return ChannelMatrix.from_crossovers(self.q1, self.q2)
-
-    def channel_y_given_x(self) -> ChannelMatrix:
-        return ChannelMatrix.from_crossovers(self.a, self.b)
-
     def channel_y_given_s(self) -> ChannelMatrix:
         return ChannelMatrix.from_crossovers(self.u, self.v)
 
@@ -128,10 +119,6 @@ class SemanticModel:
 
     def channel_s_given_y(self) -> ChannelMatrix:
         return ChannelMatrix.from_crossovers(self.u_star, self.v_star)
-
-    def conditional_x_given_y(self, y: int) -> float:
-        """P(X = 1 | Y = y)."""
-        return self.a_star if y == 0 else 1.0 - self.b_star
 
     def __repr__(self):
         return (

@@ -130,8 +130,6 @@ def test_trial_config_validation():
         TrialConfig(n=8, trials=0, seed=1)
     with pytest.raises(DomainError):
         TrialConfig(n=8, trials=1, seed=1, rate_R1=0.2, rate_R2=0.4)
-    with pytest.raises(DomainError):
-        TrialConfig(n=8, trials=1, seed=1, k=0)
 
 
 def test_binning_equal_rates_never_fails(model_q01):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from semrdp import (
     evaluate_decoder,
     oracle_min_rate,
     oracle_min_rates,
+    rdpf_piecewise,
     shat_marginal,
     solve_min2,
 )
@@ -131,6 +133,20 @@ def test_oracle_infeasible(model_q01):
         oracle_min_rate(model_q01, 0.05, 0.05, 0.05)
 
 
+def test_oracle_infeasible_message_shows_the_violated_target():
+    # the nearest candidate meets D and misses P = 0 by less than 1e-6, which
+    # six decimals would print as P = 0.000000
+    model = build_model(0.3869, 0.1484, 0.159, 0.3799, 0.309)
+    with pytest.raises(InfeasibleError) as info:
+        oracle_min_rate(model, 0.45, 0.0, 0.02)
+    found = re.search(r"\(D = ([^,]+), P = ([^)]+)\), over the targets by "
+                      r"\(D: ([^,]+), P: ([^)]+)\)", str(info.value))
+    near_d, near_p, over_d, over_p = map(float, found.groups())
+    assert near_d <= 0.45 and over_d == 0.0
+    assert 1e-12 < near_p < 1e-6
+    assert over_p == pytest.approx(near_p, rel=1e-2)
+
+
 def test_oracle_resolution_validation(model_q01):
     with pytest.raises(DomainError):
         oracle_min_rate(model_q01, 0.2, 0.05, 0.5)
@@ -191,6 +207,15 @@ def test_solve_min2_infeasible_and_hypotheses(model_q01):
         solve_min2(build_model(0.4, 0.1, 0.1, 0.2, 0.2), 0.2, 0.05, 0.01)
     with pytest.raises(HypothesisError):
         solve_min2(build_model(0.5, 0.1, 0.2, 0.2, 0.2), 0.2, 0.05, 0.01)
+
+
+def test_solve_min2_uniform_branch_posterior():
+    # pi_x = 1/2 gives both branches the posterior 1/2, where perception
+    # never binds: the rate is R(D) of the uniform observation at every P
+    model = dsbs_model(0.1, 0.5)
+    for P in (0.0, 0.05):
+        result = solve_min2(model, 0.3, P, 0.02)
+        assert result.rate == pytest.approx(1.0 - binary_entropy(0.25), abs=1e-12)
 
 
 def test_solve_min2_asymmetric_side_channel():
@@ -294,6 +319,16 @@ def _reference_min2_scan(obj0, dsem0, per0, obj1, dsem1, per1, D, P):
     return best
 
 
+def _reference_branch_rate_table(star, d_vals, p_vals):
+    """The scalar double loop over rdpf_piecewise that built the solve_min2
+    branch tables before the array kernel."""
+    table = np.empty((d_vals.size, p_vals.size))
+    for di, d in enumerate(d_vals):
+        for pi_, p in enumerate(p_vals):
+            table[di, pi_] = rdpf_piecewise(star, float(d), float(p))
+    return table
+
+
 def _seeded_models(seed):
     rng = np.random.default_rng(seed)
     asymmetric = build_model(rng.uniform(0.2, 0.5), *rng.uniform(0.0, 0.25, 2),
@@ -383,6 +418,40 @@ def test_pair_search_matches_full_scan_on_min2_tables(seed, resolution):
                 fine = solver._min2_search(model, q, *box)
                 assert fine.argmin(D, P) == _reference_min2_scan(
                     fine.a, fine.d, fine.m, fine.b, fine.e, fine.n, D, P)
+
+
+@pytest.mark.parametrize("seed, resolution", [(7, 0.05), (8, 0.02)])
+def test_solve_min2_matches_scalar_branch_tables(seed, resolution, monkeypatch):
+    # a DSBS model and one with an asymmetric side channel (a* != b*)
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.0, 0.2)
+    models = [dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4)),
+              build_model(0.5, q, q, *rng.uniform(0.05, 0.4, 2))]
+    cases = [(model, D, P) for model in models for P in (0.0, 1e-4, 0.05, INF)
+             for D in _targets_from(model.q1)]
+
+    def solve_all():
+        results = []
+        for model, D, P in cases:
+            try:
+                result = solve_min2(model, D, P, resolution)
+                results.append((result.rate, result.branch_allocation))
+            except InfeasibleError:
+                results.append(None)
+        return results
+
+    kernel = solve_all()
+    monkeypatch.setattr(
+        solver, "rdpf_piecewise_array",
+        # _min2_search passes the axes as a column and a row
+        lambda star, d_col, p_row: _reference_branch_rate_table(star, d_col[:, 0], p_row[0]))
+    for array, scalar in zip(kernel, solve_all()):
+        if scalar is None:
+            assert array is None
+            continue
+        assert array[1] == scalar[1]
+        assert abs(array[0] - scalar[0]) <= 1e-12
+    assert sum(r is None for r in kernel) == 2 * 4 * len(models)  # D = q - 0.02, q - 1e-9
 
 
 def _brute_force(search, D, P):
