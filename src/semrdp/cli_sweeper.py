@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding_simulator import TrialConfig, derive_seed, random_binning_trial, run_decoder_trials
+from .coding_simulator import (TrialConfig, apply_decoder, derive_seed, random_binning_trial,
+                               run_decoder_trials, sample_block)
 from .errors import DomainError, InfeasibleError, SemRdpError
 from .probability_core import chain_rule_decomposition, random_joint
 from .rdpf_closed_form import RdpPoint, closed_form_rate, rdpf_piecewise
@@ -452,8 +453,6 @@ def check_zero_rate_threshold(cfg: VerificationConfig):
 
 
 def check_distortion_transform_law(cfg: VerificationConfig):
-    from .coding_simulator import apply_decoder, sample_block
-
     model = dsbs_model(0.1, 0.2)
     q = model.q1
     worst = 0.0
@@ -522,8 +521,6 @@ def check_simulation_consistency(cfg: VerificationConfig):
         )
         per_d = []
         per_pdiff = []
-        from .coding_simulator import apply_decoder, sample_block
-
         for t in range(trial_cfg.trials):
             s, x, y = sample_block(model, trial_cfg.n, derive_seed(trial_cfg.seed, t, 0))
             shat = apply_decoder(law, x, y, derive_seed(trial_cfg.seed, t, 1))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .probability_core import FiniteDistribution, tv_distance
 from .rdpf_solver import DecoderLaw, shat_marginal
 from .semantic_model import SemanticModel
 
@@ -97,35 +96,48 @@ class BlockMetrics:
 
 
 def sample_block(model: SemanticModel, n: int, seed: int):
-    """n i.i.d. draws of (S, X, Y) from the model joint, deterministic in seed."""
+    """n i.i.d. draws of (S, X, Y) from the model joint, deterministic in seed.
+
+    Each uniform u picks the cell whose index counts the cumulative
+    thresholds at or below u. The thresholds are sorted, so the count is
+    ``searchsorted(cum, u, side="right")``; leaving out ``cum[-1]`` clips it
+    to the last cell when rounding leaves ``cum[-1]`` below 1. The uint8
+    index unpacks into uint8 S, X and Y without a copy to another dtype.
+    """
     if n < 1:
         raise DomainError(f"block length must be positive, got {n}")
-    flat = model.joint.masses.ravel()
-    cum = np.cumsum(flat)
+    cum = np.cumsum(model.joint.masses.ravel())
     u = _rng(seed).random(n)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), flat.size - 1)
-    s = (idx >> 2).astype(np.uint8)
-    x = ((idx >> 1) & 1).astype(np.uint8)
-    y = (idx & 1).astype(np.uint8)
-    return s, x, y
+    idx = np.zeros(n, dtype=np.uint8)
+    for threshold in cum[:-1]:
+        idx += u >= threshold
+    return idx >> 2, (idx >> 1) & 1, idx & 1
 
 
 def apply_decoder(law: DecoderLaw, x_block: np.ndarray, y_block: np.ndarray,
                   seed: int) -> np.ndarray:
-    """Per-symbol stochastic decoding of (X, Y) blocks under a shared seed."""
+    """Per-symbol stochastic decoding of binary (X, Y) blocks under a shared
+    seed; P(Shat = 0) is looked up in the flat table at 2x + y."""
     x_block = np.asarray(x_block)
     y_block = np.asarray(y_block)
     if x_block.shape != y_block.shape:
         raise DomainError(
             f"block length mismatch: {x_block.shape} vs {y_block.shape}"
         )
-    p_zero = law.prob_zero_table()[x_block, y_block]
+    if x_block.size and not {x_block.min(), x_block.max(),
+                             y_block.min(), y_block.max()} <= {0, 1}:
+        raise DomainError("decoder input symbols must be 0 or 1")
+    p_zero = law.prob_zero_table().ravel().take(2 * x_block + y_block)
     u = _rng(seed).random(x_block.size)
-    return (u >= p_zero).astype(np.uint8)
+    return (u >= p_zero).view(np.uint8)
+
+
+def _zeros(block: np.ndarray) -> int:
+    return block.size - np.count_nonzero(block)
 
 
 def _freq_zero(block: np.ndarray) -> float:
-    return float(np.count_nonzero(block == 0) / block.size)
+    return _zeros(block) / block.size
 
 
 def empirical_metrics(s_block: np.ndarray, shat_block: np.ndarray,
@@ -148,32 +160,25 @@ def empirical_metrics(s_block: np.ndarray, shat_block: np.ndarray,
             f"sub-block length {block_length} does not divide block length {n}"
         )
     empirical_d = float(np.count_nonzero(s_block != shat_block) / n)
-    p_marginal = tv_distance(
-        FiniteDistribution(np.array([_freq_zero(s_block), 1.0 - _freq_zero(s_block)])),
-        FiniteDistribution(
-            np.array([_freq_zero(shat_block), 1.0 - _freq_zero(shat_block)])
-        ),
-    )
-    s_parts = s_block.reshape(-1, block_length)
-    shat_parts = shat_block.reshape(-1, block_length)
-    fs = (s_parts == 0).mean(axis=1)
-    fh = (shat_parts == 0).mean(axis=1)
+    fs = (s_block.reshape(-1, block_length) == 0).mean(axis=1)
+    fh = (shat_block.reshape(-1, block_length) == 0).mean(axis=1)
     p_blockwise = float(np.abs(fs - fh).mean())
     return BlockMetrics(
         empirical_D=empirical_d,
-        empirical_P_marginal=p_marginal,
+        empirical_P_marginal=abs(_freq_zero(s_block) - _freq_zero(shat_block)),
         empirical_P_blockwise=p_blockwise,
     )
 
 
-def _aggregate_report(per_trial_d, pooled_s, pooled_shat, blockwise_values,
+def _aggregate_report(per_trial_d, zeros_s, zeros_shat, blockwise_values,
                       failures, seeds, cfg: TrialConfig) -> TrialReport:
     per_trial_d = np.asarray(per_trial_d, dtype=float)
     mean_d = float(per_trial_d.mean())
     se = None
     if per_trial_d.size >= 2:
         se = float(per_trial_d.std(ddof=1) / math.sqrt(per_trial_d.size))
-    p_marginal = abs(_freq_zero(pooled_s) - _freq_zero(pooled_shat))
+    symbols = cfg.trials * cfg.n
+    p_marginal = abs(zeros_s / symbols - zeros_shat / symbols)
     return TrialReport(
         empirical_D=mean_d,
         empirical_D_se=se,
@@ -192,7 +197,7 @@ def run_decoder_trials(model: SemanticModel, law: DecoderLaw, cfg: TrialConfig,
     if cfg.n % block_length != 0:
         block_length = cfg.n
     per_trial_d, blockwise, seeds = [], [], []
-    pooled_s, pooled_shat = [], []
+    zeros_s = zeros_shat = 0
     for t in range(cfg.trials):
         block_seed = derive_seed(cfg.seed, t, 0)
         decode_seed = derive_seed(cfg.seed, t, 1)
@@ -202,11 +207,10 @@ def run_decoder_trials(model: SemanticModel, law: DecoderLaw, cfg: TrialConfig,
         per_trial_d.append(m.empirical_D)
         blockwise.append(m.empirical_P_blockwise)
         seeds.append(block_seed)
-        pooled_s.append(s)
-        pooled_shat.append(shat)
+        zeros_s += _zeros(s)
+        zeros_shat += _zeros(shat)
     return _aggregate_report(
-        per_trial_d, np.concatenate(pooled_s), np.concatenate(pooled_shat),
-        blockwise, 0, seeds, cfg,
+        per_trial_d, zeros_s, zeros_shat, blockwise, 0, seeds, cfg,
     )
 
 
@@ -236,7 +240,7 @@ def random_binning_trial(model: SemanticModel, cfg: TrialConfig,
     words, bins = _codebook_sizes(cfg)
     p_one = float(shat_marginal(model, target_law).masses[1])
     per_trial_d, blockwise, seeds = [], [], []
-    pooled_s, pooled_shat = [], []
+    zeros_s = zeros_shat = 0
     failures = 0
     for t in range(cfg.trials):
         block_seed = derive_seed(cfg.seed, t, 0)
@@ -257,9 +261,8 @@ def random_binning_trial(model: SemanticModel, cfg: TrialConfig,
         per_trial_d.append(m.empirical_D)
         blockwise.append(m.empirical_P_blockwise)
         seeds.append(block_seed)
-        pooled_s.append(s)
-        pooled_shat.append(shat)
+        zeros_s += _zeros(s)
+        zeros_shat += _zeros(shat)
     return _aggregate_report(
-        per_trial_d, np.concatenate(pooled_s), np.concatenate(pooled_shat),
-        blockwise, failures, seeds, cfg,
+        per_trial_d, zeros_s, zeros_shat, blockwise, failures, seeds, cfg,
     )

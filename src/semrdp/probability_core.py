@@ -80,7 +80,7 @@ def binary_entropy_array(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     hi = np.maximum(p, 1.0 - p)
     lo = 1.0 - hi
-    out = -hi * np.log2(hi)
+    out = np.asarray(-hi * np.log2(hi), dtype=float)
     np.subtract(out, lo * np.log2(np.where(lo > 0.0, lo, 1.0)), out=out)
     return out
 

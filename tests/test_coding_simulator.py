@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from semrdp import (
     DomainError,
     ResourceLimitError,
     TrialConfig,
+    TrialReport,
     apply_decoder,
+    build_model,
     derive_seed,
     dsbs_model,
     empirical_metrics,
@@ -17,6 +20,7 @@ from semrdp import (
     run_decoder_trials,
     sample_block,
 )
+from semrdp.coding_simulator import _rng
 
 
 def test_sample_block_deterministic(model_q01):
@@ -179,3 +183,93 @@ def test_derive_seed_distinct_and_stable():
     assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
     seen = {derive_seed(7, t, role) for t in range(50) for role in range(2)}
     assert len(seen) == 100
+
+
+def _reference_sample_block(model, n, seed):
+    """The searchsorted sampler that fixed the --seed streams."""
+    flat = model.joint.masses.ravel()
+    cum = np.cumsum(flat)
+    u = _rng(seed).random(n)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), flat.size - 1)
+    return ((idx >> 2).astype(np.uint8), ((idx >> 1) & 1).astype(np.uint8),
+            (idx & 1).astype(np.uint8))
+
+
+def _reference_apply_decoder(law, x_block, y_block, seed):
+    """The 2-D table-index decoder that fixed the --seed streams."""
+    p_zero = law.prob_zero_table()[x_block, y_block]
+    u = _rng(seed).random(x_block.size)
+    return (u >= p_zero).astype(np.uint8)
+
+
+# cum[-1] of the (0.379, ...) joint rounds to 1 - 2^-53; the others have
+# zero-mass cells, so cum repeats entries
+_STREAM_MODELS = [
+    dsbs_model(0.0, 0.2),
+    build_model(0.3, 0.0, 0.15, 0.2, 0.3),
+    build_model(0.0, 0.1, 0.15, 0.2, 0.3),
+    dsbs_model(0.1, 0.2),
+    build_model(0.379, 0.249, 0.265, 0.393, 0.207),
+]
+
+
+@pytest.mark.parametrize("n", [1, 12, 100_000])
+@pytest.mark.parametrize("model_index", range(len(_STREAM_MODELS)))
+def test_kernels_match_reference_streams(model_index, n, rng):
+    model = _STREAM_MODELS[model_index]
+    for k in range(4):
+        seed = derive_seed(model_index, n, k)
+        block = sample_block(model, n, seed)
+        for got, want in zip(block, _reference_sample_block(model, n, seed)):
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+        law = DecoderLaw(*rng.random(4))
+        _, x, y = block
+        shat = apply_decoder(law, x, y, seed + 1)
+        assert shat.dtype == np.uint8
+        assert np.array_equal(shat, _reference_apply_decoder(law, x, y, seed + 1))
+
+
+def test_sample_block_clips_to_the_last_cell():
+    model = _STREAM_MODELS[-1]
+    assert np.cumsum(model.joint.masses.ravel())[-1] < 1.0
+    # masses summing to 0.9 put a tenth of the draws past cum[-1]
+    short = SimpleNamespace(joint=SimpleNamespace(masses=np.full((2, 2, 2), 0.9 / 8)))
+    s, x, y = sample_block(short, 10_000, 3)
+    for got, want in zip((s, x, y), _reference_sample_block(short, 10_000, 3)):
+        assert np.array_equal(got, want)
+    assert np.count_nonzero(s & x & y) > 1000
+
+
+def test_apply_decoder_rejects_non_binary_symbols():
+    ones = np.ones(4, dtype=np.uint8)
+    bad = np.array([0, 1, 2, 1], dtype=np.uint8)
+    for x, y in ((bad, ones), (ones, bad), (np.full(4, -1), ones)):
+        with pytest.raises(DomainError):
+            apply_decoder(DecoderLaw.uniform(), x, y, 1)
+    empty = np.zeros(0, dtype=np.uint8)
+    assert apply_decoder(DecoderLaw.uniform(), empty, empty, 1).size == 0
+
+
+def test_reports_pinned_to_recorded_streams(model_q01):
+    # values recorded with the searchsorted sampler and the 2-D decoder
+    report = run_decoder_trials(model_q01, DecoderLaw(0.8, 0.3, 0.6, 0.1),
+                                TrialConfig(n=10_000, trials=4, seed=314))
+    assert report == TrialReport(
+        empirical_D=0.251025, empirical_D_se=0.001159292169098601,
+        empirical_P_marginal=0.05097500000000005,
+        empirical_P_blockwise=0.057925000000000004, bin_decode_failures=0,
+        seeds_used=(1431021540424915137, 15710430719167315825, 15690007067645661037,
+                    17790781923038590727),
+        trials=4, n=10_000)
+    binning = random_binning_trial(
+        model_q01, TrialConfig(n=12, trials=20, seed=1001, rate_R1=0.6, rate_R2=0.6),
+        DecoderLaw.copy_observation())
+    assert binning.empirical_D == 0.2041666666666666
+    assert binning.empirical_D_se == 0.02300123947842506
+    assert binning.empirical_P_marginal == 0.004166666666666763
+    assert binning.empirical_P_blockwise == 0.0625
+    assert binning.bin_decode_failures == 0
+    assert binning.seeds_used[:3] == (1359894154268611347, 3734321803408795338,
+                                      9256614545176165294)
+    assert (binning.trials, binning.n) == (20, 12)

@@ -52,6 +52,13 @@ def test_binary_entropy_array_matches_scalar(rng):
         assert vi == pytest.approx(binary_entropy(pi), abs=1e-14)
 
 
+def test_binary_entropy_array_zero_dimensional():
+    for p in (0.0, 0.3, 0.5, 1.0):
+        value = binary_entropy_array(np.float64(p))
+        assert np.ndim(value) == 0
+        assert abs(float(value) - binary_entropy(p)) <= 1e-15
+
+
 def test_ternary_entropy_examples():
     assert ternary_entropy(1 / 3, 1 / 3) == pytest.approx(1.584963, abs=1e-5)
     assert ternary_entropy(0.0, 0.5) == 1.0

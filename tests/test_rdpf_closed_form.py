@@ -100,6 +100,16 @@ def test_rdpf_piecewise_uniform_source_ignores_perception():
             assert value == pytest.approx(rdf_pi(0.5, float(d)), abs=1e-15)
 
 
+def test_rdpf_piecewise_array_scalar_arguments():
+    # scalar D and P broadcast to 0-d arrays, which every branch must accept
+    for p in (0.1, 0.3, 0.5):
+        for P in (0.0, 0.05, 0.2, 0.4, INF):
+            for D in (0.0, 0.05, 0.1, 0.2, 0.3, 0.35, 0.5):
+                value = rdpf_piecewise_array(p, D, P)
+                assert np.ndim(value) == 0
+                assert abs(float(value) - rdpf_piecewise(p, D, P)) <= 1e-15
+
+
 @st.composite
 def _piecewise_grids(draw):
     """A Bernoulli parameter p, budgets from [0, 1/2] with some at or above
