@@ -128,7 +128,7 @@ def apply_decoder(law: DecoderLaw, x_block: np.ndarray, y_block: np.ndarray,
                              y_block.min(), y_block.max()} <= {0, 1}:
         raise DomainError("decoder input symbols must be 0 or 1")
     p_zero = law.prob_zero_table().ravel().take(2 * x_block + y_block)
-    u = _rng(seed).random(x_block.size)
+    u = _rng(seed).random(x_block.shape)  # C order: n-D blocks draw as their ravel
     return (u >= p_zero).view(np.uint8)
 
 

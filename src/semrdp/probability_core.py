@@ -82,7 +82,8 @@ def binary_entropy_array(p: np.ndarray) -> np.ndarray:
     lo = 1.0 - hi
     out = np.asarray(-hi * np.log2(hi), dtype=float)
     np.subtract(out, lo * np.log2(np.where(lo > 0.0, lo, 1.0)), out=out)
-    return out
+    # -1 * log2(1) is -0.0 at p in {0, 1}; adding +0.0 changes only that zero
+    return out + 0.0
 
 
 def ternary_entropy(x: float, y: float) -> float:
@@ -164,7 +165,10 @@ def bernoulli(p1: float) -> FiniteDistribution:
 
 def entropy(dist) -> float:
     """Shannon entropy in bits of a finite distribution."""
-    m = _masses(dist)
+    return _entropy_of(_masses(dist))
+
+
+def _entropy_of(m: np.ndarray) -> float:
     mm = m[m > 0.0]
     return float(-(mm * np.log2(mm)).sum())
 
@@ -200,6 +204,15 @@ class JointDistribution:
         object.__setattr__(self, "masses", arr)
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray, labels: tuple[str, ...]) -> "JointDistribution":
+        """A joint of masses summed from a validated joint's non-negative
+        masses, so valid already: no second check and no clip copy."""
+        arr.flags.writeable = False
+        joint = object.__new__(cls)
+        joint.__dict__.update(masses=arr, labels=labels)
+        return joint
+
     def axes_of(self, labels) -> tuple[int, ...]:
         labels = _as_label_tuple(labels)
         missing = [l for l in labels if l not in self.labels]
@@ -213,7 +226,7 @@ class JointDistribution:
         self.axes_of(keep)  # validate
         drop = tuple(i for i, l in enumerate(self.labels) if l not in keep)
         kept_labels = tuple(l for l in self.labels if l in keep)
-        return JointDistribution(self.masses.sum(axis=drop), kept_labels)
+        return JointDistribution._trusted(self.masses.sum(axis=drop), kept_labels)
 
     def distribution(self) -> FiniteDistribution:
         """The flattened mass vector as a FiniteDistribution."""
@@ -230,7 +243,7 @@ def _subset_entropy(joint: JointDistribution, labels) -> float:
     labels = _as_label_tuple(labels)
     if not labels:
         return 0.0
-    return entropy(joint.marginal(labels).masses.ravel())
+    return _entropy_of(joint.marginal(labels).masses.ravel())
 
 
 def conditional_entropy(joint: JointDistribution, targets, given=()) -> float:

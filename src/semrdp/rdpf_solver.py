@@ -36,13 +36,14 @@ diagnostic. The kernel is still exhaustive in its result: it returns the
 pair a scan of the whole product returns, the lexicographically smallest
 minimizer. It scores few of the pairs. Each row gets a lower bound on its
 best feasible value from the other branch (a prefix minimum in distortion
-order, a range minimum over the perception interval), rows are scored in
-ascending bound order, and the search stops once the next bound exceeds the
-incumbent. Pruning cannot change the minimizer, for two reasons. The
-relaxations are widened by a slack far above float rounding, so a bound
-never exceeds a value the scan computes. And candidates compare as
-(value, i, j) tuples, with every row whose bound ties the incumbent still
-scored, so ties resolve as the lexicographic scan resolves them.
+order, a range minimum over the perception interval), and rows are scored
+in ascending (bound, row) order while (bound, row) is lexicographically
+below (incumbent value, incumbent row). Pruning cannot change the
+minimizer, for two reasons. The relaxations are widened by a slack far
+above float rounding, so a bound never exceeds a value the scan computes.
+And candidates compare as (value, i, j) tuples: a row whose bound ties the
+incumbent can at best tie it, so it is scored only when its smaller index
+would win the tie, as the lexicographic scan resolves it.
 
 One caveat of the single-incumbent refinement: coarse-pass minima are
 exactly monotone in the distortion and perception budgets (feasible sets
@@ -244,20 +245,23 @@ def _best_first(bound: np.ndarray, score) -> tuple[float, int, int]:
 
     ``score(rows)`` returns the score matrix of those rows over every
     column, and ``bound[i]`` must not exceed any score in row i. Rows are
-    visited in ascending bound order (ties by index) in chunks that double
-    in size, and the visit stops once the next bound exceeds the incumbent:
-    every later row then scores strictly worse, so it can neither improve
-    on nor tie the incumbent. A row whose bound is inf holds no finite
-    score.
+    visited in ascending (bound, index) order in chunks that double in
+    size, and only rows with (bound[i], i) below (incumbent value,
+    incumbent row) are scored. Any other row scores worse than the
+    incumbent, or at best ties it with a larger index and loses the tie;
+    those rows form a suffix of the visit order, so the visit stops at the
+    first of them. A row whose bound is inf holds no finite score.
     """
     order = np.argsort(bound, kind="stable")
     best = (math.inf, -1, -1)
     start, size = 0, _FIRST_CHUNK
     while start < order.size:
-        low = bound[order[start]]
-        if not (low <= best[0] and low < math.inf):
-            break
         rows = order[start:start + size]
+        low = bound[rows]
+        live = np.count_nonzero((low < best[0]) | ((low == best[0]) & (rows < best[1])))
+        if live == 0:
+            break
+        rows = rows[:live]
         scores = score(rows)
         cols = scores.argmin(axis=1)
         vals = scores[np.arange(rows.size), cols]
@@ -382,25 +386,32 @@ def _oracle_search(model: SemanticModel, tab0: _BranchTables,
     )
 
 
-_TABLE_CACHE: dict[tuple, tuple[_BranchTables, _BranchTables, _PairSearch]] = {}
+# Coarse searches keyed by model and resolution: the oracle's
+# (params, resolution) and solve_min2's ("min2", params, resolution).
+_TABLE_CACHE: dict[tuple, object] = {}
 _TABLE_LOCK = threading.Lock()
 
 
+def _cached(key: tuple, build):
+    """The cache entry for ``key``, built by ``build()`` on a miss. The
+    build runs under the lock, so threads that miss together build once."""
+    with _TABLE_LOCK:
+        entry = _TABLE_CACHE.get(key)
+        if entry is None:
+            if len(_TABLE_CACHE) > 8:
+                _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
+            entry = _TABLE_CACHE[key] = build()
+        return entry
+
+
 def _coarse_tables(model: SemanticModel, resolution: float):
-    key = (model.params, resolution)
-    with _TABLE_LOCK:
-        cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    grid = _axis_grid(resolution)
-    tab0 = _BranchTables(model, 0, grid, grid)
-    tab1 = _BranchTables(model, 1, grid, grid)
-    entry = (tab0, tab1, _oracle_search(model, tab0, tab1))
-    with _TABLE_LOCK:
-        if len(_TABLE_CACHE) > 8:
-            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-        _TABLE_CACHE.setdefault(key, entry)
-        return _TABLE_CACHE[key]
+    def build():
+        grid = _axis_grid(resolution)
+        tab0 = _BranchTables(model, 0, grid, grid)
+        tab1 = _BranchTables(model, 1, grid, grid)
+        return tab0, tab1, _oracle_search(model, tab0, tab1)
+
+    return _cached((model.params, resolution), build)
 
 
 def _law_from_indices(tab0: _BranchTables, tab1: _BranchTables,
@@ -520,8 +531,13 @@ def _min2_search(model: SemanticModel, q: float,
     aligned perception. With c = 0 the P test |m_i + n_j| <= P + tol is the
     one-sided m_i + n_j <= P + tol, since both terms are non-negative."""
     p_a, p_b = model.p_a, model.p_b
-    r0 = rdpf_piecewise_array(min(model.a_star, 0.5), d0_vals[:, None], p0_vals[None, :])
-    r1 = rdpf_piecewise_array(min(model.b_star, 0.5), d1_vals[:, None], p1_vals[None, :])
+    star0, star1 = min(model.a_star, 0.5), min(model.b_star, 0.5)
+    r0 = rdpf_piecewise_array(star0, d0_vals[:, None], p0_vals[None, :])
+    same = np.array_equal(d0_vals, d1_vals) and np.array_equal(p0_vals, p1_vals)
+    if star0 == star1 and same:
+        r1 = r0  # one table serves both branches, as on a DSBS model's coarse grid
+    else:
+        r1 = rdpf_piecewise_array(star1, d1_vals[:, None], p1_vals[None, :])
     sem0 = (1.0 - 2.0 * q) * d0_vals + q
     sem1 = (1.0 - 2.0 * q) * d1_vals + q
     obj0 = (p_a * r0).ravel()
@@ -548,10 +564,9 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     D = float(D)
     grid = _half_grid(resolution)
 
-    def pick(vals0, pvals0, vals1, pvals1):
-        return _min2_search(model, q, vals0, pvals0, vals1, pvals1).argmin(D, P)
-
-    rate, i, j = pick(grid, grid, grid, grid)
+    coarse = _cached(("min2", model.params, resolution),
+                     lambda: _min2_search(model, q, grid, grid, grid, grid))
+    rate, i, j = coarse.argmin(D, P)
     if not math.isfinite(rate):
         raise InfeasibleError(
             f"no branch allocation meets D <= {D}, P <= {P}; the semantic "
@@ -565,7 +580,7 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     f_p0 = _refine_axis(p0, resolution, upper=0.5)
     f_d1 = _refine_axis(d1, resolution, upper=0.5)
     f_p1 = _refine_axis(p1, resolution, upper=0.5)
-    f_rate, fi, fj = pick(f_d0, f_p0, f_d1, f_p1)
+    f_rate, fi, fj = _min2_search(model, q, f_d0, f_p0, f_d1, f_p1).argmin(D, P)
     if f_rate < rate:
         rate = f_rate
         d0, p0 = float(f_d0[fi // f_p0.size]), float(f_p0[fi % f_p0.size])

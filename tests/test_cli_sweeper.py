@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 from dataclasses import replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from semrdp import DomainError, closed_form_rate, dsbs_model
+from semrdp import rdpf_solver as solver
 from semrdp.cli_sweeper import (
     SweepConfig,
     VerificationConfig,
@@ -145,6 +147,51 @@ def test_fault_injection_breaks_sandwich():
 def test_zero_rate_threshold_quick(model_q01):
     threshold = zero_rate_threshold(model_q01, 0.05, 0.05)
     assert threshold == pytest.approx(0.26, abs=0.015)
+
+
+def _solver_cfg(axis):
+    common = dict(pi=0.5, q1=0.1, q2=0.1, a=0.2, b=0.2, resolution=0.02, steps=41,
+                  methods=("closed_form", "min2", "oracle"))
+    if axis == "D":
+        return SweepConfig(axis="D", fixed_P=0.05, **common)
+    return SweepConfig(axis="P", axis_min=0.0, axis_max=0.5, fixed_D=0.25, **common)
+
+
+@pytest.mark.parametrize("axis, digest", [
+    ("D", "af47884a15cfe598049c517e601d20d1bf502a0bf6ba5d8d1ce864c919ccd03c"),
+    ("P", "605d73388358aa5e6ddf2563cb8edb9e04a1df45b679035dec39e612556057c1"),
+])
+def test_solver_sweeps_pinned_to_recorded_digests(axis, digest, monkeypatch):
+    # sha256 of the CSV as recorded at 324f765, before the pair search
+    # stopped scoring rows that can only lose a tie
+    monkeypatch.setattr(solver, "_TABLE_CACHE", {})
+    text = sweep_curve(_solver_cfg(axis))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("axis", ["D", "P"])
+def test_sweep_builds_each_coarse_search_once(axis, monkeypatch):
+    # the pool's threads share one build of each coarse search per sweep
+    monkeypatch.setenv("SEMRDP_THREADS", "2")
+    monkeypatch.setattr(solver, "_TABLE_CACHE", {})
+    cfg = _solver_cfg(axis)
+    builds = {"min2": 0, "oracle": 0}
+
+    def counted(name, build, coarse_rows):
+        def wrapper(model, *args):
+            search = build(model, *args)
+            builds[name] += search.a.size == coarse_rows
+            return search
+        return wrapper
+
+    min2_rows = solver._half_grid(cfg.resolution).size ** 2
+    oracle_rows = solver._axis_grid(cfg.resolution).size ** 2
+    monkeypatch.setattr(solver, "_min2_search",
+                        counted("min2", solver._min2_search, min2_rows))
+    monkeypatch.setattr(solver, "_oracle_search",
+                        counted("oracle", solver._oracle_search, oracle_rows))
+    sweep_curve(cfg)
+    assert builds == {"min2": 1, "oracle": 1}
 
 
 def test_max_workers_env(monkeypatch):

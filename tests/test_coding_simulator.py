@@ -63,6 +63,15 @@ def test_apply_decoder_deterministic_laws(model_q01):
     assert abs(float(np.mean(coin == 0)) - 0.5) <= 4 * math.sqrt(0.25 / coin.size)
 
 
+def test_apply_decoder_on_two_dimensional_blocks(model_q01):
+    _, x, y = sample_block(model_q01, 600, 8)
+    law = DecoderLaw(0.9, 0.3, 0.6, 0.05)
+    flat = apply_decoder(law, x, y, 4)
+    block = apply_decoder(law, x.reshape(20, 30), y.reshape(20, 30), 4)
+    assert block.shape == (20, 30)
+    assert np.array_equal(block, flat.reshape(20, 30))
+
+
 def test_empirical_metrics_trivial_cases():
     block = np.array([0, 1, 0, 1, 1, 0], dtype=np.uint8)
     same = empirical_metrics(block, block.copy(), 3)

@@ -59,6 +59,13 @@ def test_binary_entropy_array_zero_dimensional():
         assert abs(float(value) - binary_entropy(p)) <= 1e-15
 
 
+def test_binary_entropy_array_has_no_negative_zero():
+    value = binary_entropy_array(np.array([0.0, 1.0, 0.5]))
+    assert value.tolist() == [0.0, 0.0, 1.0]
+    assert not np.signbit(value).any()
+    assert not np.signbit(binary_entropy_array(np.float64(1.0)))
+
+
 def test_ternary_entropy_examples():
     assert ternary_entropy(1 / 3, 1 / 3) == pytest.approx(1.584963, abs=1e-5)
     assert ternary_entropy(0.0, 0.5) == 1.0
@@ -218,6 +225,15 @@ def test_joint_marginals_are_valid(rng):
         j = random_joint(rng, zero_fraction=0.2)
         for label in j.labels:
             j.marginal(label).distribution()  # construction validates
+
+
+def test_joint_marginals_are_read_only_sums(rng):
+    j = random_joint(rng, zero_fraction=0.2)
+    m = j.marginal(("S", "Y"))
+    assert m.labels == ("S", "Y")
+    assert np.array_equal(m.masses, j.masses.sum(axis=(1, 3)))
+    assert not m.masses.flags.writeable
+    assert conditional_entropy(j, ("S", "Y")) == entropy(m.distribution())
 
 
 def test_joint_validation_errors():

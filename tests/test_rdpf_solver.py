@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from semrdp import (
     solve_min2,
 )
 from semrdp import rdpf_solver as solver
+from semrdp.rdpf_closed_form import rdpf_piecewise_array
 
 INF = math.inf
 
@@ -454,6 +458,17 @@ def test_solve_min2_matches_scalar_branch_tables(seed, resolution, monkeypatch):
     assert sum(r is None for r in kernel) == 2 * 4 * len(models)  # D = q - 0.02, q - 1e-9
 
 
+def test_min2_search_tables_follow_each_branch_posterior():
+    # equal axes share one table only when the branch posteriors agree too
+    grid = solver._half_grid(0.05)
+    for model in (build_model(0.5, 0.1, 0.1, 0.1, 0.3), dsbs_model(0.1, 0.2)):
+        search = solver._min2_search(model, 0.1, grid, grid, grid, grid)
+        for star, p_y, obj in ((model.a_star, model.p_a, search.a),
+                               (model.b_star, model.p_b, search.b)):
+            table = rdpf_piecewise_array(min(star, 0.5), grid[:, None], grid[None, :])
+            assert np.array_equal(obj, (p_y * table).ravel())
+
+
 def _brute_force(search, D, P):
     """Score and excess matrices of a pair search over the whole product."""
     dtot = search.d[:, None] + search.e[None, :]
@@ -501,3 +516,45 @@ def test_best_first_visits_rows_whose_bound_ties_the_incumbent():
     scores = np.full(late + 1, 2.0)
     scores[[early, late]] = 1.0
     assert solver._best_first(bound, lambda rows: scores[rows, None]) == (1.0, early, 0)
+
+
+def test_best_first_stops_at_rows_that_can_only_lose_a_tie():
+    # the first chunk reaches the least possible score 0; every later row
+    # with bound 0 has a larger index, so at best it ties and loses
+    bound = np.zeros(40 * solver._FIRST_CHUNK)
+    scores = np.zeros(bound.size)
+    scored = []
+
+    def score(rows):
+        scored.extend(rows.tolist())
+        return scores[rows, None]
+
+    assert solver._best_first(bound, score) == (0.0, 0, 0)
+    assert scored == list(range(solver._FIRST_CHUNK))
+
+
+def test_cached_builds_once_under_contending_threads(monkeypatch):
+    # more threads than cores miss the same key together; a check outside
+    # the build would let several of them build
+    monkeypatch.setattr(solver, "_TABLE_CACHE", {})
+    builds, got = [], []
+
+    def build():
+        builds.append(None)
+        time.sleep(0.01)
+        return object()
+
+    threads = [threading.Thread(target=lambda: got.append(solver._cached(("k",), build)))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert len(got) == 8 and all(entry is got[0] for entry in got)
