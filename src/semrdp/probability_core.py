@@ -199,7 +199,7 @@ class JointDistribution:
             raise DomainError("every mass must be non-negative")
         if abs(arr.sum() - 1.0) > _NORM_TOL:
             raise DomainError(f"joint masses sum to {arr.sum()}, not 1")
-        arr = np.clip(arr, 0.0, None)
+        arr = np.asarray(np.clip(arr, 0.0, None))  # clip makes 0-d input a scalar
         arr.flags.writeable = False
         object.__setattr__(self, "masses", arr)
         object.__setattr__(self, "labels", labels)
@@ -207,7 +207,8 @@ class JointDistribution:
     @classmethod
     def _trusted(cls, arr: np.ndarray, labels: tuple[str, ...]) -> "JointDistribution":
         """A joint of masses summed from a validated joint's non-negative
-        masses, so valid already: no second check and no clip copy."""
+        masses (a NumPy scalar if every axis was summed): no re-check, no clip."""
+        arr = np.asarray(arr)
         arr.flags.writeable = False
         joint = object.__new__(cls)
         joint.__dict__.update(masses=arr, labels=labels)

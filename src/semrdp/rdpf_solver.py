@@ -535,7 +535,7 @@ def _min2_search(model: SemanticModel, q: float,
     r0 = rdpf_piecewise_array(star0, d0_vals[:, None], p0_vals[None, :])
     same = np.array_equal(d0_vals, d1_vals) and np.array_equal(p0_vals, p1_vals)
     if star0 == star1 and same:
-        r1 = r0  # one table serves both branches, as on a DSBS model's coarse grid
+        r1 = r0  # exact test: a DSBS model's a* and b* can differ in the last bit
     else:
         r1 = rdpf_piecewise_array(star1, d1_vals[:, None], p1_vals[None, :])
     sem0 = (1.0 - 2.0 * q) * d0_vals + q

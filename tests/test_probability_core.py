@@ -234,6 +234,11 @@ def test_joint_marginals_are_read_only_sums(rng):
     assert np.array_equal(m.masses, j.masses.sum(axis=(1, 3)))
     assert not m.masses.flags.writeable
     assert conditional_entropy(j, ("S", "Y")) == entropy(m.distribution())
+    total = j.marginal(())
+    assert total.labels == () and total.masses.shape == ()
+    assert abs(float(total.masses) - 1.0) < 1e-12
+    assert not total.masses.flags.writeable
+    assert JointDistribution(1.0, ()).masses.shape == ()
 
 
 def test_joint_validation_errors():
