@@ -53,7 +53,6 @@ from .rdpf_solver import (
     DecoderLaw,
     DecoderMetrics,
     SolverResult,
-    compose_branch_perception,
     evaluate_decoder,
     oracle_min_rate,
     oracle_min_rates,
@@ -68,7 +67,6 @@ from .semantic_model import (
     build_model,
     distortion_transform,
     dsbs_model,
-    source_channel_feasible,
 )
 
 __version__ = "0.1.0"

@@ -129,6 +129,11 @@ def tv_distance(p, q) -> float:
         raise AlphabetMismatchError(
             f"alphabet sizes differ: {pm.shape[0]} vs {qm.shape[0]}"
         )
+    return _tv_of_masses(pm, qm)
+
+
+def _tv_of_masses(pm: np.ndarray, qm: np.ndarray) -> float:
+    """Half the L1 distance between two mass vectors of one shape."""
     return float(0.5 * np.abs(pm - qm).sum())
 
 
@@ -151,10 +156,6 @@ class FiniteDistribution:
         arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
         object.__setattr__(self, "masses", arr)
-
-    def renormalized(self) -> "FiniteDistribution":
-        """Explicitly rescale to sum exactly 1; never done silently."""
-        return FiniteDistribution(self.masses / self.masses.sum())
 
 
 def bernoulli(p1: float) -> FiniteDistribution:

@@ -36,14 +36,18 @@ diagnostic. The kernel is still exhaustive in its result: it returns the
 pair a scan of the whole product returns, the lexicographically smallest
 minimizer. It scores few of the pairs. Each row gets a lower bound on its
 best feasible value from the other branch (a prefix minimum in distortion
-order, a range minimum over the perception interval), and rows are scored
-in ascending (bound, row) order while (bound, row) is lexicographically
-below (incumbent value, incumbent row). Pruning cannot change the
-minimizer, for two reasons. The relaxations are widened by a slack far
-above float rounding, so a bound never exceeds a value the scan computes.
-And candidates compare as (value, i, j) tuples: a row whose bound ties the
-incumbent can at best tie it, so it is scored only when its smaller index
-would win the tie, as the lexicographic scan resolves it.
+order, a range minimum over the perception interval). The row with the
+least (bound, row) is scored first, and it usually holds the minimum.
+Only the rows still live after it, those whose (bound, row) is
+lexicographically below (incumbent value, incumbent row), are then sorted
+and scored in that order until the next one is dead. Pruning cannot
+change the minimizer, for two reasons. The relaxations are widened by a
+slack far above float rounding, so a bound never exceeds a value the scan
+computes. And candidates compare as (value, i, j) tuples: a row whose
+bound ties the incumbent can at best tie it, so it is scored only when
+its smaller index would win the tie, as the lexicographic scan resolves
+it. Every row left unscored is therefore dead against the final
+incumbent.
 
 One caveat of the single-incumbent refinement: coarse-pass minima are
 exactly monotone in the distortion and perception budgets (feasible sets
@@ -63,9 +67,9 @@ from .probability_core import (
     FiniteDistribution,
     JointDistribution,
     _as_probability,
+    _tv_of_masses,
     binary_entropy_array,
     conditional_mutual_information,
-    tv_distance,
 )
 from .rdpf_closed_form import rdpf_piecewise_array
 from .semantic_model import SemanticModel
@@ -143,12 +147,14 @@ def evaluate_decoder(model: SemanticModel, law: DecoderLaw) -> DecoderMetrics:
     m4 = np.empty(p3.shape + (2,))
     m4[..., 0] = p3 * p_zero
     m4[..., 1] = p3 * (1.0 - p_zero)
-    joint4 = JointDistribution(m4, ("S", "X", "Y", "Shat"))
+    # products of validated masses with probabilities: non-negative, sum 1
+    joint4 = JointDistribution._trusted(m4, ("S", "X", "Y", "Shat"))
     rate = conditional_mutual_information(joint4, "X", "Shat", "Y")
     distortion = float(m4[0, :, :, 1].sum() + m4[1, :, :, 0].sum())
-    perception = tv_distance(
-        joint4.marginal("S").distribution(), joint4.marginal("Shat").distribution()
-    )
+    # a marginal mass can round above 1 (pi = 0, or Shat constant); clip it
+    # as a validated distribution would
+    perception = _tv_of_masses(np.minimum(m4.sum(axis=(1, 2, 3)), 1.0),
+                               np.minimum(m4.sum(axis=(0, 1, 2)), 1.0))
     return DecoderMetrics(rate=rate, distortion=distortion, perception=perception)
 
 
@@ -157,23 +163,6 @@ def shat_marginal(model: SemanticModel, law: DecoderLaw) -> FiniteDistribution:
     p_xy = model.joint.masses.sum(axis=0)
     p0 = float((p_xy * law.prob_zero_table()).sum())
     return FiniteDistribution(np.array([p0, 1.0 - p0]))
-
-
-def compose_branch_perception(p_a: float, p0_signed: float,
-                              p_b: float, p1_signed: float) -> float:
-    """Total variation of the pooled reconstruction marginal from signed
-    per-branch deviations p(X = 0 | y) - p(Shat = 0 | y).
-
-    Returns |p_a * p0_signed + p_b * p1_signed|; deviations of opposite
-    sign cancel, which is exactly the mechanism the aligned-budget
-    program cannot use.
-    """
-    p_a = _as_probability(p_a, "p_a")
-    p_b = _as_probability(p_b, "p_b")
-    for name, val in (("p0_signed", p0_signed), ("p1_signed", p1_signed)):
-        if abs(val) > 1.0 + _TOL:
-            raise DomainError(f"{name} must lie in [-1, 1], got {val}")
-    return abs(p_a * p0_signed + p_b * p1_signed)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +233,29 @@ def _best_first(bound: np.ndarray, score) -> tuple[float, int, int]:
     (inf, -1, -1) when no score is finite.
 
     ``score(rows)`` returns the score matrix of those rows over every
-    column, and ``bound[i]`` must not exceed any score in row i. Rows are
-    visited in ascending (bound, index) order in chunks that double in
-    size, and only rows with (bound[i], i) below (incumbent value,
-    incumbent row) are scored. Any other row scores worse than the
-    incumbent, or at best ties it with a larger index and loses the tie;
-    those rows form a suffix of the visit order, so the visit stops at the
-    first of them. A row whose bound is inf holds no finite score.
+    column, and ``bound[i]`` must not exceed any score in row i. The row
+    with the least (bound, index), found by argmin, is scored first; it
+    usually holds the minimum. A row is live while (bound[i], i) is below
+    (incumbent value, incumbent row); any other row scores worse than the
+    incumbent, or at best ties it with a larger index and loses the tie.
+    Only the rows live after the first are sorted, by (bound, index), and
+    scored in chunks that double in size. Liveness only shrinks as the
+    incumbent improves, and the dead rows form a suffix of that order, so
+    the visit stops at the first of them: every row left unscored is dead
+    against the final incumbent. A row whose bound is inf holds no finite
+    score.
     """
-    order = np.argsort(bound, kind="stable")
     best = (math.inf, -1, -1)
+    first = int(np.argmin(bound))
+    if not bound[first] < math.inf:
+        return best
+    # the first row can hold no finite score, and (inf, -1, -1) must then stay
+    best = min(best, _least_in_rows(np.array([first]), score))
+    index = np.arange(bound.size)
+    live_rows = (bound < best[0]) | ((bound == best[0]) & (index < best[1]))
+    live_rows[first] = False
+    order = np.flatnonzero(live_rows)
+    order = order[np.argsort(bound[order], kind="stable")]
     start, size = 0, _FIRST_CHUNK
     while start < order.size:
         rows = order[start:start + size]
@@ -261,15 +263,19 @@ def _best_first(bound: np.ndarray, score) -> tuple[float, int, int]:
         live = np.count_nonzero((low < best[0]) | ((low == best[0]) & (rows < best[1])))
         if live == 0:
             break
-        rows = rows[:live]
-        scores = score(rows)
-        cols = scores.argmin(axis=1)
-        vals = scores[np.arange(rows.size), cols]
-        k = int(np.lexsort((rows, vals))[0])
-        best = min(best, (float(vals[k]), int(rows[k]), int(cols[k])))
+        best = min(best, _least_in_rows(rows[:live], score))
         start += size
         size = min(2 * size, _MAX_CHUNK)
     return best
+
+
+def _least_in_rows(rows: np.ndarray, score) -> tuple[float, int, int]:
+    """Lexicographically smallest (score, i, j) with i among ``rows``."""
+    scores = score(rows)
+    cols = scores.argmin(axis=1)
+    vals = scores[np.arange(rows.size), cols]
+    k = int(np.lexsort((rows, vals))[0])
+    return float(vals[k]), int(rows[k]), int(cols[k])
 
 
 def _sparse_table(values: np.ndarray) -> np.ndarray:
@@ -322,10 +328,14 @@ class _PairSearch:
     def rate_bound(self, D: float, P: float) -> np.ndarray:
         """Per row, a lower bound on a_i + b_j over the row's feasible
         pairs; inf where the row has none. Each constraint alone, widened
-        by the slack, bounds the least b reachable from the row."""
+        by the slack, bounds the least b reachable from the row. At
+        P = inf every column is in reach, so the P bound is the least b,
+        which never exceeds the D bound."""
         low_d = self.b_prefix_min[
             np.searchsorted(self.e_sorted, D + _TOL + _SLACK - self.d, side="right")
         ]
+        if P == math.inf:
+            return self.a + low_d
         reach = P + _TOL + _SLACK
         centre = self.c - self.m
         low_p = self._range_min(
@@ -448,17 +458,19 @@ def oracle_min_rates(model: SemanticModel, d_targets, P: float,
             results.append(None)
             continue
         law = _law_from_indices(tab0, tab1, i, j)
-        fine0 = _BranchTables(
-            model, 0,
-            _refine_axis(law.s0, resolution), _refine_axis(law.t0, resolution),
-        )
-        fine1 = _BranchTables(
-            model, 1,
-            _refine_axis(law.s1, resolution), _refine_axis(law.t1, resolution),
-        )
-        f_rate, fi, fj = _oracle_search(model, fine0, fine1).argmin(d_target, P)
-        if f_rate < rate:
-            law = _law_from_indices(fine0, fine1, fi, fj)
+        # every table rate is clipped at 0, so no refined pair beats a coarse 0
+        if rate > 0.0:
+            fine0 = _BranchTables(
+                model, 0,
+                _refine_axis(law.s0, resolution), _refine_axis(law.t0, resolution),
+            )
+            fine1 = _BranchTables(
+                model, 1,
+                _refine_axis(law.s1, resolution), _refine_axis(law.t1, resolution),
+            )
+            f_rate, fi, fj = _oracle_search(model, fine0, fine1).argmin(d_target, P)
+            if f_rate < rate:
+                law = _law_from_indices(fine0, fine1, fi, fj)
         exact = evaluate_decoder(model, law)
         results.append(
             SolverResult(

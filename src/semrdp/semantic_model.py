@@ -111,15 +111,6 @@ class SemanticModel:
             return _bernoulli_pair(0.5)
         return _bernoulli_pair(self.pi * (1.0 - self.q2) + (1.0 - self.pi) * self.q1)
 
-    def channel_y_given_s(self) -> ChannelMatrix:
-        return ChannelMatrix.from_crossovers(self.u, self.v)
-
-    def channel_x_given_y(self) -> ChannelMatrix:
-        return ChannelMatrix.from_crossovers(self.a_star, self.b_star)
-
-    def channel_s_given_y(self) -> ChannelMatrix:
-        return ChannelMatrix.from_crossovers(self.u_star, self.v_star)
-
     def __repr__(self):
         return (
             f"SemanticModel(pi={self.pi}, q1={self.q1}, q2={self.q2}, "
@@ -235,20 +226,3 @@ def distortion_transform(d: float, q: float, direction: str) -> float:
         f"direction must be {SEMANTIC_TO_OBSERVED!r} or {OBSERVED_TO_SEMANTIC!r}, "
         f"got {direction!r}"
     )
-
-
-def source_channel_feasible(rate_bits: float, channel_capacity_bits: float,
-                            k: int, m: int) -> bool:
-    """Whether a source rate fits through k channel uses per m source symbols.
-
-    True iff rate_bits <= (k / m) * channel_capacity_bits within 1e-12.
-    """
-    if not isinstance(k, int) or not isinstance(m, int):
-        raise DomainError("k and m must be integers")
-    if k < 1 or m < 1:
-        raise DomainError(f"k and m must be positive, got k={k}, m={m}")
-    rate_bits = float(rate_bits)
-    channel_capacity_bits = float(channel_capacity_bits)
-    if rate_bits < 0.0 or channel_capacity_bits < 0.0:
-        raise DomainError("rate and capacity must be non-negative")
-    return rate_bits <= (k / m) * channel_capacity_bits + 1e-12

@@ -9,13 +9,16 @@ import pytest
 
 from semrdp import (
     DecoderLaw,
+    DecoderMetrics,
     DomainError,
     HypothesisError,
     InfeasibleError,
+    JointDistribution,
+    SolverResult,
     binary_entropy,
     build_model,
     closed_form_rate,
-    compose_branch_perception,
+    conditional_mutual_information,
     dsbs_model,
     evaluate_decoder,
     oracle_min_rate,
@@ -23,6 +26,7 @@ from semrdp import (
     rdpf_piecewise,
     shat_marginal,
     solve_min2,
+    tv_distance,
 )
 from semrdp import rdpf_solver as solver
 from semrdp.rdpf_closed_form import rdpf_piecewise_array
@@ -90,17 +94,42 @@ def test_evaluate_decoder_agrees_with_branch_formula(model_q01, rng):
             assert exact.perception == pytest.approx(perc, abs=1e-12)
 
 
+def _evaluate_decoder_validated(model, law):
+    """evaluate_decoder as it was before it trusted its own joint: the
+    joint re-validated, and the perception from two validated marginals."""
+    p3 = model.joint.masses
+    p_zero = law.prob_zero_table()[None, :, :]
+    m4 = np.empty(p3.shape + (2,))
+    m4[..., 0] = p3 * p_zero
+    m4[..., 1] = p3 * (1.0 - p_zero)
+    joint4 = JointDistribution(m4, ("S", "X", "Y", "Shat"))
+    rate = conditional_mutual_information(joint4, "X", "Shat", "Y")
+    distortion = float(m4[0, :, :, 1].sum() + m4[1, :, :, 0].sum())
+    perception = tv_distance(joint4.marginal("S").distribution(),
+                             joint4.marginal("Shat").distribution())
+    return DecoderMetrics(rate=rate, distortion=distortion, perception=perception)
+
+
+def test_evaluate_decoder_matches_the_validated_path():
+    # pi = 0 and a constant Shat put a marginal mass at 1, where the sum can
+    # round above 1 and the validated path clips it; deterministic laws are
+    # the grid corners the oracle returns
+    rng = np.random.default_rng(17)
+    corners = [DecoderLaw(*c) for c in np.ndindex(2, 2, 2, 2)]
+    pairs = 0
+    for k in range(1200):
+        pi = (0.0, 0.5, rng.uniform(0.0, 0.5))[k % 3]
+        model = build_model(pi, *rng.uniform(0.0, 1.0, 4))
+        laws = corners if k % 20 == 0 else [DecoderLaw(*rng.uniform(0.0, 1.0, 4))]
+        for law in laws:
+            assert evaluate_decoder(model, law) == _evaluate_decoder_validated(model, law)
+            pairs += 1
+    assert pairs == 1200 + 60 * 15
+
+
 def test_shat_marginal(model_q01):
     marg = shat_marginal(model_q01, DecoderLaw.from_side_information())
     assert float(marg.masses[0]) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_compose_branch_perception_examples():
-    assert compose_branch_perception(0.5, 0.1, 0.5, 0.1) == pytest.approx(0.1, abs=1e-12)
-    assert compose_branch_perception(0.5, 0.1, 0.5, -0.1) == 0.0
-    assert compose_branch_perception(0.3, 0.2, 0.7, 0.0) == pytest.approx(0.06, abs=1e-12)
-    with pytest.raises(DomainError):
-        compose_branch_perception(0.5, 1.5, 0.5, 0.0)
 
 
 def test_oracle_zero_rate_plateau(model_q01):
@@ -108,6 +137,31 @@ def test_oracle_zero_rate_plateau(model_q01):
     assert result.rate <= 1e-3
     assert result.achieved_D <= 0.26 + 1e-9
     assert result.achieved_P <= 0.05 + 1e-9
+
+
+def test_oracle_skips_refinement_after_a_zero_rate(model_q01, monkeypatch):
+    # past the plateau the coarse rate is 0 and no refined pair can beat it,
+    # so only the coarse pair of branch tables is built
+    monkeypatch.setattr(solver, "_TABLE_CACHE", {})
+    builds = []
+    tables = solver._BranchTables
+
+    def counted(*args):
+        builds.append(args[1])
+        return tables(*args)
+
+    monkeypatch.setattr(solver, "_BranchTables", counted)
+    results = oracle_min_rates(model_q01, [0.3, 0.45], 0.05, 0.02)
+    assert builds == [0, 1]
+    # recorded before the skip, when each point also built its refinement
+    assert results == [
+        SolverResult(rate=-4.440892098500626e-16, achieved_D=0.2936,
+                     achieved_P=0.05000000000000002,
+                     argmin=DecoderLaw(0.88, 0.88, 0.02, 0.02), grid_resolution=0.02),
+        SolverResult(rate=-4.440892098500626e-16, achieved_D=0.44720000000000004,
+                     achieved_P=0.04999999999999996,
+                     argmin=DecoderLaw(0.56, 0.56, 0.34, 0.34), grid_resolution=0.02),
+    ]
 
 
 def test_oracle_spot_agreement(model_q01):
@@ -479,6 +533,20 @@ def _brute_force(search, D, P):
     return dtot, ptot, value, gap
 
 
+def _rate_bound_of_both(search, D, P):
+    """The row bound from both constraints, also at P = inf, where the P
+    bound reaches every column."""
+    slack = _TOL + solver._SLACK
+    low_d = search.b_prefix_min[np.searchsorted(search.e_sorted, D + slack - search.d,
+                                                side="right")]
+    centre = search.c - search.m
+    low_p = search._range_min(
+        np.searchsorted(search.n_sorted, centre - (P + slack), side="left"),
+        np.searchsorted(search.n_sorted, centre + (P + slack), side="right"),
+    )
+    return search.a + np.maximum(low_d, low_p)
+
+
 def test_pair_search_matches_brute_force_on_lattice_tables():
     # entries on a coarse decimal lattice give many exact ties and sums that
     # round across the constraint edges; up to 3000 rows cross many chunk
@@ -494,8 +562,9 @@ def test_pair_search_matches_brute_force_on_lattice_tables():
                                     lattice(cols, 4), 0.2 + lattice(cols, 8), lattice(cols, 10),
                                     float(rng.integers(0, 21)) * 0.1)
         for _ in range(4):
-            D, P = float(rng.integers(0, 16)) * 0.1, float(rng.integers(0, 3)) * 0.1
+            D, P = float(rng.integers(0, 16)) * 0.1, (0.0, 0.1, 0.2, INF)[rng.integers(0, 4)]
             dtot, ptot, value, gap = _brute_force(search, D, P)
+            assert np.array_equal(search.rate_bound(D, P), _rate_bound_of_both(search, D, P))
             assert np.all(search.rate_bound(D, P) <= value.min(axis=1))
             assert np.all(search.excess_bound(D, P) <= gap.min(axis=1))
             i, j = np.unravel_index(int(value.argmin()), value.shape)
@@ -519,7 +588,7 @@ def test_best_first_visits_rows_whose_bound_ties_the_incumbent():
 
 
 def test_best_first_stops_at_rows_that_can_only_lose_a_tie():
-    # the first chunk reaches the least possible score 0; every later row
+    # the first row reaches the least possible score 0; every later row
     # with bound 0 has a larger index, so at best it ties and loses
     bound = np.zeros(40 * solver._FIRST_CHUNK)
     scores = np.zeros(bound.size)
@@ -530,7 +599,38 @@ def test_best_first_stops_at_rows_that_can_only_lose_a_tie():
         return scores[rows, None]
 
     assert solver._best_first(bound, score) == (0.0, 0, 0)
-    assert scored == list(range(solver._FIRST_CHUNK))
+    assert scored == [0]
+
+
+def test_best_first_matches_brute_force_on_tied_lattice_scores():
+    # scores on a quarter lattice tie often, and a row with no finite score
+    # has an inf bound; in half the draws the least-bound row instead has a
+    # finite bound and no finite score, and in a quarter no row has one
+    # (the answer is then (inf, -1, -1))
+    rng = np.random.default_rng(11)
+    for draw in range(300):
+        rows, cols = int(rng.integers(1, 700)), int(rng.integers(1, 6))
+        scores = rng.integers(0, 8, (rows, cols)) * 0.25
+        scores[rng.random((rows, cols)) < (1.0, 0.3, 0.3, 0.9)[draw % 4]] = INF
+        bound = np.maximum(scores.min(axis=1) - rng.integers(0, 3, rows) * 0.25, 0.0)
+        if draw % 4 < 2:
+            first = int(np.argmin(bound))
+            bound[first], scores[first] = 0.0, INF
+        scored = []
+
+        def score(r):
+            scored.extend(r.tolist())
+            return scores[r]
+
+        result = solver._best_first(bound, score)
+        flat = int(np.argmin(scores))
+        i, j = divmod(flat, cols)
+        expected = (float(scores[i, j]), i, j) if np.isfinite(scores[i, j]) else (INF, -1, -1)
+        assert result == expected
+        assert len(scored) == len(set(scored))
+        index = np.arange(rows)
+        live = (bound < result[0]) | ((bound == result[0]) & (index < result[1]))
+        assert set(np.flatnonzero(live).tolist()) <= set(scored)
 
 
 def test_cached_builds_once_under_contending_threads(monkeypatch):

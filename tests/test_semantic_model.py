@@ -13,7 +13,6 @@ from semrdp import (
     build_model,
     distortion_transform,
     dsbs_model,
-    source_channel_feasible,
     tv_distance,
 )
 
@@ -119,10 +118,6 @@ def test_channel_matrix():
     assert np.allclose(ch.rows.sum(axis=1), 1.0)
     with pytest.raises(DomainError):
         ChannelMatrix(np.array([[0.5, 0.6], [0.5, 0.5]]))
-    m = dsbs_model(0.1, 0.2)
-    assert m.channel_x_given_y().crossovers[0] == pytest.approx(0.2, abs=1e-12)
-    assert m.channel_s_given_y().crossovers[0] == pytest.approx(0.26, abs=1e-12)
-    assert m.channel_y_given_s().crossovers == (pytest.approx(m.u), pytest.approx(m.v))
 
 
 def test_distortion_transform_examples():
@@ -146,15 +141,3 @@ def test_distortion_transform_errors():
         distortion_transform(0.2, 0.5, SEMANTIC_TO_OBSERVED)
     with pytest.raises(DomainError):
         distortion_transform(0.2, 0.1, "sideways")
-
-
-def test_source_channel_feasible():
-    assert source_channel_feasible(0.5, 1.0, 1, 1)
-    assert not source_channel_feasible(0.5, 0.4, 1, 1)
-    assert source_channel_feasible(0.5, 0.3, 2, 1)
-    with pytest.raises(DomainError):
-        source_channel_feasible(0.5, 1.0, 0, 1)
-    with pytest.raises(DomainError):
-        source_channel_feasible(0.5, 1.0, 1, -2)
-    with pytest.raises(DomainError):
-        source_channel_feasible(-0.1, 1.0, 1, 1)
