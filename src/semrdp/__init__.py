@@ -60,12 +60,8 @@ from .rdpf_solver import (
     solve_min2,
 )
 from .semantic_model import (
-    OBSERVED_TO_SEMANTIC,
-    SEMANTIC_TO_OBSERVED,
-    ChannelMatrix,
     SemanticModel,
     build_model,
-    distortion_transform,
     dsbs_model,
 )
 

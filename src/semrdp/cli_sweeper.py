@@ -1,4 +1,4 @@
-"""Command-line front end: curve sweeps, cross-method verification, CSV output.
+"""Command-line front end: curve sweeps, CSV output, argparse.
 
 Subcommands
 -----------
@@ -6,8 +6,8 @@ curve     sweep distortion (or perception) and emit one rate column per
           selected method as CSV
 oracle    exhaustive-search rate at a single (D, P) point
 simulate  random-codebook binning runs, one CSV row per rate margin
-verify    run the full verification suite; exit status 0 iff every
-          criterion passes
+verify    run the verification suite of ``semrdp.verification``; exit
+          status 0 iff every criterion passes
 
 The CSV schema for curves is fixed: ``D,P`` followed by a subset of
 ``R_closed,R_min2,R_oracle,R_sim`` in that order, floats printed with six
@@ -26,13 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding_simulator import (TrialConfig, apply_decoder, derive_seed, random_binning_trial,
-                               run_decoder_trials, sample_block)
+from .coding_simulator import TrialConfig, derive_seed, random_binning_trial, run_decoder_trials
 from .errors import DomainError, InfeasibleError, SemRdpError
-from .probability_core import chain_rule_decomposition, random_joint
-from .rdpf_closed_form import RdpPoint, closed_form_rate, rdpf_piecewise
-from .rdpf_solver import DecoderLaw, evaluate_decoder, oracle_min_rate, oracle_min_rates, solve_min2
-from .semantic_model import SemanticModel, build_model, dsbs_model
+from .rdpf_closed_form import RdpPoint, closed_form_rate
+from .rdpf_solver import DecoderLaw, oracle_min_rate, oracle_min_rates, solve_min2
+from .semantic_model import SemanticModel, build_model
+from .verification import VerificationConfig, _fmt, run_verification
 
 _METHOD_ORDER = ("closed_form", "min2", "oracle", "simulate")
 _METHOD_COLUMNS = {
@@ -110,14 +109,6 @@ class SweepConfig:
         if self.axis == "D":
             return [(float(d), self.fixed_P) for d in axis_vals]
         return [(self.fixed_D, float(p)) for p in axis_vals]
-
-
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    if abs(value) < 5e-13:
-        value = 0.0
-    return f"{value:.6f}"
 
 
 def _rate_or_inf(fn, *args) -> float:
@@ -203,416 +194,6 @@ def sweep_curve(cfg: SweepConfig) -> str:
             ",".join([_fmt(d), _fmt(p)] + [_fmt(pt.R) for pt in row])
         )
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# verification suite
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VerificationConfig:
-    q_values: tuple[float, ...] = (0.0, 0.1, 0.2)
-    pi_x: float = 0.2
-    p_values: tuple[float, ...] = (0.02, 0.05, 0.1, math.inf)
-    d_points: int = 20
-    d_max: float = 0.45
-    oracle_resolution: float = 0.01
-    sandwich_tolerance: float = 0.02
-    reduction_tolerance: float = 1e-12
-    seed: int = 20250808
-    transform_laws: int = 20
-    transform_n: int = 100_000
-    consistency_trials: int = 10
-    consistency_n: int = 10_000
-    binning_n: int = 12
-    binning_trials: int = 200
-    binning_margins: tuple[float, ...] = (0.2, 0.4, 0.8)
-    chain_joints: int = 1000
-    closed_form_bias: float = 0.0  # fault-injection hook for the sandwich check
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    key: str
-    title: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class VerificationSummary:
-    criteria: tuple[CriterionResult, ...]
-    point_rows: tuple[tuple, ...]  # (q, P, D, R_closed, R_oracle)
-    max_sandwich_gap: float
-    monotonicity_violations: int
-    zero_rate_threshold: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.criteria)
-
-    def to_text(self) -> str:
-        lines = ["verification summary", "--------------------"]
-        for c in self.criteria:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"{c.key}: {status}  {c.title}")
-            lines.append(f"    {c.detail}")
-        passed = sum(c.passed for c in self.criteria)
-        lines.append(f"overall: {'PASS' if self.all_passed else 'FAIL'} "
-                     f"({passed}/{len(self.criteria)} criteria)")
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["q,P,D,R_closed,R_oracle"]
-        for q, p, d, rc, ro in self.point_rows:
-            lines.append(",".join(_fmt(v) for v in (q, p, d, rc, ro)))
-        return "\n".join(lines) + "\n"
-
-
-def _grid(cfg: VerificationConfig, q: float) -> np.ndarray:
-    return np.linspace(q + 0.01, cfg.d_max, cfg.d_points)
-
-
-def _seeded_laws(seed: int, count: int) -> list[DecoderLaw]:
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return [DecoderLaw(*rng.random(4)) for _ in range(count)]
-
-
-def _sandwich_data(cfg: VerificationConfig):
-    """Closed-form and oracle rates over the verification grid, cached by the
-    caller. Returns {(q, P): (d_grid, closed, oracle)}."""
-    data = {}
-    for q in cfg.q_values:
-        model = dsbs_model(q, cfg.pi_x)
-        d_grid = _grid(cfg, q)
-        for p_val in cfg.p_values:
-            closed = np.array(
-                [closed_form_rate(model, float(d), p_val) + cfg.closed_form_bias
-                 for d in d_grid]
-            )
-            oracle = oracle_min_rates(model, d_grid, p_val, cfg.oracle_resolution)
-            oracle_rates = np.array(
-                [math.inf if r is None else r.rate for r in oracle]
-            )
-            data[(q, p_val)] = (d_grid, closed, oracle_rates)
-    return data
-
-
-def check_sandwich(cfg: VerificationConfig, data=None):
-    """Sandwich the exhaustive search between the closed form's two readings.
-
-    At every grid point the oracle must satisfy
-
-        oracle <= closed(D, P) + tol          (the closed form is achievable)
-        |oracle - closed(D, inf)| <= tol      (the exact DSBS minimum)
-
-    with ``cfg.closed_form_bias`` added to both closed-form values, so a
-    shifted closed form fails in either direction. Where the perception
-    branch is slack, closed(D, P) == closed(D, inf) and the two conditions
-    are the plain two-sided agreement.
-
-    Why closed(D, inf) is exact for every P >= 0 on the doubly symmetric
-    construction: flipping every bit of (S, X, Y) leaves their joint law
-    unchanged. Average any decoder p(Shat | x, y) with its mirror
-    p(1 - Shat | 1 - x, 1 - y). I(X; Shat | Y) is convex in the decoder law
-    and equal for both, so the rate does not rise; distortion is linear and
-    equal for both, so it does not change; and Shat becomes uniform, so the
-    total variation to the uniform source is 0. Every distortion-only
-    optimum therefore meets any perception budget, and R(D, inf) is a lower
-    bound for every P. The paper's perception-binding middle branch is an
-    achievable rate above this minimum; its measured gap, max
-    |closed - oracle|, is reported in the detail and returned.
-    """
-    data = data if data is not None else _sandwich_data(cfg)
-    violation = (-math.inf, None)
-    gap = (-math.inf, None)
-    rows = []
-    for (q, p_val), (d_grid, closed, oracle) in sorted(
-        data.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        model = dsbs_model(q, cfg.pi_x)
-        exact = np.array(
-            [closed_form_rate(model, float(d), math.inf) + cfg.closed_form_bias
-             for d in d_grid]
-        )
-        violations = np.maximum(oracle - closed, np.abs(oracle - exact))
-        gaps = np.abs(closed - oracle)
-        for d, rc, ro in zip(d_grid, closed, oracle):
-            rows.append((q, p_val, float(d), float(rc), float(ro)))
-        k = int(violations.argmax())
-        if violations[k] > violation[0]:
-            violation = (float(violations[k]), (q, p_val, round(float(d_grid[k]), 4)))
-        k = int(gaps.argmax())
-        if gaps[k] > gap[0]:
-            gap = (float(gaps[k]), (q, p_val, round(float(d_grid[k]), 4)))
-    passed = violation[0] <= cfg.sandwich_tolerance
-    detail = (
-        f"worst of max(oracle - closed(D, P), |oracle - closed(D, inf)|) = "
-        f"{violation[0]:.6f} at (q, P, D) = {violation[1]} "
-        f"[tolerance {cfg.sandwich_tolerance}]; paper closed form: "
-        f"max |closed - oracle| = {gap[0]:.6f} at (q, P, D) = {gap[1]}"
-    )
-    return CriterionResult("criterion-1", "closed form vs exhaustive-search sandwich",
-                           passed, detail), rows, gap[0]
-
-
-def check_direct_observation_reduction(cfg: VerificationConfig):
-    """At q = 0 the closed form is the Bernoulli(pi_x) piecewise function
-    below the plateau onset pi_x' (= pi_x here) and 0 from pi_x' on, where
-    decoding straight from the side information is certified to reach zero
-    rate at distortion pi_x' and zero perception."""
-    model = dsbs_model(0.0, cfg.pi_x)
-    onset = model.pi_x_prime
-    worst = (-math.inf, None)
-    for p_val in cfg.p_values:
-        for d in _grid(cfg, 0.0):
-            d = float(d)
-            expected = rdpf_piecewise(cfg.pi_x, d, p_val) if d < onset else 0.0
-            diff = abs(closed_form_rate(model, d, p_val) - expected)
-            if diff > worst[0]:
-                worst = (diff, (p_val, d))
-    metrics = evaluate_decoder(model, DecoderLaw.from_side_information())
-    tol = cfg.reduction_tolerance
-    anchor_ok = (
-        abs(metrics.rate) <= tol
-        and abs(metrics.distortion - onset) <= tol
-        and abs(metrics.perception) <= tol
-    )
-    passed = worst[0] <= tol and anchor_ok
-    detail = (
-        f"max |closed(q=0) - expected| = {worst[0]:.3e} at (P, D) = {worst[1]}, "
-        f"expected = piecewise(pi_x, D, P) for D < pi_x' = {onset:g}, else 0 "
-        f"[tolerance {tol}]; side-information decoder gives (rate, D, P) = "
-        f"({metrics.rate:.2e}, {metrics.distortion:.6f}, {metrics.perception:.2e}) "
-        f"({'ok' if anchor_ok else 'FAIL'})"
-    )
-    return CriterionResult(
-        "criterion-2", "direct-observation reduction at q = 0", passed, detail
-    )
-
-
-def check_spot_values(cfg: VerificationConfig):
-    model = dsbs_model(0.1, 0.2)
-    spot = closed_form_rate(model, 0.2, 0.05)
-    spot_ok = abs(spot - 0.1937) <= 2e-4
-    exact = closed_form_rate(model, 0.2, math.inf)
-    oracle = oracle_min_rate(model, 0.2, 0.05, cfg.oracle_resolution).rate
-    oracle_ok = oracle <= spot + 0.01 and abs(oracle - exact) <= 0.01
-    zero_vals = [closed_form_rate(model, 0.26, p) for p in cfg.p_values]
-    zero_ok = all(v == 0.0 for v in zero_vals)
-    passed = spot_ok and oracle_ok and zero_ok
-    detail = (
-        f"closed(D=0.2, P=0.05) = {spot:.6f} (target 0.1937 +/- 2e-4: "
-        f"{'ok' if spot_ok else 'FAIL'}); oracle = {oracle:.6f}: "
-        f"oracle - spot = {oracle - spot:+.6f} (limit +0.01), "
-        f"|oracle - exact R(0.2, inf)| = |oracle - {exact:.6f}| = "
-        f"{abs(oracle - exact):.6f} (limit 0.01) ({'ok' if oracle_ok else 'FAIL'}); "
-        f"closed(D=0.26, any P) = {max(zero_vals):.1e} ({'ok' if zero_ok else 'FAIL'})"
-    )
-    return CriterionResult("criterion-3", "spot values of the closed form",
-                           passed, detail)
-
-
-def zero_rate_threshold(model: SemanticModel, P: float, resolution: float,
-                        rate_tolerance: float = 1e-3,
-                        width: float = 0.004) -> float:
-    """Smallest distortion at which the exhaustive search reaches (near) zero
-    rate, located by bisection."""
-    lo, hi = model.q1, 0.6
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        try:
-            rate = oracle_min_rate(model, mid, P, resolution).rate
-        except InfeasibleError:
-            rate = math.inf
-        if rate <= rate_tolerance:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def check_zero_rate_threshold(cfg: VerificationConfig):
-    model = dsbs_model(0.1, 0.2)
-    threshold = zero_rate_threshold(model, 0.05, cfg.oracle_resolution)
-    threshold_ok = abs(threshold - 0.26) <= 0.01
-    metrics = evaluate_decoder(model, DecoderLaw.from_side_information())
-    anchor_ok = (
-        abs(metrics.rate) <= 1e-12
-        and abs(metrics.distortion - 0.26) <= 1e-12
-        and abs(metrics.perception) <= 1e-12
-    )
-    passed = threshold_ok and anchor_ok
-    detail = (
-        f"bisected threshold = {threshold:.4f} (target 0.26 +/- 0.01: "
-        f"{'ok' if threshold_ok else 'FAIL'}); side-information decoder gives "
-        f"(rate, D, P) = ({metrics.rate:.2e}, {metrics.distortion:.6f}, "
-        f"{metrics.perception:.2e}) ({'ok' if anchor_ok else 'FAIL'})"
-    )
-    return CriterionResult("criterion-4", "zero-rate plateau onset", passed, detail), threshold
-
-
-def check_distortion_transform_law(cfg: VerificationConfig):
-    model = dsbs_model(0.1, 0.2)
-    q = model.q1
-    worst = 0.0
-    failures = 0
-    for idx, law in enumerate(_seeded_laws(cfg.seed, cfg.transform_laws)):
-        s, x, y = sample_block(model, cfg.transform_n, derive_seed(cfg.seed, 5, idx, 0))
-        shat = apply_decoder(law, x, y, derive_seed(cfg.seed, 5, idx, 1))
-        z = (s != shat).astype(float) - (1 - 2 * q) * (x != shat).astype(float) - q
-        se = float(z.std(ddof=1) / math.sqrt(z.size))
-        ratio = abs(float(z.mean())) / se if se > 0 else math.inf
-        worst = max(worst, ratio)
-        failures += ratio > 4.0
-    passed = failures == 0
-    detail = (
-        f"{cfg.transform_laws} seeded decoders at n = {cfg.transform_n}: "
-        f"worst |mean residual| = {worst:.2f} standard errors [limit 4]"
-    )
-    return CriterionResult("criterion-5", "semantic/observed distortion conversion",
-                           passed, detail)
-
-
-def check_monotonicity_and_ordering(cfg: VerificationConfig, data=None):
-    data = data if data is not None else _sandwich_data(cfg)
-    violations = 0
-    slack = 1e-9
-
-    for (q, p_val), (d_grid, closed, oracle) in data.items():
-        violations += int(np.sum(np.diff(closed) > slack))
-        violations += int(np.sum(np.diff(oracle) > slack))
-    p_sorted = sorted([p for p in cfg.p_values], reverse=False)
-    for q in cfg.q_values:
-        for p_small, p_large in zip(p_sorted, p_sorted[1:]):
-            _, closed_s, oracle_s = data[(q, p_small)]
-            _, closed_l, oracle_l = data[(q, p_large)]
-            violations += int(np.sum(closed_l > closed_s + slack))
-            violations += int(np.sum(oracle_l > oracle_s + slack))
-
-    # ordering across observation noise on a shared distortion grid
-    q_sorted = sorted(cfg.q_values)
-    common = np.linspace(max(q_sorted) + 0.01, cfg.d_max, cfg.d_points)
-    for p_val in cfg.p_values:
-        curves = []
-        for q in q_sorted:
-            model = dsbs_model(q, cfg.pi_x)
-            curves.append(
-                np.array([closed_form_rate(model, float(d), p_val) for d in common])
-            )
-        for low, high in zip(curves, curves[1:]):
-            violations += int(np.sum(low > high + slack))
-
-    passed = violations == 0
-    detail = f"{violations} monotonicity/ordering violations across all sweeps"
-    return CriterionResult("criterion-6", "monotone in D and P; ordered by q and P",
-                           passed, detail), violations
-
-
-def check_simulation_consistency(cfg: VerificationConfig):
-    model = dsbs_model(0.1, 0.2)
-    worst_d = worst_p = 0.0
-    failures = 0
-    for idx, law in enumerate(_seeded_laws(cfg.seed, cfg.transform_laws)):
-        exact = evaluate_decoder(model, law)
-        trial_cfg = TrialConfig(
-            n=cfg.consistency_n, trials=cfg.consistency_trials,
-            seed=derive_seed(cfg.seed, 7, idx),
-        )
-        per_d = []
-        per_pdiff = []
-        for t in range(trial_cfg.trials):
-            s, x, y = sample_block(model, trial_cfg.n, derive_seed(trial_cfg.seed, t, 0))
-            shat = apply_decoder(law, x, y, derive_seed(trial_cfg.seed, t, 1))
-            per_d.append(float(np.mean(s != shat)))
-            per_pdiff.append(
-                float(np.mean(shat == 0)) - float(np.mean(s == 0))
-            )
-        per_d = np.asarray(per_d)
-        per_pdiff = np.asarray(per_pdiff)
-        se_d = float(per_d.std(ddof=1) / math.sqrt(per_d.size))
-        se_p = float(per_pdiff.std(ddof=1) / math.sqrt(per_pdiff.size))
-        ratio_d = abs(per_d.mean() - exact.distortion) / se_d if se_d > 0 else math.inf
-        emp_p = abs(float(per_pdiff.mean()))
-        ratio_p = abs(emp_p - exact.perception) / se_p if se_p > 0 else math.inf
-        worst_d = max(worst_d, ratio_d)
-        worst_p = max(worst_p, ratio_p)
-        failures += (ratio_d > 4.0) or (ratio_p > 4.0)
-    passed = failures == 0
-    detail = (
-        f"{cfg.transform_laws} decoders x {cfg.consistency_trials} trials at "
-        f"n = {cfg.consistency_n}: worst distortion gap = {worst_d:.2f} se, "
-        f"worst perception gap = {worst_p:.2f} se [limit 4]"
-    )
-    return CriterionResult("criterion-7", "empirical metrics match exact metrics",
-                           passed, detail)
-
-
-def check_binning_trend(cfg: VerificationConfig):
-    model = dsbs_model(0.1, 0.2)
-    base_rate = closed_form_rate(model, 0.2, math.inf)
-    means, ses = [], []
-    for margin in cfg.binning_margins:
-        rate = base_rate + margin
-        trial_cfg = TrialConfig(
-            n=cfg.binning_n, trials=cfg.binning_trials,
-            seed=derive_seed(cfg.seed, 8, int(round(margin * 1000))),
-            rate_R1=rate, rate_R2=rate,
-        )
-        report = random_binning_trial(model, trial_cfg, DecoderLaw.copy_observation())
-        means.append(report.empirical_D)
-        ses.append(report.empirical_D_se or 0.0)
-    ok = True
-    for i in range(len(means) - 1):
-        combined = math.sqrt(ses[i] ** 2 + ses[i + 1] ** 2)
-        if means[i + 1] > means[i] + combined:
-            ok = False
-    detail = (
-        f"mean distortion by margin "
-        + ", ".join(
-            f"+{m}: {v:.4f} (se {s:.4f})"
-            for m, v, s in zip(cfg.binning_margins, means, ses)
-        )
-    )
-    return CriterionResult("criterion-8", "binning distortion non-increasing in rate margin",
-                           ok, detail)
-
-
-def check_chain_rule_identities(cfg: VerificationConfig):
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed + 9)))
-    worst = 0.0
-    for i in range(cfg.chain_joints):
-        joint = random_joint(rng, zero_fraction=0.1 if i % 5 == 0 else 0.0)
-        terms = chain_rule_decomposition(joint)
-        worst = max(
-            worst, abs(terms.residual_mutual_form), abs(terms.residual_entropy_form)
-        )
-    passed = worst < 1e-9
-    detail = f"{cfg.chain_joints} random joints: worst identity residual = {worst:.3e}"
-    return CriterionResult("criterion-9", "conditional-rate chain-rule identities",
-                           passed, detail)
-
-
-def run_verification(cfg: VerificationConfig | None = None) -> VerificationSummary:
-    """Execute every verification criterion and collect a summary."""
-    cfg = cfg or VerificationConfig()
-    data = _sandwich_data(cfg)
-    c1, rows, max_gap = check_sandwich(cfg, data)
-    c2 = check_direct_observation_reduction(cfg)
-    c3 = check_spot_values(cfg)
-    c4, threshold = check_zero_rate_threshold(cfg)
-    c5 = check_distortion_transform_law(cfg)
-    c6, violations = check_monotonicity_and_ordering(cfg, data)
-    c7 = check_simulation_consistency(cfg)
-    c8 = check_binning_trend(cfg)
-    c9 = check_chain_rule_identities(cfg)
-    return VerificationSummary(
-        criteria=(c1, c2, c3, c4, c5, c6, c7, c8, c9),
-        point_rows=tuple(rows),
-        max_sandwich_gap=max_gap,
-        monotonicity_violations=violations,
-        zero_rate_threshold=threshold,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +323,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     verify.add_argument("--seed", type=int, default=20250808)
     verify.add_argument("--quick", action="store_true",
                         help="smaller grids and trial counts (not the official run)")
-    verify.add_argument("--closed-form-bias", type=float, default=0.0,
-                        help="fault-injection offset added to the closed form "
-                             "inside the sandwich check")
     verify.add_argument("--out", default=None,
                         help="path prefix; writes <prefix>.txt and <prefix>.csv")
 
@@ -840,11 +418,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = VerificationConfig(
-        oracle_resolution=args.resolution,
-        seed=args.seed,
-        closed_form_bias=args.closed_form_bias,
-    )
+    cfg = VerificationConfig(oracle_resolution=args.resolution, seed=args.seed)
     if args.quick:
         cfg = replace(
             cfg, d_points=8, transform_laws=5, transform_n=20_000,

@@ -474,7 +474,7 @@ def oracle_min_rates(model: SemanticModel, d_targets, P: float,
         exact = evaluate_decoder(model, law)
         results.append(
             SolverResult(
-                rate=exact.rate,
+                rate=max(0.0, exact.rate),
                 achieved_D=exact.distortion,
                 achieved_P=exact.perception,
                 argmin=law,
@@ -488,6 +488,8 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
                     resolution: float) -> SolverResult:
     """Exhaustive minimum of I(X; Shat | Y) over all decoding rules meeting
     the distortion and perception targets; deterministic for fixed inputs.
+    The rate is clipped at 0, just as the grid tables clip I(X; Shat | Y),
+    so a zero-rate optimum never reads as a rounding-negative rate.
 
     The grid passes skip rows whose lower bound exceeds the incumbent, yet
     return the minimizer a full scan of every grid candidate returns: the

@@ -20,12 +20,11 @@ u_star = v_star = pi_x_prime = (1 - 2q) * pi_x + q, which is the distortion
 of decoding straight from the side information.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DomainError, InfeasibleError
+from .errors import DegenerateChannelError, DomainError
 from .probability_core import FiniteDistribution, JointDistribution, _as_probability
 
 _SYMMETRY_TOL = 1e-12
@@ -33,34 +32,6 @@ _SYMMETRY_TOL = 1e-12
 
 def _bernoulli_pair(p1: float) -> FiniteDistribution:
     return FiniteDistribution(np.array([1.0 - p1, p1]))
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Row-stochastic 2x2 conditional law; rows index the input symbol."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=float)
-        if arr.shape != (2, 2):
-            raise DomainError(f"expected a 2x2 matrix, got shape {arr.shape}")
-        for r in range(2):
-            FiniteDistribution(arr[r])  # validates range and normalization
-        arr = np.clip(arr, 0.0, 1.0)
-        arr.flags.writeable = False
-        object.__setattr__(self, "rows", arr)
-
-    @classmethod
-    def from_crossovers(cls, c0: float, c1: float) -> "ChannelMatrix":
-        """Channel [[1-c0, c0], [c1, 1-c1]] flipping input 0 w.p. c0 and input 1 w.p. c1."""
-        c0 = _as_probability(c0, "c0")
-        c1 = _as_probability(c1, "c1")
-        return cls(np.array([[1.0 - c0, c0], [c1, 1.0 - c1]]))
-
-    @property
-    def crossovers(self) -> tuple[float, float]:
-        return float(self.rows[0, 1]), float(self.rows[1, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,42 +158,3 @@ def dsbs_model(q: float, pi_x: float) -> SemanticModel:
     if not 0.0 < pi_x <= 0.5:
         raise DomainError(f"pi_x must lie in (0, 1/2], got {pi_x}")
     return build_model(0.5, q, q, pi_x, pi_x)
-
-
-SEMANTIC_TO_OBSERVED = "semantic_to_observed"
-OBSERVED_TO_SEMANTIC = "observed_to_semantic"
-
-
-def distortion_transform(d: float, q: float, direction: str) -> float:
-    """Convert Hamming distortion between the semantic and observed domains.
-
-    semantic_to_observed: (d - q) / (1 - 2q); requires d >= q because a
-    semantic distortion below the observation noise floor is unattainable.
-    observed_to_semantic: (1 - 2q) * d + q. The two are mutual inverses.
-    """
-    q = _as_probability(q, "q")
-    if q >= 0.5:
-        raise DomainError(f"q must be below 1/2, got {q}")
-    d = float(d)
-    if not math.isfinite(d) or d < -_SYMMETRY_TOL:
-        raise DomainError(f"distortion must be non-negative, got {d}")
-    if direction == SEMANTIC_TO_OBSERVED:
-        if d > 1.0 + _SYMMETRY_TOL:
-            raise DomainError(f"semantic distortion must lie in [0, 1], got {d}")
-        if d < q - _SYMMETRY_TOL:
-            raise InfeasibleError(
-                f"semantic distortion {d} is below the observation noise floor q={q}"
-            )
-        return (max(d, q) - q) / (1.0 - 2.0 * q)
-    if direction == OBSERVED_TO_SEMANTIC:
-        # the inverse image of semantic distortions in [q, 1] reaches
-        # (1 - q) / (1 - 2q), which exceeds 1 for q > 0
-        if d > (1.0 - q) / (1.0 - 2.0 * q) + _SYMMETRY_TOL:
-            raise DomainError(
-                f"observed distortion {d} maps outside [q, 1] in the semantic domain"
-            )
-        return (1.0 - 2.0 * q) * d + q
-    raise DomainError(
-        f"direction must be {SEMANTIC_TO_OBSERVED!r} or {OBSERVED_TO_SEMANTIC!r}, "
-        f"got {direction!r}"
-    )

@@ -17,7 +17,6 @@ rather than hiding it.
 
 import math
 
-import numpy as np
 import pytest
 
 from semrdp import (
@@ -25,22 +24,8 @@ from semrdp import (
     closed_form_rate,
     dsbs_model,
     evaluate_decoder,
-    oracle_min_rate,
-    rdpf_piecewise,
 )
-from semrdp.cli_sweeper import (
-    VerificationConfig,
-    check_binning_trend,
-    check_chain_rule_identities,
-    check_direct_observation_reduction,
-    check_distortion_transform_law,
-    check_monotonicity_and_ordering,
-    check_sandwich,
-    check_simulation_consistency,
-    check_spot_values,
-    check_zero_rate_threshold,
-    _sandwich_data,
-)
+from semrdp.verification import CRITERIA, VerificationConfig, _sandwich_data, zero_rate_threshold
 
 INF = math.inf
 
@@ -56,64 +41,68 @@ def sandwich_data(acceptance_config):
     return _sandwich_data(acceptance_config)
 
 
-def _report(number, result):
-    status = "PASS" if result.passed else "FAIL"
-    print(f"ACCEPTANCE {number}: {status} - {result.title}: {result.detail}")
-    return result.passed
+def _check(number, cfg, data):
+    """Run row ``number`` of the criteria table and print its pass/fail line."""
+    key, title, check = CRITERIA[number - 1]
+    assert key == f"criterion-{number}"
+    passed, detail = check(cfg, data)
+    print(f"ACCEPTANCE {number}: {'PASS' if passed else 'FAIL'} - {title}: {detail}")
+    return passed, detail
 
 
 def test_criterion_1_sandwich(acceptance_config, sandwich_data):
-    result, _, _ = check_sandwich(acceptance_config, sandwich_data)
-    assert _report(1, result), result.detail
+    passed, detail = _check(1, acceptance_config, sandwich_data)
+    assert passed, detail
 
 
-def test_criterion_2_direct_observation_reduction(acceptance_config):
-    result = check_direct_observation_reduction(acceptance_config)
-    assert _report(2, result), result.detail
+def test_criterion_2_direct_observation_reduction(acceptance_config, sandwich_data):
+    passed, detail = _check(2, acceptance_config, sandwich_data)
+    assert passed, detail
 
 
-def test_criterion_3_spot_values(acceptance_config):
+def test_criterion_3_spot_values(acceptance_config, sandwich_data):
     model = dsbs_model(0.1, 0.2)
     spot = closed_form_rate(model, 0.2, 0.05)
     assert spot == pytest.approx(0.1937, abs=2e-4)
     for p in (0.02, 0.05, 0.1, INF):
         assert closed_form_rate(model, 0.26, p) == 0.0
-    result = check_spot_values(acceptance_config)
-    assert _report(3, result), result.detail
+    passed, detail = _check(3, acceptance_config, sandwich_data)
+    assert passed, detail
 
 
-def test_criterion_4_zero_rate_threshold(acceptance_config):
+def test_criterion_4_zero_rate_threshold(acceptance_config, sandwich_data):
     model = dsbs_model(0.1, 0.2)
     anchor = evaluate_decoder(model, DecoderLaw.from_side_information())
     assert anchor.rate == 0.0
     assert anchor.distortion == pytest.approx(0.26, abs=1e-12)
     assert anchor.perception == pytest.approx(0.0, abs=1e-12)
-    result, threshold = check_zero_rate_threshold(acceptance_config)
-    assert _report(4, result), result.detail
+    passed, detail = _check(4, acceptance_config, sandwich_data)
+    assert passed, detail
+    threshold = zero_rate_threshold(model, 0.05, acceptance_config.oracle_resolution)
     assert threshold == pytest.approx(0.26, abs=0.01)
 
 
-def test_criterion_5_distortion_transform(acceptance_config):
-    result = check_distortion_transform_law(acceptance_config)
-    assert _report(5, result), result.detail
+def test_criterion_5_distortion_transform(acceptance_config, sandwich_data):
+    passed, detail = _check(5, acceptance_config, sandwich_data)
+    assert passed, detail
 
 
 def test_criterion_6_monotonicity_and_ordering(acceptance_config, sandwich_data):
-    result, violations = check_monotonicity_and_ordering(acceptance_config, sandwich_data)
-    assert _report(6, result), result.detail
-    assert violations == 0
+    passed, detail = _check(6, acceptance_config, sandwich_data)
+    assert passed, detail
+    assert detail.startswith("0 monotonicity/ordering violations")
 
 
-def test_criterion_7_simulation_consistency(acceptance_config):
-    result = check_simulation_consistency(acceptance_config)
-    assert _report(7, result), result.detail
+def test_criterion_7_simulation_consistency(acceptance_config, sandwich_data):
+    passed, detail = _check(7, acceptance_config, sandwich_data)
+    assert passed, detail
 
 
-def test_criterion_8_binning_trend(acceptance_config):
-    result = check_binning_trend(acceptance_config)
-    assert _report(8, result), result.detail
+def test_criterion_8_binning_trend(acceptance_config, sandwich_data):
+    passed, detail = _check(8, acceptance_config, sandwich_data)
+    assert passed, detail
 
 
-def test_criterion_9_chain_rule_identities(acceptance_config):
-    result = check_chain_rule_identities(acceptance_config)
-    assert _report(9, result), result.detail
+def test_criterion_9_chain_rule_identities(acceptance_config, sandwich_data):
+    passed, detail = _check(9, acceptance_config, sandwich_data)
+    assert passed, detail

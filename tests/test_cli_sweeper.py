@@ -8,14 +8,14 @@ import pytest
 
 from semrdp import DomainError, closed_form_rate, dsbs_model
 from semrdp import rdpf_solver as solver
-from semrdp.cli_sweeper import (
-    SweepConfig,
+from semrdp import verification
+from semrdp.cli_sweeper import SweepConfig, main, max_workers, sweep_curve
+from semrdp.verification import (
+    SANDWICH_TOLERANCE,
     VerificationConfig,
+    _sandwich_data,
     check_sandwich,
-    main,
-    max_workers,
     run_verification,
-    sweep_curve,
     zero_rate_threshold,
 )
 
@@ -114,34 +114,44 @@ def test_sweep_config_validation():
         _closed_cfg(axis="Q")
 
 
-def test_fault_injection_breaks_sandwich():
+def _sandwich(cfg):
+    """(passed, detail, max |closed - oracle|) of the sandwich check."""
+    data = _sandwich_data(cfg)
+    passed, detail = check_sandwich(cfg, data)
+    gap = max(float(np.max(np.abs(closed - oracle))) for _, closed, oracle in data.values())
+    return passed, detail, gap
+
+
+def test_fault_injection_breaks_sandwich(monkeypatch):
+    def shift_closed_form(bias):
+        # the sandwich reads closed(D, P) and closed(D, inf) through this one
+        # name, so the shift reaches both
+        monkeypatch.setattr(verification, "closed_form_rate",
+                            lambda model, D, P: closed_form_rate(model, D, P) + bias)
+
     small = VerificationConfig(
         q_values=(0.1,), p_values=(INF,), d_points=4,
         oracle_resolution=0.05,
     )
-    clean, _, gap = check_sandwich(small)
-    assert clean.passed, clean.detail
-    corrupted, _, gap = check_sandwich(
-        VerificationConfig(
-            q_values=(0.1,), p_values=(INF,), d_points=4,
-            oracle_resolution=0.05, closed_form_bias=0.1,
-        )
-    )
-    assert not corrupted.passed
+    clean, detail, _ = _sandwich(small)
+    assert clean, detail
+    shift_closed_form(0.1)
+    corrupted, _, gap = _sandwich(small)
+    assert not corrupted
     assert gap > 0.05
     # unbiased, the binding P = 0.05 passes although the paper's middle
     # branch sits above the exact minimum by more than the tolerance
-    binding, _, gap = check_sandwich(replace(small, p_values=(0.05,)))
-    assert binding.passed, binding.detail
-    assert gap > small.sandwich_tolerance
-    # the bias shifts closed(D, P) and closed(D, inf) alike, so a closed form
-    # that is too high or too low fails at a slack and at a binding budget
+    monkeypatch.undo()
+    binding, detail, gap = _sandwich(replace(small, p_values=(0.05,)))
+    assert binding, detail
+    assert gap > SANDWICH_TOLERANCE
+    # a closed form that is too high or too low fails at a slack and at a
+    # binding budget
     for p_val in (INF, 0.05):
         for bias in (0.1, -0.1):
-            corrupted, _, _ = check_sandwich(
-                replace(small, p_values=(p_val,), closed_form_bias=bias)
-            )
-            assert not corrupted.passed, (p_val, bias, corrupted.detail)
+            shift_closed_form(bias)
+            corrupted, detail, _ = _sandwich(replace(small, p_values=(p_val,)))
+            assert not corrupted, (p_val, bias, detail)
 
 
 def test_zero_rate_threshold_quick(model_q01):
@@ -315,9 +325,15 @@ def test_quick_verification_structure():
         chain_joints=50,
     )
     summary = run_verification(cfg)
-    assert len(summary.criteria) == 9
+    assert [c.key for c in summary.criteria] == [f"criterion-{k}" for k in range(1, 10)]
     text = summary.to_text()
     assert "criterion-1" in text and "overall" in text
     csv = summary.to_csv()
     assert csv.splitlines()[0] == "q,P,D,R_closed,R_oracle"
     assert len(csv.splitlines()) == 1 + 3
+    # sha256 of both artifacts as recorded at b330961, before the suite
+    # moved out of cli_sweeper
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1890cdb728c957e23d047768636b33712b4307276de21f5a05f7c762c940d59e")
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "8de573f484866c08dbe12460f2c7c3acbd0cebd1a2c5f0ba65b4b651dbeb75a1")

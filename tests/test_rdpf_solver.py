@@ -153,12 +153,13 @@ def test_oracle_skips_refinement_after_a_zero_rate(model_q01, monkeypatch):
     monkeypatch.setattr(solver, "_BranchTables", counted)
     results = oracle_min_rates(model_q01, [0.3, 0.45], 0.05, 0.02)
     assert builds == [0, 1]
-    # recorded before the skip, when each point also built its refinement
+    # recorded before the skip, when each point also built its refinement;
+    # the rate is clipped at 0, so a zero-rate optimum reads exactly 0.0
     assert results == [
-        SolverResult(rate=-4.440892098500626e-16, achieved_D=0.2936,
+        SolverResult(rate=0.0, achieved_D=0.2936,
                      achieved_P=0.05000000000000002,
                      argmin=DecoderLaw(0.88, 0.88, 0.02, 0.02), grid_resolution=0.02),
-        SolverResult(rate=-4.440892098500626e-16, achieved_D=0.44720000000000004,
+        SolverResult(rate=0.0, achieved_D=0.44720000000000004,
                      achieved_P=0.04999999999999996,
                      argmin=DecoderLaw(0.56, 0.56, 0.34, 0.34), grid_resolution=0.02),
     ]

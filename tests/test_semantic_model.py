@@ -1,17 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from semrdp import (
-    OBSERVED_TO_SEMANTIC,
-    SEMANTIC_TO_OBSERVED,
-    ChannelMatrix,
     DegenerateChannelError,
     DomainError,
-    InfeasibleError,
     build_model,
-    distortion_transform,
     dsbs_model,
     tv_distance,
 )
@@ -110,34 +103,3 @@ def test_model_domain_errors():
         dsbs_model(0.1, 0.0)
     with pytest.raises(DegenerateChannelError):
         build_model(0.5, 0.1, 0.1, 1.0, 0.0)  # Y is constant
-
-
-def test_channel_matrix():
-    ch = ChannelMatrix.from_crossovers(0.2, 0.3)
-    assert ch.crossovers == (0.2, 0.3)
-    assert np.allclose(ch.rows.sum(axis=1), 1.0)
-    with pytest.raises(DomainError):
-        ChannelMatrix(np.array([[0.5, 0.6], [0.5, 0.5]]))
-
-
-def test_distortion_transform_examples():
-    assert distortion_transform(0.1, 0.1, SEMANTIC_TO_OBSERVED) == 0.0
-    assert distortion_transform(0.2, 0.1, SEMANTIC_TO_OBSERVED) == pytest.approx(0.125, abs=1e-12)
-    assert distortion_transform(0.125, 0.1, OBSERVED_TO_SEMANTIC) == pytest.approx(0.2, abs=1e-12)
-
-
-def test_distortion_transform_round_trip():
-    q = 0.1
-    for d in np.linspace(q, 1.0, 50):
-        forward = distortion_transform(float(d), q, SEMANTIC_TO_OBSERVED)
-        back = distortion_transform(forward, q, OBSERVED_TO_SEMANTIC)
-        assert back == pytest.approx(float(d), abs=1e-12)
-
-
-def test_distortion_transform_errors():
-    with pytest.raises(InfeasibleError):
-        distortion_transform(0.05, 0.1, SEMANTIC_TO_OBSERVED)
-    with pytest.raises(DomainError):
-        distortion_transform(0.2, 0.5, SEMANTIC_TO_OBSERVED)
-    with pytest.raises(DomainError):
-        distortion_transform(0.2, 0.1, "sideways")
