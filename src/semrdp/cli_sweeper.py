@@ -13,14 +13,11 @@ The CSV schema for curves is fixed: ``D,P`` followed by a subset of
 ``R_closed,R_min2,R_oracle,R_sim`` in that order, floats printed with six
 decimals, rows in ascending axis order, infeasible points marked ``inf``
 so files stay rectangular. All randomness flows from ``--seed``; two runs
-with equal flags produce byte-identical artifacts. ``SEMRDP_THREADS``
-caps the worker count used for sweep evaluation.
+with equal flags produce byte-identical artifacts.
 """
 
 import argparse
-import concurrent.futures
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -49,16 +46,9 @@ _METHOD_TAGS = {
 
 
 def max_workers() -> int:
-    env = os.environ.get("SEMRDP_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise DomainError(f"SEMRDP_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise DomainError(f"SEMRDP_THREADS must be positive, got {cap}")
-        return cap
-    return min(4, os.cpu_count() or 1)
+    """Always 1: sweeps run in the calling thread. Kept only until the
+    benchmark harness stops reading it for its environment record."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,52 +125,34 @@ def _simulated_rate(model, cfg: SweepConfig, index: int, D: float, P: float) -> 
 
 
 def sweep_points(cfg: SweepConfig) -> list[list[RdpPoint]]:
-    """Evaluate every selected method at every axis point; one RdpPoint per
-    method per point, infeasible rates carried as math.inf."""
+    """Evaluate every selected method at every axis point, in the calling
+    thread; one RdpPoint per method per point, infeasible rates carried as
+    math.inf."""
     model = cfg.model()
     points = cfg.axis_points()
     selected = [m for m in _METHOD_ORDER if m in cfg.methods]
-    columns: dict[str, list[float]] = {}
 
-    for method in selected:
-        if method == "oracle" and cfg.axis == "D":
-            results = oracle_min_rates(
-                model, [d for d, _ in points], cfg.fixed_P, cfg.resolution
-            )
-            columns[method] = [math.inf if r is None else r.rate for r in results]
-            continue
+    def rate(method, index, d, p):
         if method == "closed_form":
-            columns[method] = [
-                _rate_or_inf(closed_form_rate, model, d, p) for d, p in points
-            ]
-            continue
+            return _rate_or_inf(closed_form_rate, model, d, p)
+        if method == "min2":
+            return _rate_or_inf(lambda: solve_min2(model, d, p, cfg.resolution).rate)
+        if method == "oracle":
+            # the batched form reports infeasibility as None, without the
+            # nearest-candidate search an InfeasibleError carries
+            result, = oracle_min_rates(model, [d], p, cfg.resolution)
+            return math.inf if result is None else result.rate
+        return _simulated_rate(model, cfg, index, d, p)
 
-        def job(item, method=method):
-            index, (d, p) = item
-            if method == "min2":
-                return _rate_or_inf(
-                    lambda: solve_min2(model, d, p, cfg.resolution).rate
-                )
-            if method == "oracle":
-                # the batched form reports infeasibility as None, without
-                # the nearest-candidate search an InfeasibleError carries
-                result, = oracle_min_rates(model, [d], p, cfg.resolution)
-                return math.inf if result is None else result.rate
-            return _simulated_rate(model, cfg, index, d, p)
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers()) as pool:
-            columns[method] = list(pool.map(job, enumerate(points)))
-
-    rows = []
-    for idx, (d, p) in enumerate(points):
-        rows.append(
-            [
-                RdpPoint(D=d, P=p, R=max(columns[m][idx], 0.0),
-                         method=_METHOD_TAGS[m])
-                for m in selected
-            ]
-        )
-    return rows
+    columns = {
+        method: [rate(method, index, d, p) for index, (d, p) in enumerate(points)]
+        for method in selected
+    }
+    return [
+        [RdpPoint(D=d, P=p, R=max(columns[m][idx], 0.0), method=_METHOD_TAGS[m])
+         for m in selected]
+        for idx, (d, p) in enumerate(points)
+    ]
 
 
 def sweep_curve(cfg: SweepConfig) -> str:
@@ -446,8 +418,14 @@ def main(argv=None) -> int:
                 k: _coerce(v) for k, v in _load_config_file(args.config).items()
             }
             sub = commands[args.command]
-            known = {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in file_values.items() if k in known})
+            known = {action.dest for action in sub._actions} - {"help", "config"}
+            unknown = sorted(set(file_values) - known)
+            if unknown:
+                raise DomainError(
+                    f"unknown keys in {args.config} for '{args.command}': "
+                    + ", ".join(unknown)
+                )
+            sub.set_defaults(**file_values)
             args = parser.parse_args(argv)
         handler = {
             "curve": _cmd_curve,

@@ -1,12 +1,13 @@
 import hashlib
 import math
-import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semrdp import DomainError, closed_form_rate, dsbs_model
+from semrdp import cli_sweeper
 from semrdp import rdpf_solver as solver
 from semrdp import verification
 from semrdp.cli_sweeper import SweepConfig, main, max_workers, sweep_curve
@@ -179,10 +180,28 @@ def test_solver_sweeps_pinned_to_recorded_digests(axis, digest, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _simulate_cfg(axis):
+    common = dict(pi=0.5, q1=0.1, q2=0.1, a=0.2, b=0.2, steps=5, n=10, trials=10,
+                  seed=7, margin=0.1, methods=("closed_form", "simulate"))
+    if axis == "D":
+        return SweepConfig(axis="D", axis_min=0.1, axis_max=0.4, fixed_P=0.05, **common)
+    return SweepConfig(axis="P", axis_min=0.0, axis_max=0.5, fixed_D=0.25, **common)
+
+
+@pytest.mark.parametrize("axis, digest", [
+    ("D", "58aadf03d407638ac23f45f42bdbccbe1415d44338e0cf2710056e5698f1cfe8"),
+    ("P", "3571fea3bcdcfafe3ed858904a76622c643f1cfce02182c9f320b134adc3ac90"),
+])
+def test_simulated_sweeps_pinned_to_recorded_digests(axis, digest):
+    # sha256 of the CSV as recorded at 80efefd, when sweeps still ran in a
+    # thread pool; the 0.1 margin leaves both finite and inf R_sim entries,
+    # so the digest also pins which seed each point draws
+    text = sweep_curve(_simulate_cfg(axis))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("axis", ["D", "P"])
 def test_sweep_builds_each_coarse_search_once(axis, monkeypatch):
-    # the pool's threads share one build of each coarse search per sweep
-    monkeypatch.setenv("SEMRDP_THREADS", "2")
     monkeypatch.setattr(solver, "_TABLE_CACHE", {})
     cfg = _solver_cfg(axis)
     builds = {"min2": 0, "oracle": 0}
@@ -204,14 +223,29 @@ def test_sweep_builds_each_coarse_search_once(axis, monkeypatch):
     assert builds == {"min2": 1, "oracle": 1}
 
 
-def test_max_workers_env(monkeypatch):
-    monkeypatch.setenv("SEMRDP_THREADS", "3")
-    assert max_workers() == 3
-    monkeypatch.setenv("SEMRDP_THREADS", "zero")
-    with pytest.raises(DomainError):
-        max_workers()
-    monkeypatch.delenv("SEMRDP_THREADS")
-    assert max_workers() >= 1
+@pytest.mark.parametrize("axis", ["D", "P"])
+def test_sweep_runs_in_the_calling_thread(axis, monkeypatch):
+    threads = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve_min2", "oracle_min_rates", "random_binning_trial"):
+        monkeypatch.setattr(cli_sweeper, name, recorded(getattr(cli_sweeper, name)))
+    cfg = replace(_solver_cfg(axis), steps=4, n=10, trials=4,
+                  methods=("closed_form", "min2", "oracle", "simulate"))
+    sweep_curve(cfg)
+    assert len(threads) >= 2 * cfg.steps
+    assert set(threads) == {threading.get_ident()}
+
+
+def test_max_workers_is_one(monkeypatch):
+    for env in ("3", "zero"):
+        monkeypatch.setenv("SEMRDP_THREADS", env)
+        assert max_workers() == 1
 
 
 def test_cli_curve_writes_csv(tmp_path):
@@ -297,6 +331,21 @@ def test_cli_config_file_merge(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 5  # steps from the config file
     assert lines[-1].split(",")[0] == "0.300000"
+
+
+@pytest.mark.parametrize("command, line", [
+    (["curve", "--q", "0.1", "--pi-x", "0.2", "--methods", "closed_form"], "stpes = 4"),
+    (["verify", "--quick"], "closed_form_bias = 0.1"),
+])
+def test_cli_config_rejects_unknown_keys(command, line, tmp_path, capsys):
+    key = line.split()[0]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{line}\nresolution = 0.05\n")
+    assert main(command + ["--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("semrdp: error: ")
+    assert key in captured.err and "resolution" not in captured.err
 
 
 def test_cli_simulated_rate_column(tmp_path):
