@@ -207,8 +207,15 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return methods
 
 
+def _parse_floats(text: str, what: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{what} must be comma-separated numbers, got {text!r}") from None
+
+
 def _parse_law(text: str) -> DecoderLaw:
-    parts = [float(v) for v in text.split(",")]
+    parts = _parse_floats(text, "--law")
     if len(parts) != 4:
         raise DomainError(f"a decoder law needs 4 comma-separated values, got {text!r}")
     return DecoderLaw(*parts)
@@ -376,7 +383,11 @@ def _cmd_simulate(args) -> int:
         lines.append(row(run_decoder_trials(model, law, cfg), cfg))
     else:
         base = closed_form_rate(model, args.D, args.P)
-        for margin in (float(m) for m in args.margins.split(",")):
+        margins = _parse_floats(args.margins, "--margins")
+        if not all(0.0 <= m < math.inf for m in margins):
+            # each margin keys its seed stream as round(1000 * margin)
+            raise DomainError(f"rate margins must be finite and non-negative, got {margins}")
+        for margin in margins:
             r1 = base + margin
             cfg = TrialConfig(
                 n=args.n, trials=args.trials,

@@ -8,6 +8,11 @@ as their common randomness and every trial is bit-reproducible. Derived
 streams are keyed as (seed, trial, role) tuples through SeedSequence; no
 global random state is touched anywhere.
 
+One trial loop serves the decoder trials and the binning experiment: trial
+t samples (S, X, Y) on stream (seed, t, 0) and the caller reconstructs
+from (X, Y) on stream (seed, t, 1). Each report also carries the signed
+perception Phat(Shat = 0) - Phat(S = 0), its mean and standard error.
+
 The binning experiment replaces typical-set machinery, which is vacuous at
 block lengths this small, with minimum-Hamming-distance selection: the
 encoder picks the codeword closest to its observation block, transmits the
@@ -27,13 +32,16 @@ from .rdpf_solver import DecoderLaw, shat_marginal
 from .semantic_model import SemanticModel
 
 _CODEBOOK_LOG2_CAP = 24.0
+_SUB_BLOCK = 100  # sub-block length of the decoder trials' blockwise perception
 
 
 def derive_seed(base: int, *parts: int) -> int:
     """A 64-bit stream seed deterministically derived from a base seed and
-    integer role parts."""
-    ss = np.random.SeedSequence((int(base),) + tuple(int(p) for p in parts))
-    return int(ss.generate_state(1, np.uint64)[0])
+    integer role parts, all non-negative."""
+    key = (int(base),) + tuple(int(p) for p in parts)
+    if min(key) < 0:
+        raise DomainError(f"seed and role parts must be non-negative, got {key}")
+    return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -72,14 +80,17 @@ class TrialReport:
 
     empirical_P_marginal pools all trials before taking the total
     variation; empirical_P_blockwise averages the per-block total
-    variation, which is the empirical-perception reading. The standard
-    error is reported when at least two trials were run.
+    variation, which is the empirical-perception reading. empirical_P_signed
+    averages the per-trial Phat(Shat = 0) - Phat(S = 0). Standard errors
+    are reported when at least two trials were run.
     """
 
     empirical_D: float
     empirical_D_se: float | None
     empirical_P_marginal: float
     empirical_P_blockwise: float
+    empirical_P_signed: float
+    empirical_P_signed_se: float | None
     bin_decode_failures: int
     seeds_used: tuple[int, ...]
     trials: int
@@ -170,48 +181,55 @@ def empirical_metrics(s_block: np.ndarray, shat_block: np.ndarray,
     )
 
 
-def _aggregate_report(per_trial_d, zeros_s, zeros_shat, blockwise_values,
-                      failures, seeds, cfg: TrialConfig) -> TrialReport:
-    per_trial_d = np.asarray(per_trial_d, dtype=float)
-    mean_d = float(per_trial_d.mean())
-    se = None
-    if per_trial_d.size >= 2:
-        se = float(per_trial_d.std(ddof=1) / math.sqrt(per_trial_d.size))
+def _mean_and_se(values) -> tuple[float, float | None]:
+    values = np.asarray(values, dtype=float)
+    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size >= 2 else None
+    return float(values.mean()), se
+
+
+def _run_trials(model: SemanticModel, cfg: TrialConfig, reconstruct,
+                sub_block: int) -> TrialReport:
+    """The trial loop of every Monte Carlo run. Trial t draws (S, X, Y) on
+    stream (seed, t, 0) and reconstructs with ``reconstruct(x, y, seed)`` on
+    stream (seed, t, 1), which returns ``(shat, failed)``; ``sub_block`` is
+    the sub-block length of the blockwise perception reading."""
+    per_d, zeros, blockwise, seeds = [], [], [], []
+    failures = 0
+    for t in range(cfg.trials):
+        block_seed = derive_seed(cfg.seed, t, 0)
+        s, x, y = sample_block(model, cfg.n, block_seed)
+        shat, failed = reconstruct(x, y, derive_seed(cfg.seed, t, 1))
+        m = empirical_metrics(s, shat, sub_block)
+        per_d.append(m.empirical_D)
+        zeros.append((_zeros(s), _zeros(shat)))
+        blockwise.append(m.empirical_P_blockwise)
+        seeds.append(block_seed)
+        failures += int(failed)
+    zeros_s, zeros_shat = np.array(zeros).T
+    mean_d, se_d = _mean_and_se(per_d)
+    signed, signed_se = _mean_and_se(zeros_shat / cfg.n - zeros_s / cfg.n)
     symbols = cfg.trials * cfg.n
-    p_marginal = abs(zeros_s / symbols - zeros_shat / symbols)
     return TrialReport(
         empirical_D=mean_d,
-        empirical_D_se=se,
-        empirical_P_marginal=float(p_marginal),
-        empirical_P_blockwise=float(np.mean(blockwise_values)),
-        bin_decode_failures=int(failures),
+        empirical_D_se=se_d,
+        empirical_P_marginal=float(abs(zeros_s.sum() / symbols - zeros_shat.sum() / symbols)),
+        empirical_P_blockwise=float(np.mean(blockwise)),
+        empirical_P_signed=signed,
+        empirical_P_signed_se=signed_se,
+        bin_decode_failures=failures,
         seeds_used=tuple(seeds),
         trials=cfg.trials,
         n=cfg.n,
     )
 
 
-def run_decoder_trials(model: SemanticModel, law: DecoderLaw, cfg: TrialConfig,
-                       block_length: int = 100) -> TrialReport:
-    """Repeated sample-and-decode trials of a fixed per-symbol decoding rule."""
-    if cfg.n % block_length != 0:
-        block_length = cfg.n
-    per_trial_d, blockwise, seeds = [], [], []
-    zeros_s = zeros_shat = 0
-    for t in range(cfg.trials):
-        block_seed = derive_seed(cfg.seed, t, 0)
-        decode_seed = derive_seed(cfg.seed, t, 1)
-        s, x, y = sample_block(model, cfg.n, block_seed)
-        shat = apply_decoder(law, x, y, decode_seed)
-        m = empirical_metrics(s, shat, block_length)
-        per_trial_d.append(m.empirical_D)
-        blockwise.append(m.empirical_P_blockwise)
-        seeds.append(block_seed)
-        zeros_s += _zeros(s)
-        zeros_shat += _zeros(shat)
-    return _aggregate_report(
-        per_trial_d, zeros_s, zeros_shat, blockwise, 0, seeds, cfg,
-    )
+def run_decoder_trials(model: SemanticModel, law: DecoderLaw, cfg: TrialConfig) -> TrialReport:
+    """Repeated sample-and-decode trials of a fixed per-symbol decoding rule.
+    The blockwise perception reading uses sub-blocks of ``_SUB_BLOCK``
+    symbols, or the whole block when that length does not divide it."""
+    sub_block = _SUB_BLOCK if cfg.n % _SUB_BLOCK == 0 else cfg.n
+    return _run_trials(model, cfg, lambda x, y, seed: (apply_decoder(law, x, y, seed), False),
+                       sub_block)
 
 
 def _codebook_sizes(cfg: TrialConfig) -> tuple[int, int]:
@@ -239,14 +257,9 @@ def random_binning_trial(model: SemanticModel, cfg: TrialConfig,
     """
     words, bins = _codebook_sizes(cfg)
     p_one = float(shat_marginal(model, target_law).masses[1])
-    per_trial_d, blockwise, seeds = [], [], []
-    zeros_s = zeros_shat = 0
-    failures = 0
-    for t in range(cfg.trials):
-        block_seed = derive_seed(cfg.seed, t, 0)
-        code_seed = derive_seed(cfg.seed, t, 1)
-        s, x, y = sample_block(model, cfg.n, block_seed)
-        rng = _rng(code_seed)
+
+    def reconstruct(x, y, seed):
+        rng = _rng(seed)
         codebook = (rng.random((words, cfg.n)) < p_one).astype(np.uint8)
         bin_of = np.empty(words, dtype=np.int64)
         bin_of[rng.permutation(words)] = np.arange(words) % bins
@@ -255,14 +268,6 @@ def random_binning_trial(model: SemanticModel, cfg: TrialConfig,
         decoder_pick = int(
             members[(codebook[members] != y[None, :]).sum(axis=1).argmin()]
         )
-        failures += int(decoder_pick != encoder_pick)
-        shat = codebook[decoder_pick]
-        m = empirical_metrics(s, shat, cfg.n)
-        per_trial_d.append(m.empirical_D)
-        blockwise.append(m.empirical_P_blockwise)
-        seeds.append(block_seed)
-        zeros_s += _zeros(s)
-        zeros_shat += _zeros(shat)
-    return _aggregate_report(
-        per_trial_d, zeros_s, zeros_shat, blockwise, failures, seeds, cfg,
-    )
+        return codebook[decoder_pick], decoder_pick != encoder_pick
+
+    return _run_trials(model, cfg, reconstruct, cfg.n)

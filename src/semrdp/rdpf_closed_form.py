@@ -237,6 +237,8 @@ def closed_form_rate(model: SemanticModel, D: float, P: float) -> float:
     q, pi_x, pi_x_prime = _require_doubly_symmetric(model)
     D = float(D)
     P = float(P)
+    if math.isnan(D):
+        raise DomainError(f"distortion target D must be a number, got {D}")
     if math.isnan(P) or P < -_TOL:
         raise DomainError(f"perception budget must be non-negative, got {P}")
     if D < q - _TOL:

@@ -27,27 +27,28 @@ Two independent routes are provided on purpose:
   converse does not hold near the zero-rate plateau, where cancellation
   makes the oracle strictly better.
 
-Both searches run a deterministic coarse grid followed by one local
-refinement pass at a tenth of the resolution around the incumbent. Each
-pass minimizes a_i + b_j over the product of two branch tables, subject to
-a distortion sum and a perception deviation, and one kernel
-(``_PairSearch``) serves both programs and the oracle's infeasibility
-diagnostic. The kernel is still exhaustive in its result: it returns the
-pair a scan of the whole product returns, the lexicographically smallest
-minimizer. It scores few of the pairs. Each row gets a lower bound on its
-best feasible value from the other branch (a prefix minimum in distortion
-order, a range minimum over the perception interval). The row with the
-least (bound, row) is scored first, and it usually holds the minimum.
-Only the rows still live after it, those whose (bound, row) is
-lexicographically below (incumbent value, incumbent row), are then sorted
-and scored in that order until the next one is dead. Pruning cannot
-change the minimizer, for two reasons. The relaxations are widened by a
-slack far above float rounding, so a bound never exceeds a value the scan
-computes. And candidates compare as (value, i, j) tuples: a row whose
-bound ties the incumbent can at best tie it, so it is scored only when
-its smaller index would win the tie, as the lexicographic scan resolves
-it. Every row left unscored is therefore dead against the final
-incumbent.
+Both searches run one grid driver (``_grid_argmin``): a cached coarse
+grid, then one refinement pass at a tenth of the resolution around the
+incumbent. They differ only in the box builder they pass it, over decoder
+cells on [0, 1] or branch allocations on [0, 1/2]. Each pass minimizes
+a_i + b_j over the product of two branch tables, subject to a distortion
+sum and a perception deviation, and one kernel (``_PairSearch``) serves both
+programs and the oracle's infeasibility diagnostic. The kernel is still
+exhaustive in its result: it returns the pair a scan of the whole product
+returns, the lexicographically smallest minimizer. It scores few of the
+pairs. Each row gets a lower bound on its best feasible value from the
+other branch (a prefix minimum in distortion order, a range minimum over
+the perception interval). The row with the least (bound, row) is scored
+first, and it usually holds the minimum. Only the rows still live after
+it, those whose (bound, row) is lexicographically below (incumbent value,
+incumbent row), are then sorted and scored in that order until the next
+one is dead. Pruning cannot change the minimizer, for two reasons. The
+relaxations are widened by a slack far above float rounding, so a bound
+never exceeds a value the scan computes. And candidates compare as
+(value, i, j) tuples: a row whose bound ties the incumbent can at best
+tie it, so it is scored only when its smaller index would win the tie, as
+the lexicographic scan resolves it. Every row left unscored is therefore
+dead against the final incumbent.
 
 One caveat of the single-incumbent refinement: coarse-pass minima are
 exactly monotone in the distortion and perception budgets (feasible sets
@@ -166,59 +167,50 @@ def shat_marginal(model: SemanticModel, law: DecoderLaw) -> FiniteDistribution:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracle
+# grid axes and decoder tables
 # ---------------------------------------------------------------------------
 
-def _axis_grid(resolution: float) -> np.ndarray:
-    steps = int(math.floor(1.0 / resolution + 1e-9))
+def _axis_grid(resolution: float, upper: float) -> np.ndarray:
+    steps = int(math.floor(upper / resolution + 1e-9))
     pts = np.round(np.arange(steps + 1) * resolution, 12)
-    if pts[-1] < 1.0 - 1e-12:
-        pts = np.append(pts, 1.0)
+    if pts[-1] < upper - 1e-12:
+        pts = np.append(pts, upper)
     return pts
 
 
-def _refine_axis(center: float, resolution: float, upper: float = 1.0) -> np.ndarray:
+def _refine_axis(center: float, resolution: float, upper: float) -> np.ndarray:
     pts = center + np.arange(-10, 11) * (resolution / 10.0)
     return np.unique(np.clip(np.round(pts, 12), 0.0, upper))
 
 
-class _BranchTables:
-    """Per-branch candidate tables over an (s, t) product grid, flattened in
-    lexicographic (s-major) order."""
-
-    def __init__(self, model: SemanticModel, y: int,
-                 s_vals: np.ndarray, t_vals: np.ndarray):
-        p_y = model.p_a if y == 0 else model.p_b
-        cells = model.joint.masses[:, :, y] / p_y  # p(S, X | Y = y)
-        px0 = float(cells[0, 0] + cells[1, 0])
-        px1 = float(cells[0, 1] + cells[1, 1])
-        s = s_vals[:, None]
-        t = t_vals[None, :]
-        marg0 = px0 * s + px1 * t
-        info = (
-            binary_entropy_array(marg0)
-            - px0 * binary_entropy_array(s)
-            - px1 * binary_entropy_array(t)
-        )
-        dist = (
-            cells[0, 0] * (1.0 - s)
-            + cells[0, 1] * (1.0 - t)
-            + cells[1, 0] * s
-            + cells[1, 1] * t
-        )
-        self.info = np.maximum(info, 0.0).ravel()
-        self.dist = dist.ravel()
-        self.marg0 = marg0.ravel()
-        self.s_vals = s_vals
-        self.t_vals = t_vals
-
-    def law_params(self, flat_index: int) -> tuple[float, float]:
-        i, j = divmod(flat_index, self.t_vals.size)
-        return float(self.s_vals[i]), float(self.t_vals[j])
+def _branch_columns(model: SemanticModel, y: int, s_vals: np.ndarray,
+                    t_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rate, distortion and P(Shat = 0) of branch y, weighted by P(Y = y),
+    over the (s, t) product grid flattened in lexicographic (s-major)
+    order. The rate is clipped at 0."""
+    p_y = model.p_a if y == 0 else model.p_b
+    cells = model.joint.masses[:, :, y] / p_y  # p(S, X | Y = y)
+    px0 = float(cells[0, 0] + cells[1, 0])
+    px1 = float(cells[0, 1] + cells[1, 1])
+    s = s_vals[:, None]
+    t = t_vals[None, :]
+    marg0 = px0 * s + px1 * t
+    info = (
+        binary_entropy_array(marg0)
+        - px0 * binary_entropy_array(s)
+        - px1 * binary_entropy_array(t)
+    )
+    dist = (
+        cells[0, 0] * (1.0 - s)
+        + cells[0, 1] * (1.0 - t)
+        + cells[1, 0] * s
+        + cells[1, 1] * t
+    )
+    return p_y * np.maximum(info, 0.0).ravel(), p_y * dist.ravel(), p_y * marg0.ravel()
 
 
 # ---------------------------------------------------------------------------
-# pair search: the one product-scan kernel
+# pair search: the one product-scan kernel, and the grid driver of both routes
 # ---------------------------------------------------------------------------
 
 # Widening of the bound relaxations. Every table entry is a probability or
@@ -384,20 +376,7 @@ class _PairSearch:
         return float(self.d[i] + self.e[j]), float(abs(self.m[i] + self.n[j] - self.c))
 
 
-def _oracle_search(model: SemanticModel, tab0: _BranchTables,
-                   tab1: _BranchTables) -> _PairSearch:
-    """Pair search over decoder pairs: rate, distortion and the signed
-    deviation of the pooled P(Shat = 0) from P(S = 0)."""
-    p_a, p_b = model.p_a, model.p_b
-    return _PairSearch(
-        p_a * tab0.info, p_a * tab0.dist, p_a * tab0.marg0,
-        p_b * tab1.info, p_b * tab1.dist, p_b * tab1.marg0,
-        1.0 - model.pi,
-    )
-
-
-# Coarse searches keyed by model and resolution: the oracle's
-# (params, resolution) and solve_min2's ("min2", params, resolution).
+# Coarse searches keyed by (route, model parameters, resolution).
 _TABLE_CACHE: dict[tuple, object] = {}
 _TABLE_LOCK = threading.Lock()
 
@@ -414,24 +393,40 @@ def _cached(key: tuple, build):
         return entry
 
 
-def _coarse_tables(model: SemanticModel, resolution: float):
+def _grid_argmin(key: tuple, resolution: float, upper: float, box, D: float, P: float,
+                 floor: float = -math.inf):
+    """(coarse pair search, grid minimum) at (D, P). The minimum is
+    (value, (u0, v0, u1, v1)), or None when no coarse pair is feasible.
+
+    ``box(u0, v0, u1, v1)`` builds the pair search over the major and minor
+    axis of each branch; the coarse search over ``_axis_grid(resolution,
+    upper)`` is built once per ``key``. The refinement box spans ten steps
+    of resolution / 10 around each coarse axis value, and a refined pair
+    wins only when strictly better. It is skipped when the coarse value is
+    already at ``floor``, which no entry of a box undercuts."""
     def build():
-        grid = _axis_grid(resolution)
-        tab0 = _BranchTables(model, 0, grid, grid)
-        tab1 = _BranchTables(model, 1, grid, grid)
-        return tab0, tab1, _oracle_search(model, tab0, tab1)
+        grid = _axis_grid(resolution, upper)
+        return grid, box(grid, grid, grid, grid)
 
-    return _cached((model.params, resolution), build)
+    def decode(axes, i, j):
+        u0, v0, u1, v1 = axes
+        return (float(u0[i // v0.size]), float(v0[i % v0.size]),
+                float(u1[j // v1.size]), float(v1[j % v1.size]))
+
+    grid, coarse = _cached(key, build)
+    value, i, j = coarse.argmin(D, P)
+    if not math.isfinite(value):
+        return coarse, None
+    point = decode((grid,) * 4, i, j)
+    if value > floor:
+        axes = tuple(_refine_axis(v, resolution, upper) for v in point)
+        f_value, fi, fj = box(*axes).argmin(D, P)
+        if f_value < value:
+            value, point = f_value, decode(axes, fi, fj)
+    return coarse, (value, point)
 
 
-def _law_from_indices(tab0: _BranchTables, tab1: _BranchTables,
-                      i: int, j: int) -> DecoderLaw:
-    s0, t0 = tab0.law_params(i)
-    s1, t1 = tab1.law_params(j)
-    return DecoderLaw(s0, t0, s1, t1)
-
-
-def _validate_oracle_args(P: float, resolution: float) -> tuple[float, float]:
+def _validate_oracle_args(d_targets, P: float, resolution: float) -> tuple[list, float, float]:
     resolution = float(resolution)
     if not _RES_MIN <= resolution <= _RES_MAX:
         raise DomainError(
@@ -440,7 +435,41 @@ def _validate_oracle_args(P: float, resolution: float) -> tuple[float, float]:
     P = float(P)
     if math.isnan(P) or P < -_TOL:
         raise DomainError(f"perception budget must be non-negative, got {P}")
-    return P, resolution
+    d_targets = [float(d) for d in d_targets]
+    if any(math.isnan(d) for d in d_targets):
+        raise DomainError("distortion target D must be a number, got nan")
+    return d_targets, P, resolution
+
+
+# ---------------------------------------------------------------------------
+# exhaustive oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_search(model: SemanticModel, s0: np.ndarray, t0: np.ndarray,
+                   s1: np.ndarray, t1: np.ndarray) -> _PairSearch:
+    """Pair search over decoder pairs: rate, distortion and the signed
+    deviation of the pooled P(Shat = 0) from P(S = 0)."""
+    return _PairSearch(*_branch_columns(model, 0, s0, t0),
+                       *_branch_columns(model, 1, s1, t1), 1.0 - model.pi)
+
+
+def _oracle_point(model: SemanticModel, D: float, P: float,
+                  resolution: float) -> tuple[_PairSearch, SolverResult | None]:
+    """(coarse pair search, result or None) of one validated oracle query."""
+    # every table rate is clipped at 0, so no refined pair beats a coarse 0
+    coarse, found = _grid_argmin(("oracle", model.params, resolution), resolution, 1.0,
+                                 lambda *axes: _oracle_search(model, *axes), D, P, floor=0.0)
+    if found is None:
+        return coarse, None
+    law = DecoderLaw(*found[1])
+    exact = evaluate_decoder(model, law)
+    return coarse, SolverResult(
+        rate=max(0.0, exact.rate),
+        achieved_D=exact.distortion,
+        achieved_P=exact.perception,
+        argmin=law,
+        grid_resolution=resolution,
+    )
 
 
 def oracle_min_rates(model: SemanticModel, d_targets, P: float,
@@ -448,40 +477,8 @@ def oracle_min_rates(model: SemanticModel, d_targets, P: float,
     """Batched exhaustive search sharing one coarse pass across distortion
     targets. Entries are None where no candidate is feasible. Results are
     identical to calling ``oracle_min_rate`` per target."""
-    P, resolution = _validate_oracle_args(P, resolution)
-    d_targets = [float(d) for d in d_targets]
-    tab0, tab1, search = _coarse_tables(model, resolution)
-    results: list[SolverResult | None] = []
-    for d_target in d_targets:
-        rate, i, j = search.argmin(d_target, P)
-        if not math.isfinite(rate):
-            results.append(None)
-            continue
-        law = _law_from_indices(tab0, tab1, i, j)
-        # every table rate is clipped at 0, so no refined pair beats a coarse 0
-        if rate > 0.0:
-            fine0 = _BranchTables(
-                model, 0,
-                _refine_axis(law.s0, resolution), _refine_axis(law.t0, resolution),
-            )
-            fine1 = _BranchTables(
-                model, 1,
-                _refine_axis(law.s1, resolution), _refine_axis(law.t1, resolution),
-            )
-            f_rate, fi, fj = _oracle_search(model, fine0, fine1).argmin(d_target, P)
-            if f_rate < rate:
-                law = _law_from_indices(fine0, fine1, fi, fj)
-        exact = evaluate_decoder(model, law)
-        results.append(
-            SolverResult(
-                rate=max(0.0, exact.rate),
-                achieved_D=exact.distortion,
-                achieved_P=exact.perception,
-                argmin=law,
-                grid_resolution=resolution,
-            )
-        )
-    return results
+    d_targets, P, resolution = _validate_oracle_args(d_targets, P, resolution)
+    return [_oracle_point(model, d, P, resolution)[1] for d in d_targets]
 
 
 def oracle_min_rate(model: SemanticModel, D: float, P: float,
@@ -500,14 +497,14 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
     constraints. Its message gives the (D, P) of the nearest candidate, the
     one with the least summed excess over the two targets, and that excess.
     """
-    result, = oracle_min_rates(model, [D], P, resolution)
+    (d_target,), p_target, resolution = _validate_oracle_args([D], P, resolution)
+    search, result = _oracle_point(model, d_target, p_target, resolution)
     if result is None:
-        _, _, search = _coarse_tables(model, float(resolution))
-        near_d, near_p = search.nearest(float(D), float(P))
+        near_d, near_p = search.nearest(d_target, p_target)
         raise InfeasibleError(
             f"no decoder meets D <= {D}, P <= {P}; nearest candidate achieves "
             f"(D = {near_d:.6g}, P = {near_p:.6g}), over the targets by "
-            f"(D: {max(near_d - float(D), 0.0):.3g}, P: {max(near_p - float(P), 0.0):.3g})"
+            f"(D: {max(near_d - d_target, 0.0):.3g}, P: {max(near_p - p_target, 0.0):.3g})"
         )
     return result
 
@@ -515,14 +512,6 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
 # ---------------------------------------------------------------------------
 # branch-decomposed program
 # ---------------------------------------------------------------------------
-
-def _half_grid(resolution: float) -> np.ndarray:
-    steps = int(math.floor(0.5 / resolution + 1e-9))
-    pts = np.round(np.arange(steps + 1) * resolution, 12)
-    if pts[-1] < 0.5 - 1e-12:
-        pts = np.append(pts, 0.5)
-    return pts
-
 
 def _min2_hypotheses(model: SemanticModel) -> float:
     if abs(model.pi - 0.5) > _TOL or model.q1 != model.q2:
@@ -573,33 +562,17 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     The result can exceed the exhaustive oracle near the zero-rate plateau,
     where only sign cancellation across branches reaches lower rates.
     """
-    P, resolution = _validate_oracle_args(P, resolution)
+    (D,), P, resolution = _validate_oracle_args([D], P, resolution)
     q = _min2_hypotheses(model)
-    D = float(D)
-    grid = _half_grid(resolution)
-
-    coarse = _cached(("min2", model.params, resolution),
-                     lambda: _min2_search(model, q, grid, grid, grid, grid))
-    rate, i, j = coarse.argmin(D, P)
-    if not math.isfinite(rate):
+    # no floor: rounding can leave table entries below 0, so a coarse 0 can lose
+    _, found = _grid_argmin(("min2", model.params, resolution), resolution, 0.5,
+                            lambda *axes: _min2_search(model, q, *axes), D, P)
+    if found is None:
         raise InfeasibleError(
             f"no branch allocation meets D <= {D}, P <= {P}; the semantic "
             f"distortion floor of this model is {q}"
         )
-    n = grid.size
-    d0, p0 = float(grid[i // n]), float(grid[i % n])
-    d1, p1 = float(grid[j // n]), float(grid[j % n])
-
-    f_d0 = _refine_axis(d0, resolution, upper=0.5)
-    f_p0 = _refine_axis(p0, resolution, upper=0.5)
-    f_d1 = _refine_axis(d1, resolution, upper=0.5)
-    f_p1 = _refine_axis(p1, resolution, upper=0.5)
-    f_rate, fi, fj = _min2_search(model, q, f_d0, f_p0, f_d1, f_p1).argmin(D, P)
-    if f_rate < rate:
-        rate = f_rate
-        d0, p0 = float(f_d0[fi // f_p0.size]), float(f_p0[fi % f_p0.size])
-        d1, p1 = float(f_d1[fj // f_p1.size]), float(f_p1[fj % f_p1.size])
-
+    rate, (d0, p0, d1, p1) = found
     achieved_d = model.p_a * ((1 - 2 * q) * d0 + q) + model.p_b * ((1 - 2 * q) * d1 + q)
     achieved_p = model.p_a * p0 + model.p_b * p1
     return SolverResult(

@@ -4,9 +4,7 @@ The hidden semantic bit S is observed indirectly as X through a binary
 channel with crossovers (q1, q2); side information Y available to both
 encoder and decoder is generated from X through a second binary channel
 with crossovers (a, b). The joint law is assembled along the Markov chain
-S -> X -> Y, so P(Y | S, X) = P(Y | X) holds by construction and the
-channel p(Y|S) with crossovers (u, v) is derived by composition rather
-than taken as an independent input.
+S -> X -> Y, so P(Y | S, X) = P(Y | X) holds by construction.
 
 Every posterior the closed forms need is exposed as a plain attribute:
 
@@ -25,13 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannelError, DomainError
-from .probability_core import FiniteDistribution, JointDistribution, _as_probability
+from .probability_core import JointDistribution, _as_probability
 
 _SYMMETRY_TOL = 1e-12
-
-
-def _bernoulli_pair(p1: float) -> FiniteDistribution:
-    return FiniteDistribution(np.array([1.0 - p1, p1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +37,6 @@ class SemanticModel:
     q2: float
     a: float
     b: float
-    u: float
-    v: float
     p_a: float
     p_b: float
     a_star: float
@@ -70,17 +62,6 @@ class SemanticModel:
             and self.pi_x is not None
             and abs(self.u_star - self.v_star) <= 1e-9
         )
-
-    def source_distribution(self) -> FiniteDistribution:
-        return _bernoulli_pair(self.pi)
-
-    def observation_distribution(self) -> FiniteDistribution:
-        # a uniform input through a common crossover stays uniform; stating
-        # the identity keeps the marginal exact where joint-cell summation
-        # would lose the last bit
-        if self.pi == 0.5 and self.q1 == self.q2:
-            return _bernoulli_pair(0.5)
-        return _bernoulli_pair(self.pi * (1.0 - self.q2) + (1.0 - self.pi) * self.q1)
 
     def __repr__(self):
         return (
@@ -124,18 +105,13 @@ def build_model(pi: float, q1: float, q2: float, a: float, b: float) -> Semantic
     u_star = float(p_sy[1, 0] / p_a)
     v_star = float(p_sy[0, 1] / p_b)
 
-    # p(Y|S) by composition along the chain; no Bayes division, so it is
-    # defined even when pi is 0 or 1.
-    u = float((1.0 - q1) * a + q1 * (1.0 - b))
-    v = float(q2 * (1.0 - a) + (1.0 - q2) * b)
-
     pi_x = a_star if abs(a_star - b_star) <= 1e-9 else None
     pi_x_prime = None
     if pi_x is not None and q1 == q2:
         pi_x_prime = (1.0 - 2.0 * q1) * pi_x + q1
 
     return SemanticModel(
-        pi=pi, q1=q1, q2=q2, a=a, b=b, u=u, v=v,
+        pi=pi, q1=q1, q2=q2, a=a, b=b,
         p_a=p_a, p_b=p_b, a_star=a_star, b_star=b_star,
         u_star=u_star, v_star=v_star, pi_x=pi_x, pi_x_prime=pi_x_prime,
         joint=joint,

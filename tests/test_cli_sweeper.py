@@ -213,8 +213,8 @@ def test_sweep_builds_each_coarse_search_once(axis, monkeypatch):
             return search
         return wrapper
 
-    min2_rows = solver._half_grid(cfg.resolution).size ** 2
-    oracle_rows = solver._axis_grid(cfg.resolution).size ** 2
+    min2_rows = solver._axis_grid(cfg.resolution, 0.5).size ** 2
+    oracle_rows = solver._axis_grid(cfg.resolution, 1.0).size ** 2
     monkeypatch.setattr(solver, "_min2_search",
                         counted("min2", solver._min2_search, min2_rows))
     monkeypatch.setattr(solver, "_oracle_search",
@@ -293,18 +293,25 @@ def test_cli_oracle_point(tmp_path):
     assert float(row.split(",")[2]) <= 1e-3
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_cli_simulate_binning(tmp_path):
+    # digests recorded at 8606283, before the decoder and binning runs
+    # shared one trial loop
+    args = ["simulate", "--q", "0.1", "--pi-x", "0.2", "--D", "0.2",
+            "--margins", "0.2,0.4", "--n", "10", "--trials", "12", "--seed", "77"]
     out = tmp_path / "sim.csv"
-    code = main([
-        "simulate", "--q", "0.1", "--pi-x", "0.2", "--D", "0.2",
-        "--margins", "0.4", "--n", "10", "--trials", "12",
-        "--seed", "77", "--out", str(out),
-    ])
-    assert code == 0
+    assert main(args + ["--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("n,trials,seed,rate_R1,rate_R2,empirical_D")
-    assert len(lines) == 2
-    assert int(lines[1].split(",")[9]) == 0  # equal rates: no bin failures
+    assert len(lines) == 3
+    assert all(int(line.split(",")[9]) == 0 for line in lines[1:])  # equal rates
+    assert _sha256(out) == "bf268b681ed66189eb7f71f5defdf5b3bb8f00e8bb1d23e252da37f464348487"
+    gap = tmp_path / "gap.csv"
+    assert main(args + ["--r2-gap", "0.1", "--out", str(gap)]) == 0
+    assert _sha256(gap) == "daf572850fdd36afd6ad443aca1c2125ff0030037aa1787f39d3b11be7df72f9"
 
 
 def test_cli_simulate_plain_law(tmp_path):
@@ -316,6 +323,29 @@ def test_cli_simulate_plain_law(tmp_path):
     assert code == 0
     row = out.read_text().splitlines()[1].split(",")
     assert float(row[5]) == pytest.approx(0.26, abs=0.05)
+    # recorded at 8606283, like the binning digests
+    assert _sha256(out) == "db494d561b950a5d7374e5bf772eb96ad595603fec474f95018333fc41e108e2"
+
+
+_MODEL = ["--q", "0.1", "--pi-x", "0.2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *_MODEL, "--seed", "-1"],
+    ["simulate", *_MODEL, "--law", "1,1,0,0", "--seed", "-1"],
+    ["curve", *_MODEL, "--methods", "simulate", "--steps", "2", "--n", "10",
+     "--trials", "2", "--seed", "-1"],
+    ["verify", "--quick", "--seed", "-1"],
+    ["simulate", *_MODEL, "--margins", "-0.1"],
+    ["simulate", *_MODEL, "--margins", "0.2,x"],
+    ["simulate", *_MODEL, "--law", "1,a,0,0"],
+    ["oracle", *_MODEL, "--D", "nan"],
+], ids=["simulate-seed", "law-seed", "curve-seed", "verify-seed", "negative-margin",
+        "text-margin", "text-law", "nan-D"])
+def test_cli_bad_input_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("semrdp: error: ") and err.count("\n") == 1
 
 
 def test_cli_config_file_merge(tmp_path):

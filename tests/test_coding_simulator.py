@@ -192,6 +192,9 @@ def test_derive_seed_distinct_and_stable():
     assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
     seen = {derive_seed(7, t, role) for t in range(50) for role in range(2)}
     assert len(seen) == 100
+    for parts in ((-1,), (7, -100), (7, 0, -1)):
+        with pytest.raises(DomainError, match="non-negative"):
+            derive_seed(*parts)
 
 
 def _reference_sample_block(model, n, seed):
@@ -267,7 +270,9 @@ def test_reports_pinned_to_recorded_streams(model_q01):
     assert report == TrialReport(
         empirical_D=0.251025, empirical_D_se=0.001159292169098601,
         empirical_P_marginal=0.05097500000000005,
-        empirical_P_blockwise=0.057925000000000004, bin_decode_failures=0,
+        empirical_P_blockwise=0.057925000000000004,
+        empirical_P_signed=-0.05097499999999998,
+        empirical_P_signed_se=0.0007192299122441008, bin_decode_failures=0,
         seeds_used=(1431021540424915137, 15710430719167315825, 15690007067645661037,
                     17790781923038590727),
         trials=4, n=10_000)
@@ -278,6 +283,8 @@ def test_reports_pinned_to_recorded_streams(model_q01):
     assert binning.empirical_D_se == 0.02300123947842506
     assert binning.empirical_P_marginal == 0.004166666666666763
     assert binning.empirical_P_blockwise == 0.0625
+    assert binning.empirical_P_signed == 0.004166666666666663
+    assert binning.empirical_P_signed_se == 0.019566762305872242
     assert binning.bin_decode_failures == 0
     assert binning.seeds_used[:3] == (1359894154268611347, 3734321803408795338,
                                       9256614545176165294)

@@ -144,13 +144,13 @@ def test_oracle_skips_refinement_after_a_zero_rate(model_q01, monkeypatch):
     # so only the coarse pair of branch tables is built
     monkeypatch.setattr(solver, "_TABLE_CACHE", {})
     builds = []
-    tables = solver._BranchTables
+    columns = solver._branch_columns
 
     def counted(*args):
         builds.append(args[1])
-        return tables(*args)
+        return columns(*args)
 
-    monkeypatch.setattr(solver, "_BranchTables", counted)
+    monkeypatch.setattr(solver, "_branch_columns", counted)
     results = oracle_min_rates(model_q01, [0.3, 0.45], 0.05, 0.02)
     assert builds == [0, 1]
     # recorded before the skip, when each point also built its refinement;
@@ -204,6 +204,16 @@ def test_oracle_infeasible_message_shows_the_violated_target():
     assert near_d <= 0.45 and over_d == 0.0
     assert 1e-12 < near_p < 1e-6
     assert over_p == pytest.approx(near_p, rel=1e-2)
+
+
+def test_nan_distortion_target_names_D(model_q01):
+    calls = [lambda: oracle_min_rate(model_q01, math.nan, 0.05, 0.02),
+             lambda: oracle_min_rates(model_q01, [0.2, math.nan], 0.05, 0.02),
+             lambda: solve_min2(model_q01, math.nan, 0.05, 0.02),
+             lambda: closed_form_rate(model_q01, math.nan, 0.05)]
+    for call in calls:
+        with pytest.raises(DomainError, match="distortion target D must be a number"):
+            call()
 
 
 def test_oracle_resolution_validation(model_q01):
@@ -310,21 +320,24 @@ _TOL = 1e-12
 _P_BUDGETS = (0.0, 1e-6, 1e-4, 0.05, INF)
 
 
-def _reference_scan(tab0, tab1, model, d_targets, p_target, chunk_rows=512):
+def _columns(model, axes):
+    """The weighted branch columns of both branches over four axes."""
+    s0, t0, s1, t1 = axes
+    return solver._branch_columns(model, 0, s0, t0), solver._branch_columns(model, 1, s1, t1)
+
+
+def _reference_scan(cols0, cols1, model, d_targets, p_target, chunk_rows=512):
     """Full-product masked argmin over two oracle branch tables, per
     distortion target: lexicographic scan, strict improvements only."""
-    p_a, p_b = model.p_a, model.p_b
     p_s0 = 1.0 - model.pi
-    rate1 = p_b * tab1.info
-    dist1 = p_b * tab1.dist
-    marg1 = p_b * tab1.marg0
+    (rate0, dist0, marg0), (rate1, dist1, marg1) = cols0, cols1
     best = [(math.inf, -1, -1) for _ in d_targets]
-    n0 = tab0.info.size
+    n0 = rate0.size
     for start in range(0, n0, chunk_rows):
         stop = min(start + chunk_rows, n0)
-        rate = p_a * tab0.info[start:stop, None] + rate1[None, :]
-        dtot = p_a * tab0.dist[start:stop, None] + dist1[None, :]
-        ptot = np.abs(p_a * tab0.marg0[start:stop, None] + marg1[None, :] - p_s0)
+        rate = rate0[start:stop, None] + rate1[None, :]
+        dtot = dist0[start:stop, None] + dist1[None, :]
+        ptot = np.abs(marg0[start:stop, None] + marg1[None, :] - p_s0)
         feas_p = ptot <= p_target + _TOL
         for k, d_target in enumerate(d_targets):
             feasible = feas_p & (dtot <= d_target + _TOL)
@@ -339,15 +352,15 @@ def _reference_scan(tab0, tab1, model, d_targets, p_target, chunk_rows=512):
     return best
 
 
-def _reference_diagnose(tab0, tab1, model, d_target, p_target):
+def _reference_diagnose(cols0, cols1, model, d_target, p_target):
     """Full-product nearest candidate: least summed excess over (D, P)."""
     best_gap, best_d, best_p = math.inf, math.inf, math.inf
-    p_a, p_b = model.p_a, model.p_b
     p_s0 = 1.0 - model.pi
-    for i in range(0, tab0.dist.size, 2048):
+    (_, dist0, marg0), (_, dist1, marg1) = cols0, cols1
+    for i in range(0, dist0.size, 2048):
         sl = slice(i, i + 2048)
-        dtot = p_a * tab0.dist[sl, None] + p_b * tab1.dist[None, :]
-        ptot = np.abs(p_a * tab0.marg0[sl, None] + p_b * tab1.marg0[None, :] - p_s0)
+        dtot = dist0[sl, None] + dist1[None, :]
+        ptot = np.abs(marg0[sl, None] + marg1[None, :] - p_s0)
         gap = np.maximum(dtot - d_target, 0.0) + np.maximum(ptot - p_target, 0.0)
         flat = int(gap.argmin())
         if float(gap.flat[flat]) < best_gap:
@@ -402,32 +415,34 @@ def _targets_from(floor):
             0.5 * (floor + 0.5), 0.5, 1.0]
 
 
+def _decode(grid, i, j):
+    """The four coarse axis values of pair (i, j), two per branch."""
+    n = grid.size
+    return tuple(float(v) for v in (grid[i // n], grid[i % n], grid[j // n], grid[j % n]))
+
+
 @pytest.mark.parametrize("seed, resolution", [(1, 0.05), (2, 0.05), (3, 0.02)])
 def test_pair_search_matches_full_scan_on_oracle_tables(seed, resolution):
-    grid = solver._axis_grid(resolution)
+    grid = solver._axis_grid(resolution, 1.0)
     for model in _seeded_models(seed):
-        tab0 = solver._BranchTables(model, 0, grid, grid)
-        tab1 = solver._BranchTables(model, 1, grid, grid)
-        search = solver._oracle_search(model, tab0, tab1)
+        cols0, cols1 = _columns(model, (grid,) * 4)
+        search = solver._oracle_search(model, grid, grid, grid, grid)
         d_targets = _targets_from(float(search.d.min() + search.e.min()))
         for P in _P_BUDGETS:
-            expected = _reference_scan(tab0, tab1, model, d_targets, P)
+            expected = _reference_scan(cols0, cols1, model, d_targets, P)
             assert [search.argmin(d, P) for d in d_targets] == expected
             infeasible = [d for d, (_, i, _) in zip(d_targets, expected) if i < 0]
             # the tightest infeasible target, where the diagnostic's bound prunes least
             d = infeasible[-1]
-            assert search.nearest(d, P) == _reference_diagnose(tab0, tab1, model, d, P)
+            assert search.nearest(d, P) == _reference_diagnose(cols0, cols1, model, d, P)
             for d, (_, i, j) in zip(d_targets, expected):
                 if i < 0:
                     continue
-                # the refinement box the oracle builds around this incumbent
-                law = solver._law_from_indices(tab0, tab1, i, j)
-                fine0 = solver._BranchTables(model, 0, solver._refine_axis(law.s0, resolution),
-                                             solver._refine_axis(law.t0, resolution))
-                fine1 = solver._BranchTables(model, 1, solver._refine_axis(law.s1, resolution),
-                                             solver._refine_axis(law.t1, resolution))
-                fine = solver._oracle_search(model, fine0, fine1)
-                assert fine.argmin(d, P) == _reference_scan(fine0, fine1, model, [d], P)[0]
+                # the refinement box the grid driver builds around this incumbent
+                box = [solver._refine_axis(v, resolution, 1.0) for v in _decode(grid, i, j)]
+                fine = solver._oracle_search(model, *box)
+                fine_cols = _columns(model, box)
+                assert fine.argmin(d, P) == _reference_scan(*fine_cols, model, [d], P)[0]
 
 
 def test_pair_search_breaks_ties_on_mirrored_decoders():
@@ -435,18 +450,16 @@ def test_pair_search_breaks_ties_on_mirrored_decoders():
     # (1 - t1, 1 - s1, 1 - t0, 1 - s0) score the same rate to the last bit;
     # the result must be the lexicographically smaller pair of the two
     model = dsbs_model(0.1, 0.3)
-    grid = solver._axis_grid(0.02)
-    tab0 = solver._BranchTables(model, 0, grid, grid)
-    tab1 = solver._BranchTables(model, 1, grid, grid)
-    search = solver._oracle_search(model, tab0, tab1)
+    grid = solver._axis_grid(0.02, 1.0)
+    search = solver._oracle_search(model, grid, grid, grid, grid)
 
     def flat(s, t):
         return int(np.abs(grid - s).argmin()) * grid.size + int(np.abs(grid - t).argmin())
 
     for P in (0.05, INF):
         rate, i, j = search.argmin(0.2, P)
-        assert (rate, i, j) == _reference_scan(tab0, tab1, model, [0.2], P)[0]
-        law = solver._law_from_indices(tab0, tab1, i, j)
+        assert (rate, i, j) == _reference_scan(*_columns(model, (grid,) * 4), model, [0.2], P)[0]
+        law = DecoderLaw(*_decode(grid, i, j))
         mi = flat(1.0 - law.t1, 1.0 - law.s1)
         mj = flat(1.0 - law.t0, 1.0 - law.s0)
         assert (i, j) < (mi, mj)
@@ -461,7 +474,7 @@ def test_pair_search_matches_full_scan_on_min2_tables(seed, resolution):
     for _ in range(2):
         model = dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4))
         q = model.q1
-        grid = solver._half_grid(resolution)
+        grid = solver._axis_grid(resolution, 0.5)
         search = solver._min2_search(model, q, grid, grid, grid, grid)
         arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
         for P in _P_BUDGETS:
@@ -471,9 +484,7 @@ def test_pair_search_matches_full_scan_on_min2_tables(seed, resolution):
                 _, i, j = expected
                 if i < 0:
                     continue
-                n = grid.size
-                box = [solver._refine_axis(float(v), resolution, upper=0.5)
-                       for v in (grid[i // n], grid[i % n], grid[j // n], grid[j % n])]
+                box = [solver._refine_axis(v, resolution, 0.5) for v in _decode(grid, i, j)]
                 fine = solver._min2_search(model, q, *box)
                 assert fine.argmin(D, P) == _reference_min2_scan(
                     fine.a, fine.d, fine.m, fine.b, fine.e, fine.n, D, P)
@@ -515,7 +526,7 @@ def test_solve_min2_matches_scalar_branch_tables(seed, resolution, monkeypatch):
 
 def test_min2_search_tables_follow_each_branch_posterior():
     # equal axes share one table only when the branch posteriors agree too
-    grid = solver._half_grid(0.05)
+    grid = solver._axis_grid(0.05, 0.5)
     for model in (build_model(0.5, 0.1, 0.1, 0.1, 0.3), dsbs_model(0.1, 0.2)):
         search = solver._min2_search(model, 0.1, grid, grid, grid, grid)
         for star, p_y, obj in ((model.a_star, model.p_a, search.a),

@@ -4,6 +4,7 @@ import pytest
 from semrdp import (
     DegenerateChannelError,
     DomainError,
+    FiniteDistribution,
     build_model,
     dsbs_model,
     tv_distance,
@@ -29,7 +30,6 @@ def test_noiseless_chain():
     assert m.a_star == 0.0
     assert m.b_star == 0.0
     assert m.u_star == 0.0
-    assert m.u == 0.0 and m.v == 0.0
     assert m.p_a == pytest.approx(0.5, abs=1e-12)
 
 
@@ -70,9 +70,11 @@ def test_side_channel_reconstruction(rng):
 
 def test_dsbs_marginals_uniform():
     m = dsbs_model(0.1, 0.2)
-    assert tv_distance(m.source_distribution(), m.observation_distribution()) == 0.0
-    assert float(m.source_distribution().masses[1]) == 0.5
-    assert float(m.observation_distribution().masses[1]) == 0.5
+    p_s = FiniteDistribution(m.joint.masses.sum(axis=(1, 2)))
+    p_x = FiniteDistribution(m.joint.masses.sum(axis=(0, 2)))
+    assert tv_distance(p_s, p_x) <= 1e-15
+    assert float(p_s.masses[1]) == pytest.approx(0.5, abs=1e-15)
+    assert float(p_x.masses[1]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_dsbs_examples():
