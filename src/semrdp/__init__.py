@@ -42,7 +42,6 @@ from .probability_core import (
 )
 from .rdpf_closed_form import (
     PiecewiseBreakpoints,
-    RdpPoint,
     breakpoints,
     closed_form_rate,
     rdf_pi,
@@ -55,7 +54,6 @@ from .rdpf_solver import (
     SolverResult,
     evaluate_decoder,
     oracle_min_rate,
-    oracle_min_rates,
     shat_marginal,
     solve_min2,
 )

@@ -24,11 +24,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coding_simulator import TrialConfig, derive_seed, random_binning_trial, run_decoder_trials
-from .errors import DomainError, InfeasibleError, SemRdpError
-from .rdpf_closed_form import RdpPoint, closed_form_rate
-from .rdpf_solver import DecoderLaw, oracle_min_rate, oracle_min_rates, solve_min2
+from .errors import DomainError, SemRdpError
+from .rdpf_closed_form import closed_form_rate
+from .rdpf_solver import DecoderLaw, oracle_min_rate, solve_min2
 from .semantic_model import SemanticModel, build_model
-from .verification import VerificationConfig, _fmt, run_verification
+from .verification import VerificationConfig, _fmt, _rate_or_inf, run_verification
 
 _METHOD_ORDER = ("closed_form", "min2", "oracle", "simulate")
 _METHOD_COLUMNS = {
@@ -36,12 +36,6 @@ _METHOD_COLUMNS = {
     "min2": "R_min2",
     "oracle": "R_oracle",
     "simulate": "R_sim",
-}
-_METHOD_TAGS = {
-    "closed_form": "closed_form",
-    "min2": "min2_solver",
-    "oracle": "oracle",
-    "simulate": "simulation",
 }
 
 
@@ -90,6 +84,9 @@ class SweepConfig:
         unknown = [m for m in self.methods if m not in _METHOD_ORDER]
         if unknown:
             raise DomainError(f"unknown methods {unknown}; choose from {_METHOD_ORDER}")
+        if self.axis == "P" and not self.fixed_D >= 0.0:
+            raise DomainError(
+                f"distortion target D must be a non-negative number, got {self.fixed_D}")
 
     def model(self) -> SemanticModel:
         return build_model(self.pi, self.q1, self.q2, self.a, self.b)
@@ -99,13 +96,6 @@ class SweepConfig:
         if self.axis == "D":
             return [(float(d), self.fixed_P) for d in axis_vals]
         return [(self.fixed_D, float(p)) for p in axis_vals]
-
-
-def _rate_or_inf(fn, *args) -> float:
-    try:
-        return fn(*args)
-    except InfeasibleError:
-        return math.inf
 
 
 def _simulated_rate(model, cfg: SweepConfig, index: int, D: float, P: float) -> float:
@@ -124,10 +114,10 @@ def _simulated_rate(model, cfg: SweepConfig, index: int, D: float, P: float) -> 
     return rate
 
 
-def sweep_points(cfg: SweepConfig) -> list[list[RdpPoint]]:
-    """Evaluate every selected method at every axis point, in the calling
-    thread; one RdpPoint per method per point, infeasible rates carried as
-    math.inf."""
+def sweep_curve(cfg: SweepConfig) -> str:
+    """CSV document for the configured sweep: every selected method at every
+    axis point, in the calling thread, infeasible rates printed as inf;
+    deterministic for a fixed config."""
     model = cfg.model()
     points = cfg.axis_points()
     selected = [m for m in _METHOD_ORDER if m in cfg.methods]
@@ -138,33 +128,14 @@ def sweep_points(cfg: SweepConfig) -> list[list[RdpPoint]]:
         if method == "min2":
             return _rate_or_inf(lambda: solve_min2(model, d, p, cfg.resolution).rate)
         if method == "oracle":
-            # the batched form reports infeasibility as None, without the
-            # nearest-candidate search an InfeasibleError carries
-            result, = oracle_min_rates(model, [d], p, cfg.resolution)
-            return math.inf if result is None else result.rate
+            return _rate_or_inf(lambda: oracle_min_rate(model, d, p, cfg.resolution).rate)
         return _simulated_rate(model, cfg, index, d, p)
 
-    columns = {
-        method: [rate(method, index, d, p) for index, (d, p) in enumerate(points)]
-        for method in selected
-    }
-    return [
-        [RdpPoint(D=d, P=p, R=max(columns[m][idx], 0.0), method=_METHOD_TAGS[m])
-         for m in selected]
-        for idx, (d, p) in enumerate(points)
-    ]
-
-
-def sweep_curve(cfg: SweepConfig) -> str:
-    """CSV document for the configured sweep; deterministic for a fixed config."""
-    selected = [m for m in _METHOD_ORDER if m in cfg.methods]
-    header = "D,P," + ",".join(_METHOD_COLUMNS[m] for m in selected)
-    lines = [header]
-    for row in sweep_points(cfg):
-        d, p = row[0].D, row[0].P
-        lines.append(
-            ",".join([_fmt(d), _fmt(p)] + [_fmt(pt.R) for pt in row])
-        )
+    columns = [[rate(method, index, d, p) for index, (d, p) in enumerate(points)]
+               for method in selected]
+    lines = ["D,P," + ",".join(_METHOD_COLUMNS[m] for m in selected)]
+    for idx, (d, p) in enumerate(points):
+        lines.append(",".join([_fmt(d), _fmt(p)] + [_fmt(max(c[idx], 0.0)) for c in columns]))
     return "\n".join(lines) + "\n"
 
 

@@ -32,6 +32,7 @@ from .rdpf_solver import DecoderLaw, shat_marginal
 from .semantic_model import SemanticModel
 
 _CODEBOOK_LOG2_CAP = 24.0
+_CODEBOOK_CHUNK = 1 << 16  # codeword symbols drawn as float64 uniforms at a time
 _SUB_BLOCK = 100  # sub-block length of the decoder trials' blockwise perception
 
 
@@ -260,7 +261,13 @@ def random_binning_trial(model: SemanticModel, cfg: TrialConfig,
 
     def reconstruct(x, y, seed):
         rng = _rng(seed)
-        codebook = (rng.random((words, cfg.n)) < p_one).astype(np.uint8)
+        # row chunks draw the same uniforms, in the same order, as one
+        # (words, n) draw, without holding eight bytes per codeword symbol
+        codebook = np.empty((words, cfg.n), dtype=np.uint8)
+        rows = max(1, _CODEBOOK_CHUNK // cfg.n)
+        for start in range(0, words, rows):
+            chunk = codebook[start:start + rows]
+            np.less(rng.random(chunk.shape), p_one, out=chunk)
         bin_of = np.empty(words, dtype=np.int64)
         bin_of[rng.permutation(words)] = np.arange(words) % bins
         encoder_pick = int((codebook != x[None, :]).sum(axis=1).argmin())

@@ -50,7 +50,6 @@ perception errors cancel. See rdpf_solver.oracle_min_rate.
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -59,26 +58,7 @@ from .probability_core import (_as_probability, binary_entropy, binary_entropy_a
                                ternary_entropy, ternary_entropy_array)
 from .semantic_model import SemanticModel
 
-Method = Literal["closed_form", "min2_solver", "oracle", "simulation"]
-
 _TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RdpPoint:
-    """A (distortion, perception, rate) triple tagged with its producing method."""
-
-    D: float
-    P: float
-    R: float
-    method: Method
-
-    def __post_init__(self):
-        if self.D < -_TOL or self.P < -_TOL or self.R < -1e-9:
-            raise DomainError(
-                f"distortion, perception and rate must be non-negative: "
-                f"({self.D}, {self.P}, {self.R})"
-            )
 
 
 @dataclass(frozen=True)

@@ -32,23 +32,22 @@ grid, then one refinement pass at a tenth of the resolution around the
 incumbent. They differ only in the box builder they pass it, over decoder
 cells on [0, 1] or branch allocations on [0, 1/2]. Each pass minimizes
 a_i + b_j over the product of two branch tables, subject to a distortion
-sum and a perception deviation, and one kernel (``_PairSearch``) serves both
-programs and the oracle's infeasibility diagnostic. The kernel is still
-exhaustive in its result: it returns the pair a scan of the whole product
-returns, the lexicographically smallest minimizer. It scores few of the
-pairs. Each row gets a lower bound on its best feasible value from the
-other branch (a prefix minimum in distortion order, a range minimum over
-the perception interval). The row with the least (bound, row) is scored
-first, and it usually holds the minimum. Only the rows still live after
-it, those whose (bound, row) is lexicographically below (incumbent value,
-incumbent row), are then sorted and scored in that order until the next
-one is dead. Pruning cannot change the minimizer, for two reasons. The
-relaxations are widened by a slack far above float rounding, so a bound
-never exceeds a value the scan computes. And candidates compare as
-(value, i, j) tuples: a row whose bound ties the incumbent can at best
-tie it, so it is scored only when its smaller index would win the tie, as
-the lexicographic scan resolves it. Every row left unscored is therefore
-dead against the final incumbent.
+sum and a perception deviation, and one kernel (``_PairSearch``) serves
+both programs. The kernel is still exhaustive in its result: it returns
+the pair a scan of the whole product returns, the lexicographically
+smallest minimizer. It scores few of the pairs. Each row gets a lower
+bound on its best feasible value from the other branch (a prefix minimum
+in distortion order, a range minimum over the perception interval). The
+row with the least (bound, row) is scored first, and it usually holds the
+minimum. Only the rows still live after it, those whose (bound, row) is
+lexicographically below (incumbent value, incumbent row), are then sorted
+and scored in that order until the next one is dead. Pruning cannot change
+the minimizer, for two reasons. The relaxations are widened by a slack far
+above float rounding, so a bound never exceeds a value the scan computes.
+And candidates compare as (value, i, j) tuples: a row whose bound ties the
+incumbent can at best tie it, so it is scored only when its smaller index
+would win the tie, as the lexicographic scan resolves it. Every row left
+unscored is therefore dead against the final incumbent.
 
 One caveat of the single-incumbent refinement: coarse-pass minima are
 exactly monotone in the distortion and perception budgets (feasible sets
@@ -336,18 +335,6 @@ class _PairSearch:
         )
         return self.a + np.maximum(low_d, low_p)
 
-    def excess_bound(self, D: float, P: float) -> np.ndarray:
-        """Per row, a lower bound on the excess of the row's pairs: the D
-        excess of the least e plus the P excess of the n nearest to
-        c - m_i, each less the slack."""
-        last = self.n_sorted.size - 1
-        centre = self.c - self.m
-        k = np.searchsorted(self.n_sorted, centre)
-        off_n = np.minimum(np.abs(self.n_sorted[np.maximum(k - 1, 0)] - centre),
-                           np.abs(self.n_sorted[np.minimum(k, last)] - centre))
-        return (np.maximum(self.d + self.e_sorted[0] - D - _SLACK, 0.0)
-                + np.maximum(off_n - P - _SLACK, 0.0))
-
     def argmin(self, D: float, P: float) -> tuple[float, int, int]:
         """(value, i, j) of the lexicographically smallest minimizer, or
         (inf, -1, -1) when no pair is feasible."""
@@ -359,21 +346,6 @@ class _PairSearch:
             return np.where(feasible, self.a[rows, None] + self.b[None, :], np.inf)
 
         return _best_first(self.rate_bound(D, P), score)
-
-    def nearest(self, D: float, P: float) -> tuple[float, float]:
-        """(d_i + e_j, |m_i + n_j - c|) of the lexicographically smallest
-        pair minimizing the excess max(d_i + e_j - D, 0) +
-        max(|m_i + n_j - c| - P, 0); (inf, inf) when no excess is finite."""
-
-        def score(rows):
-            dtot = self.d[rows, None] + self.e[None, :]
-            ptot = np.abs(self.m[rows, None] + self.n[None, :] - self.c)
-            return np.maximum(dtot - D, 0.0) + np.maximum(ptot - P, 0.0)
-
-        _, i, j = _best_first(self.excess_bound(D, P), score)
-        if i < 0:
-            return math.inf, math.inf
-        return float(self.d[i] + self.e[j]), float(abs(self.m[i] + self.n[j] - self.c))
 
 
 # Coarse searches keyed by (route, model parameters, resolution).
@@ -394,16 +366,16 @@ def _cached(key: tuple, build):
 
 
 def _grid_argmin(key: tuple, resolution: float, upper: float, box, D: float, P: float,
-                 floor: float = -math.inf):
-    """(coarse pair search, grid minimum) at (D, P). The minimum is
-    (value, (u0, v0, u1, v1)), or None when no coarse pair is feasible.
+                 rate_floor: float = -math.inf):
+    """Grid minimum (value, (u0, v0, u1, v1)) at (D, P), or None when no
+    coarse pair is feasible.
 
     ``box(u0, v0, u1, v1)`` builds the pair search over the major and minor
     axis of each branch; the coarse search over ``_axis_grid(resolution,
     upper)`` is built once per ``key``. The refinement box spans ten steps
     of resolution / 10 around each coarse axis value, and a refined pair
     wins only when strictly better. It is skipped when the coarse value is
-    already at ``floor``, which no entry of a box undercuts."""
+    already at ``rate_floor``, which no entry of a box undercuts."""
     def build():
         grid = _axis_grid(resolution, upper)
         return grid, box(grid, grid, grid, grid)
@@ -416,17 +388,17 @@ def _grid_argmin(key: tuple, resolution: float, upper: float, box, D: float, P: 
     grid, coarse = _cached(key, build)
     value, i, j = coarse.argmin(D, P)
     if not math.isfinite(value):
-        return coarse, None
+        return None
     point = decode((grid,) * 4, i, j)
-    if value > floor:
+    if value > rate_floor:
         axes = tuple(_refine_axis(v, resolution, upper) for v in point)
         f_value, fi, fj = box(*axes).argmin(D, P)
         if f_value < value:
             value, point = f_value, decode(axes, fi, fj)
-    return coarse, (value, point)
+    return value, point
 
 
-def _validate_oracle_args(d_targets, P: float, resolution: float) -> tuple[list, float, float]:
+def _validate_oracle_args(D: float, P: float, resolution: float) -> tuple[float, float, float]:
     resolution = float(resolution)
     if not _RES_MIN <= resolution <= _RES_MAX:
         raise DomainError(
@@ -435,10 +407,10 @@ def _validate_oracle_args(d_targets, P: float, resolution: float) -> tuple[list,
     P = float(P)
     if math.isnan(P) or P < -_TOL:
         raise DomainError(f"perception budget must be non-negative, got {P}")
-    d_targets = [float(d) for d in d_targets]
-    if any(math.isnan(d) for d in d_targets):
+    D = float(D)
+    if math.isnan(D):
         raise DomainError("distortion target D must be a number, got nan")
-    return d_targets, P, resolution
+    return D, P, resolution
 
 
 # ---------------------------------------------------------------------------
@@ -453,32 +425,28 @@ def _oracle_search(model: SemanticModel, s0: np.ndarray, t0: np.ndarray,
                        *_branch_columns(model, 1, s1, t1), 1.0 - model.pi)
 
 
-def _oracle_point(model: SemanticModel, D: float, P: float,
-                  resolution: float) -> tuple[_PairSearch, SolverResult | None]:
-    """(coarse pair search, result or None) of one validated oracle query."""
-    # every table rate is clipped at 0, so no refined pair beats a coarse 0
-    coarse, found = _grid_argmin(("oracle", model.params, resolution), resolution, 1.0,
-                                 lambda *axes: _oracle_search(model, *axes), D, P, floor=0.0)
-    if found is None:
-        return coarse, None
-    law = DecoderLaw(*found[1])
-    exact = evaluate_decoder(model, law)
-    return coarse, SolverResult(
-        rate=max(0.0, exact.rate),
-        achieved_D=exact.distortion,
-        achieved_P=exact.perception,
-        argmin=law,
-        grid_resolution=resolution,
-    )
-
-
-def oracle_min_rates(model: SemanticModel, d_targets, P: float,
-                     resolution: float) -> list[SolverResult | None]:
-    """Batched exhaustive search sharing one coarse pass across distortion
-    targets. Entries are None where no candidate is feasible. Results are
-    identical to calling ``oracle_min_rate`` per target."""
-    d_targets, P, resolution = _validate_oracle_args(d_targets, P, resolution)
-    return [_oracle_point(model, d, P, resolution)[1] for d in d_targets]
+def _distortion_floor(model: SemanticModel, P: float) -> float:
+    """Least expected Hamming distortion of any decoder whose P(Shat = 0)
+    lies within P of P(S = 0). Both are linear in the cells
+    z = P(Shat = 0 | x, y), so this is a fractional knapsack: the MAP rule
+    reaches the Bayes error, and when its P(Shat = 0) lies outside the
+    budget the cells move it to the nearer edge, those that cost the least
+    distortion per unit of P(Shat = 0) first."""
+    p0, p1 = model.joint.masses.reshape(2, 4)  # p(S = s, x, y), cells in (x, y) order
+    weight, cost = p0 + p1, p1 - p0  # per cell: P(x, y) and the distortion slope in z
+    map_zero = cost < 0
+    floor = float(np.minimum(p0, p1).sum())
+    shift = float(weight[map_zero].sum()) - (1.0 - model.pi)
+    excess = abs(shift) - P
+    # only the cells the MAP rule decodes as 0 can lower P(Shat = 0); only the others raise it
+    movable = np.flatnonzero((map_zero if shift > 0 else ~map_zero) & (weight > 0))
+    for k in sorted(movable, key=lambda k: abs(cost[k]) / weight[k]):
+        if excess <= 0:
+            break
+        step = min(excess, weight[k])
+        floor += step * abs(cost[k]) / weight[k]
+        excess -= step
+    return floor
 
 
 def oracle_min_rate(model: SemanticModel, D: float, P: float,
@@ -494,19 +462,32 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
     docstring).
 
     Raises InfeasibleError when no grid candidate satisfies both
-    constraints. Its message gives the (D, P) of the nearest candidate, the
-    one with the least summed excess over the two targets, and that excess.
+    constraints. Its message gives the exact distortion floor at P, the
+    least distortion of any decoder, on the grid or off it, within the
+    perception budget. A floor at or below D means that decoders off the
+    grid meet both targets.
     """
-    (d_target,), p_target, resolution = _validate_oracle_args([D], P, resolution)
-    search, result = _oracle_point(model, d_target, p_target, resolution)
-    if result is None:
-        near_d, near_p = search.nearest(d_target, p_target)
+    D, P, resolution = _validate_oracle_args(D, P, resolution)
+    # every table rate is clipped at 0, so no refined pair beats a coarse 0
+    found = _grid_argmin(("oracle", model.params, resolution), resolution, 1.0,
+                         lambda *axes: _oracle_search(model, *axes), D, P, rate_floor=0.0)
+    if found is None:
+        floor = _distortion_floor(model, P)
+        verdict = ("<= D, so decoders off the grid meet both targets" if floor <= D
+                   else "> D, so no decoder meets both targets")
         raise InfeasibleError(
-            f"no decoder meets D <= {D}, P <= {P}; nearest candidate achieves "
-            f"(D = {near_d:.6g}, P = {near_p:.6g}), over the targets by "
-            f"(D: {max(near_d - d_target, 0.0):.3g}, P: {max(near_p - p_target, 0.0):.3g})"
+            f"no decoder on the grid of resolution {resolution} meets D <= {D}, "
+            f"P <= {P}; the exact distortion floor at this P is {floor:.6g} {verdict}"
         )
-    return result
+    law = DecoderLaw(*found[1])
+    exact = evaluate_decoder(model, law)
+    return SolverResult(
+        rate=max(0.0, exact.rate),
+        achieved_D=exact.distortion,
+        achieved_P=exact.perception,
+        argmin=law,
+        grid_resolution=resolution,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +543,11 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     The result can exceed the exhaustive oracle near the zero-rate plateau,
     where only sign cancellation across branches reaches lower rates.
     """
-    (D,), P, resolution = _validate_oracle_args([D], P, resolution)
+    D, P, resolution = _validate_oracle_args(D, P, resolution)
     q = _min2_hypotheses(model)
-    # no floor: rounding can leave table entries below 0, so a coarse 0 can lose
-    _, found = _grid_argmin(("min2", model.params, resolution), resolution, 0.5,
-                            lambda *axes: _min2_search(model, q, *axes), D, P)
+    # no rate floor: rounding can leave table entries below 0, so a coarse 0 can lose
+    found = _grid_argmin(("min2", model.params, resolution), resolution, 0.5,
+                         lambda *axes: _min2_search(model, q, *axes), D, P)
     if found is None:
         raise InfeasibleError(
             f"no branch allocation meets D <= {D}, P <= {P}; the semantic "

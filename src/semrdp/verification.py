@@ -17,7 +17,7 @@ from .coding_simulator import (TrialConfig, apply_decoder, derive_seed, random_b
 from .errors import DomainError, InfeasibleError
 from .probability_core import chain_rule_decomposition, random_joint
 from .rdpf_closed_form import closed_form_rate, rdpf_piecewise
-from .rdpf_solver import DecoderLaw, evaluate_decoder, oracle_min_rate, oracle_min_rates
+from .rdpf_solver import DecoderLaw, evaluate_decoder, oracle_min_rate
 from .semantic_model import SemanticModel, dsbs_model
 
 PI_X = 0.2
@@ -35,6 +35,14 @@ def _fmt(value: float) -> str:
     if abs(value) < 5e-13:
         value = 0.0
     return f"{value:.6f}"
+
+
+def _rate_or_inf(fn, *args) -> float:
+    """``fn(*args)``, or inf when it raises InfeasibleError."""
+    try:
+        return fn(*args)
+    except InfeasibleError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -111,11 +119,11 @@ def _sandwich_data(cfg: VerificationConfig):
         d_grid = _grid(cfg, q)
         for p_val in sorted(cfg.p_values):
             closed = np.array([closed_form_rate(model, float(d), p_val) for d in d_grid])
-            oracle = oracle_min_rates(model, d_grid, p_val, cfg.oracle_resolution)
-            oracle_rates = np.array(
-                [math.inf if r is None else r.rate for r in oracle]
-            )
-            data[(q, p_val)] = (d_grid, closed, oracle_rates)
+            oracle = np.array([
+                _rate_or_inf(lambda: oracle_min_rate(model, d, p_val, cfg.oracle_resolution).rate)
+                for d in d_grid
+            ])
+            data[(q, p_val)] = (d_grid, closed, oracle)
     return data
 
 
@@ -232,10 +240,7 @@ def zero_rate_threshold(model: SemanticModel, P: float, resolution: float) -> fl
     lo, hi = model.q1, 0.6
     while hi - lo > ZERO_RATE_WIDTH:
         mid = 0.5 * (lo + hi)
-        try:
-            rate = oracle_min_rate(model, mid, P, resolution).rate
-        except InfeasibleError:
-            rate = math.inf
+        rate = _rate_or_inf(lambda: oracle_min_rate(model, mid, P, resolution).rate)
         if rate <= ZERO_RATE_TOLERANCE:
             hi = mid
         else:

@@ -55,13 +55,8 @@ def test_sweep_curve_infeasible_marker():
     assert last[2] == "0.000000"
 
 
-def test_sweep_curve_p_axis_oracle_infeasible_marker(monkeypatch):
-    # P-axis oracle points report infeasibility as inf without building the
-    # nearest-candidate diagnostic that oracle_min_rate attaches to its error
-    def no_diagnostic(*args):
-        raise AssertionError("sweep called oracle_min_rate")
-
-    monkeypatch.setattr("semrdp.cli_sweeper.oracle_min_rate", no_diagnostic)
+def test_sweep_curve_p_axis_oracle_infeasible_marker():
+    # D = 0.05 lies below the q = 0.1 distortion floor at every P
     cfg = _closed_cfg(axis="P", axis_min=0.0, axis_max=0.2, steps=5, fixed_D=0.05,
                       methods=("oracle",), resolution=0.05)
     lines = sweep_curve(cfg).splitlines()
@@ -113,6 +108,10 @@ def test_sweep_config_validation():
         _closed_cfg(methods=("nonsense",))
     with pytest.raises(DomainError):
         _closed_cfg(axis="Q")
+    for fixed_d in (-0.1, math.nan):
+        with pytest.raises(DomainError, match="distortion target D"):
+            _closed_cfg(axis="P", fixed_D=fixed_d)
+    _closed_cfg(fixed_D=-0.1)  # a D sweep never reads the fixed D
 
 
 def _sandwich(cfg):
@@ -233,7 +232,7 @@ def test_sweep_runs_in_the_calling_thread(axis, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("solve_min2", "oracle_min_rates", "random_binning_trial"):
+    for name in ("solve_min2", "oracle_min_rate", "random_binning_trial"):
         monkeypatch.setattr(cli_sweeper, name, recorded(getattr(cli_sweeper, name)))
     cfg = replace(_solver_cfg(axis), steps=4, n=10, trials=4,
                   methods=("closed_form", "min2", "oracle", "simulate"))
@@ -340,8 +339,9 @@ _MODEL = ["--q", "0.1", "--pi-x", "0.2"]
     ["simulate", *_MODEL, "--margins", "0.2,x"],
     ["simulate", *_MODEL, "--law", "1,a,0,0"],
     ["oracle", *_MODEL, "--D", "nan"],
+    ["curve", *_MODEL, "--axis", "P", "--D", "-0.1"],
 ], ids=["simulate-seed", "law-seed", "curve-seed", "verify-seed", "negative-margin",
-        "text-margin", "text-law", "nan-D"])
+        "text-margin", "text-law", "nan-D", "negative-fixed-D"])
 def test_cli_bad_input_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from semrdp import (
     run_decoder_trials,
     sample_block,
 )
+from semrdp import coding_simulator
 from semrdp.coding_simulator import _rng
 
 
@@ -186,6 +188,23 @@ def test_binning_codebook_cap(model_q01):
     cfg = TrialConfig(n=30, trials=2, seed=1, rate_R1=1.0, rate_R2=1.0)
     with pytest.raises(ResourceLimitError):
         random_binning_trial(model_q01, cfg, DecoderLaw.copy_observation())
+
+
+def test_binning_codebook_memory_is_bounded(model_q01, monkeypatch):
+    # 2^16 words of 16 symbols: drawn in one piece, the float64 uniforms
+    # alone would take 8.4 MB
+    cfg = TrialConfig(n=16, trials=1, seed=3, rate_R1=1.0, rate_R2=1.0)
+    law = DecoderLaw.copy_observation()
+    tracemalloc.start()
+    try:
+        chunked = random_binning_trial(model_q01, cfg, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # a single chunk draws the same uniforms in the same order
+    monkeypatch.setattr(coding_simulator, "_CODEBOOK_CHUNK", 16 << 16)
+    assert random_binning_trial(model_q01, cfg, law) == chunked
 
 
 def test_derive_seed_distinct_and_stable():

@@ -17,7 +17,7 @@ from semrdp import (
     rdpf_pi,
     rdpf_piecewise,
 )
-from semrdp.rdpf_closed_form import RdpPoint, perception_band, rdpf_piecewise_array
+from semrdp.rdpf_closed_form import perception_band, rdpf_piecewise_array
 
 INF = math.inf
 
@@ -254,10 +254,3 @@ def test_q0_breakpoint_collapse():
     model = dsbs_model(0.0, 0.2)
     bp = breakpoints(model, 0.05)
     assert bp.d_prime == pytest.approx(0.0714286, abs=1e-6)
-
-
-def test_rdp_point_validation():
-    pt = RdpPoint(D=0.2, P=0.05, R=0.19, method="closed_form")
-    assert pt.method == "closed_form"
-    with pytest.raises(DomainError):
-        RdpPoint(D=-0.2, P=0.05, R=0.19, method="oracle")

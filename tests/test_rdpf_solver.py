@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -6,10 +7,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semrdp import (
     DecoderLaw,
     DecoderMetrics,
+    DegenerateChannelError,
     DomainError,
     HypothesisError,
     InfeasibleError,
@@ -22,7 +26,6 @@ from semrdp import (
     dsbs_model,
     evaluate_decoder,
     oracle_min_rate,
-    oracle_min_rates,
     rdpf_piecewise,
     shat_marginal,
     solve_min2,
@@ -151,7 +154,7 @@ def test_oracle_skips_refinement_after_a_zero_rate(model_q01, monkeypatch):
         return columns(*args)
 
     monkeypatch.setattr(solver, "_branch_columns", counted)
-    results = oracle_min_rates(model_q01, [0.3, 0.45], 0.05, 0.02)
+    results = [oracle_min_rate(model_q01, d, 0.05, 0.02) for d in (0.3, 0.45)]
     assert builds == [0, 1]
     # recorded before the skip, when each point also built its refinement;
     # the rate is clipped at 0, so a zero-rate optimum reads exactly 0.0
@@ -180,35 +183,98 @@ def test_oracle_determinism(model_q01):
     assert a == b
 
 
-def test_oracle_matches_batched(model_q01):
-    batched = oracle_min_rates(model_q01, [0.15, 0.22], 0.05, 0.05)
-    for d, expected in zip([0.15, 0.22], batched):
-        single = oracle_min_rate(model_q01, d, 0.05, 0.05)
-        assert single == expected
-
-
 def test_oracle_infeasible(model_q01):
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match=r"floor at this P is 0\.1 > D, so no decoder"):
         oracle_min_rate(model_q01, 0.05, 0.05, 0.05)
 
 
 def test_oracle_infeasible_message_shows_the_violated_target():
-    # the nearest candidate meets D and misses P = 0 by less than 1e-6, which
-    # six decimals would print as P = 0.000000
+    # no grid decoder meets P = 0 here, yet the exact floor lies below D:
+    # the error must say that decoders off the grid meet both targets
     model = build_model(0.3869, 0.1484, 0.159, 0.3799, 0.309)
     with pytest.raises(InfeasibleError) as info:
         oracle_min_rate(model, 0.45, 0.0, 0.02)
-    found = re.search(r"\(D = ([^,]+), P = ([^)]+)\), over the targets by "
-                      r"\(D: ([^,]+), P: ([^)]+)\)", str(info.value))
-    near_d, near_p, over_d, over_p = map(float, found.groups())
-    assert near_d <= 0.45 and over_d == 0.0
-    assert 1e-12 < near_p < 1e-6
-    assert over_p == pytest.approx(near_p, rel=1e-2)
+    message = str(info.value)
+    assert "grid of resolution 0.02 meets D <= 0.45, P <= 0.0;" in message
+    floor = re.search(r"distortion floor at this P is ([^ ]+) <= D", message).group(1)
+    assert floor == "0.16909"
+    assert message.endswith("so decoders off the grid meet both targets")
+
+
+def _floor_by_vertices(model, P):
+    """Least distortion over the vertices of the polytope of decoder cells
+    z = P(Shat = 0 | x, y) in [0, 1]^4 with |sum p(x, y) z - P(S = 0)| <= P.
+    Each vertex has three cells at 0 or 1, and the fourth at 0 or 1 too or
+    on an edge of the budget."""
+    p0, p1 = model.joint.masses[0].ravel(), model.joint.masses[1].ravel()
+    weight, target = p0 + p1, 1.0 - model.pi
+    edges = [e for e in (target - P, target + P) if math.isfinite(e)]
+    best = INF
+    for corner in itertools.product((0.0, 1.0), repeat=4):
+        vertices = [np.array(corner)]
+        for k, edge in itertools.product(range(4), edges):
+            z = np.array(corner)
+            z[k] = 0.0
+            room = edge - weight @ z  # weight[k] * z[k] on the edge
+            if 0.0 <= room <= weight[k] and weight[k] > 0:
+                z[k] = room / weight[k]
+                vertices.append(z)
+        for z in vertices:
+            if abs(weight @ z - target) <= P + 1e-12:
+                best = min(best, float(p0 @ (1.0 - z) + p1 @ z))
+    return best
+
+
+def _bayes_error(model):
+    return float(model.joint.masses.min(axis=0).sum())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pi=st.floats(0.0, 0.5), channels=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+       P=st.sampled_from([0.0, 1e-3, 0.05, 0.3, INF]))
+def test_distortion_floor_matches_vertex_enumeration(pi, channels, P):
+    try:
+        model = build_model(pi, *channels)
+    except DegenerateChannelError:
+        assume(False)
+    floor = solver._distortion_floor(model, P)
+    assert floor == pytest.approx(_floor_by_vertices(model, P), abs=1e-12)
+    assert floor >= _bayes_error(model) - 1e-15
+
+
+def test_distortion_floor_anchors():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        model = build_model(rng.uniform(0.0, 0.5), *rng.uniform(0.0, 1.0, 4))
+        assert solver._distortion_floor(model, INF) == pytest.approx(_bayes_error(model),
+                                                                    abs=1e-15)
+        # mirror averaging makes Shat uniform at no cost in distortion
+        q, pi_x = rng.uniform(0.0, 0.49), rng.uniform(0.01, 0.5)
+        for P in (0.0, 0.01, INF):
+            assert solver._distortion_floor(dsbs_model(q, pi_x), P) == pytest.approx(q, abs=1e-15)
+
+
+def test_oracle_respects_the_distortion_floor():
+    # every grid answer is a decoder within P, so it sits at or above the
+    # floor; a target below the floor raises and prints the floor
+    asymmetric, dsbs = _seeded_models(9)
+    for model in (asymmetric, dsbs):
+        for P in (0.0, 0.02, INF):
+            floor = solver._distortion_floor(model, P)
+            for D in (floor + 0.05, floor + 0.2):
+                try:
+                    result = oracle_min_rate(model, D, P, 0.05)
+                except InfeasibleError:
+                    assert P == 0.0  # the grid misses the P = 0 hyperplane
+                    continue
+                assert result.achieved_D >= floor - 1e-12
+            with pytest.raises(InfeasibleError, match=f"is {floor:.6g} > D"):
+                oracle_min_rate(model, floor - 0.01, P, 0.05)
 
 
 def test_nan_distortion_target_names_D(model_q01):
     calls = [lambda: oracle_min_rate(model_q01, math.nan, 0.05, 0.02),
-             lambda: oracle_min_rates(model_q01, [0.2, math.nan], 0.05, 0.02),
+             lambda: oracle_min_rate(model_q01, math.nan, INF, 0.05),
              lambda: solve_min2(model_q01, math.nan, 0.05, 0.02),
              lambda: closed_form_rate(model_q01, math.nan, 0.05)]
     for call in calls:
@@ -225,7 +291,7 @@ def test_oracle_resolution_validation(model_q01):
 
 def test_oracle_feasible_set_monotonicity(model_q01):
     ds = [0.12, 0.16, 0.2, 0.24, 0.28]
-    rates = [r.rate for r in oracle_min_rates(model_q01, ds, 0.05, 0.05)]
+    rates = [oracle_min_rate(model_q01, d, 0.05, 0.05).rate for d in ds]
     assert all(b <= a + 1e-9 for a, b in zip(rates, rates[1:]))
     loose = oracle_min_rate(model_q01, 0.2, 0.2, 0.05).rate
     tight = oracle_min_rate(model_q01, 0.2, 0.02, 0.05).rate
@@ -352,24 +418,6 @@ def _reference_scan(cols0, cols1, model, d_targets, p_target, chunk_rows=512):
     return best
 
 
-def _reference_diagnose(cols0, cols1, model, d_target, p_target):
-    """Full-product nearest candidate: least summed excess over (D, P)."""
-    best_gap, best_d, best_p = math.inf, math.inf, math.inf
-    p_s0 = 1.0 - model.pi
-    (_, dist0, marg0), (_, dist1, marg1) = cols0, cols1
-    for i in range(0, dist0.size, 2048):
-        sl = slice(i, i + 2048)
-        dtot = dist0[sl, None] + dist1[None, :]
-        ptot = np.abs(marg0[sl, None] + marg1[None, :] - p_s0)
-        gap = np.maximum(dtot - d_target, 0.0) + np.maximum(ptot - p_target, 0.0)
-        flat = int(gap.argmin())
-        if float(gap.flat[flat]) < best_gap:
-            best_gap = float(gap.flat[flat])
-            best_d = float(dtot.flat[flat])
-            best_p = float(ptot.flat[flat])
-    return best_d, best_p
-
-
 def _reference_min2_scan(obj0, dsem0, per0, obj1, dsem1, per1, D, P):
     """Full-product masked argmin over branch allocations, with the
     one-sided aligned perception test."""
@@ -431,10 +479,6 @@ def test_pair_search_matches_full_scan_on_oracle_tables(seed, resolution):
         for P in _P_BUDGETS:
             expected = _reference_scan(cols0, cols1, model, d_targets, P)
             assert [search.argmin(d, P) for d in d_targets] == expected
-            infeasible = [d for d, (_, i, _) in zip(d_targets, expected) if i < 0]
-            # the tightest infeasible target, where the diagnostic's bound prunes least
-            d = infeasible[-1]
-            assert search.nearest(d, P) == _reference_diagnose(cols0, cols1, model, d, P)
             for d, (_, i, j) in zip(d_targets, expected):
                 if i < 0:
                     continue
@@ -536,13 +580,11 @@ def test_min2_search_tables_follow_each_branch_posterior():
 
 
 def _brute_force(search, D, P):
-    """Score and excess matrices of a pair search over the whole product."""
+    """Score matrix of a pair search over the whole product."""
     dtot = search.d[:, None] + search.e[None, :]
     ptot = np.abs(search.m[:, None] + search.n[None, :] - search.c)
     feasible = (dtot <= D + _TOL) & (ptot <= P + _TOL)
-    value = np.where(feasible, search.a[:, None] + search.b[None, :], np.inf)
-    gap = np.maximum(dtot - D, 0.0) + np.maximum(ptot - P, 0.0)
-    return dtot, ptot, value, gap
+    return np.where(feasible, search.a[:, None] + search.b[None, :], np.inf)
 
 
 def _rate_bound_of_both(search, D, P):
@@ -575,16 +617,13 @@ def test_pair_search_matches_brute_force_on_lattice_tables():
                                     float(rng.integers(0, 21)) * 0.1)
         for _ in range(4):
             D, P = float(rng.integers(0, 16)) * 0.1, (0.0, 0.1, 0.2, INF)[rng.integers(0, 4)]
-            dtot, ptot, value, gap = _brute_force(search, D, P)
+            value = _brute_force(search, D, P)
             assert np.array_equal(search.rate_bound(D, P), _rate_bound_of_both(search, D, P))
             assert np.all(search.rate_bound(D, P) <= value.min(axis=1))
-            assert np.all(search.excess_bound(D, P) <= gap.min(axis=1))
             i, j = np.unravel_index(int(value.argmin()), value.shape)
             best = (float(value[i, j]), int(i), int(j)) if np.isfinite(value[i, j]) \
                 else (math.inf, -1, -1)
             assert search.argmin(D, P) == best
-            i, j = np.unravel_index(int(gap.argmin()), gap.shape)
-            assert search.nearest(D, P) == (float(dtot[i, j]), float(ptot[i, j]))
 
 
 def test_best_first_visits_rows_whose_bound_ties_the_incumbent():
