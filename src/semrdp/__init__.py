@@ -1,9 +1,9 @@
 """Rate-distortion-perception tradeoff for an indirectly observed binary
 semantic source with side information at encoder and decoder.
 
-Closed forms, a branch-decomposed numerical program, an exhaustive
-decoder-search oracle, and Monte Carlo coding experiments, all checking
-each other.
+Closed forms, a branch-decomposed numerical program, an exact
+decoder oracle, and Monte Carlo coding experiments, all checking each
+other.
 """
 
 from .coding_simulator import (

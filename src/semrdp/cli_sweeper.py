@@ -4,7 +4,7 @@ Subcommands
 -----------
 curve     sweep distortion (or perception) and emit one rate column per
           selected method as CSV
-oracle    exhaustive-search rate at a single (D, P) point
+oracle    exact minimum rate at a single (D, P) point, with its decoder
 simulate  random-codebook binning runs, one CSV row per rate margin
 verify    run the verification suite of ``semrdp.verification``; exit
           status 0 iff every criterion passes
@@ -128,6 +128,7 @@ def sweep_curve(cfg: SweepConfig) -> str:
         if method == "min2":
             return _rate_or_inf(lambda: solve_min2(model, d, p, cfg.resolution).rate)
         if method == "oracle":
+            # the oracle only validates the resolution; benchmarks/tracing.py reads it here
             return _rate_or_inf(lambda: oracle_min_rate(model, d, p, cfg.resolution).rate)
         return _simulated_rate(model, cfg, index, d, p)
 
@@ -245,11 +246,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     curve.add_argument("--margin", type=float, default=0.4)
     curve.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
-    oracle = sub.add_parser("oracle", help="exhaustive search at one point")
+    oracle = sub.add_parser("oracle", help="exact minimum rate at one point")
     _add_model_flags(oracle)
     oracle.add_argument("--D", type=float, required=True)
     oracle.add_argument("--P", type=float, default=math.inf)
-    oracle.add_argument("--resolution", type=float, default=0.02)
     oracle.add_argument("--out", default=None)
 
     simulate = sub.add_parser("simulate", help="random-codebook binning runs")
@@ -269,7 +269,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     simulate.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run the verification suite")
-    verify.add_argument("--resolution", type=float, default=0.01)
     verify.add_argument("--seed", type=int, default=20250808)
     verify.add_argument("--quick", action="store_true",
                         help="smaller grids and trial counts (not the official run)")
@@ -311,7 +310,7 @@ def _cmd_curve(args) -> int:
 def _cmd_oracle(args) -> int:
     pi, q1, q2, a, b = _resolve_model_params(args)
     model = build_model(pi, q1, q2, a, b)
-    result = oracle_min_rate(model, args.D, args.P, args.resolution)
+    result = oracle_min_rate(model, args.D, args.P)
     law = result.argmin
     text = (
         "D,P,R_oracle,achieved_D,achieved_P,s0,t0,s1,t1\n"
@@ -372,13 +371,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = VerificationConfig(oracle_resolution=args.resolution, seed=args.seed)
+    cfg = VerificationConfig(seed=args.seed)
     if args.quick:
         cfg = replace(
             cfg, d_points=8, transform_laws=5, transform_n=20_000,
             consistency_trials=4, consistency_n=4000,
             binning_trials=40, chain_joints=100,
-            oracle_resolution=max(args.resolution, 0.02),
         )
     summary = run_verification(cfg)
     if args.out is None:

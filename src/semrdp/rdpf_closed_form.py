@@ -42,10 +42,10 @@ branch starts at pi_x' regardless of P.
 A consequence worth knowing: for perception budgets below pi_x the middle
 expression does not decay to zero as D approaches pi_x' (its left limit is
 R_pix(pi_x, P) > 0), so this closed form has a genuine downward jump at
-pi_x'. It is an achievable rate, not the lower convex envelope; exhaustive
-search over stochastic decoders finds lower rates in that band by letting
-the two side-information branches deviate in opposite directions so their
-perception errors cancel. See rdpf_solver.oracle_min_rate.
+pi_x'. It is an achievable rate, not the lower convex envelope: the two
+side-information branches can deviate in opposite directions so their
+perception errors cancel, and the exact minimum over stochastic decoders
+(rdpf_solver.oracle_min_rate) is R_pix(D_x) for every P.
 """
 
 import math

@@ -3,57 +3,36 @@ perception constraints.
 
 Two independent routes are provided on purpose:
 
-- ``oracle_min_rate``: exhaustive grid search over every stochastic
-  decoding rule p(Shat | X, Y), scoring each candidate by its exact
-  conditional mutual information I(X; Shat | Y), exact expected Hamming
-  distortion against the hidden bit, and exact total variation between
-  the source and reconstruction marginals. This is the ground truth the
-  closed forms are checked against; it is free to exploit decoders whose
+- ``oracle_min_rate``: the exact minimum of I(X; Shat | Y) over every
+  stochastic decoding rule p(Shat | X, Y), under exact expected Hamming
+  distortion against the hidden bit and exact total variation between the
+  source and reconstruction marginals. It is the ground truth the closed
+  forms are checked against, and it is free to use decoders whose
   per-branch marginal deviations cancel, which the branch-decomposed
-  program below cannot.
+  program below cannot. A decoder is four cells P(Shat = 0 | x, y); the
+  rate is convex in them and both constraints are linear, so the oracle
+  solves the Lagrangian dual in Blahut's form (Blahut 1972), with total
+  variation as a convex perception term (Blau & Michaeli 2019). Each
+  answer carries the dual value, a certified lower bound.
 
-- ``solve_min2``: the branch-decomposed program. Per side-information
-  branch y it charges the Bernoulli rate-distortion-perception value of
-  an (observation-domain distortion d_y, branch perception p_y)
-  allocation and minimizes
+- ``solve_min2``: the branch-decomposed program. It minimizes
+  p_a R(a*)(d_0, p_0) + p_b R(b*)(d_1, p_1) over per-branch allocations of
+  observation-domain distortion d_y and perception p_y, subject to the
+  semantic-distortion budget p_a ((1-2q) d_0 + q) + p_b ((1-2q) d_1 + q) <= D
+  and the aligned perception budget p_a p_0 + p_b p_1 <= P. The aligned
+  sum upper-bounds the true total variation, so every allocation is
+  realizable and solve_min2 never undercuts the oracle by more than grid
+  slack; near the zero-rate plateau cancellation makes the oracle better.
 
-      p_a * R(a*)(d_0, p_0) + p_b * R(b*)(d_1, p_1)
-
-  subject to the semantic-distortion budget
-  p_a ((1-2q) d_0 + q) + p_b ((1-2q) d_1 + q) <= D and the aligned
-  perception budget p_a p_0 + p_b p_1 <= P. The aligned sum upper-bounds
-  the true total variation, so every allocation is realizable and
-  solve_min2 can never undercut the oracle by more than grid slack; the
-  converse does not hold near the zero-rate plateau, where cancellation
-  makes the oracle strictly better.
-
-Both searches run one grid driver (``_grid_argmin``): a cached coarse
-grid, then one refinement pass at a tenth of the resolution around the
-incumbent. They differ only in the box builder they pass it, over decoder
-cells on [0, 1] or branch allocations on [0, 1/2]. Each pass minimizes
-a_i + b_j over the product of two branch tables, subject to a distortion
-sum and a perception deviation, and one kernel (``_PairSearch``) serves
-both programs. The kernel is still exhaustive in its result: it returns
-the pair a scan of the whole product returns, the lexicographically
-smallest minimizer. It scores few of the pairs. Each row gets a lower
-bound on its best feasible value from the other branch (a prefix minimum
-in distortion order, a range minimum over the perception interval). The
-row with the least (bound, row) is scored first, and it usually holds the
-minimum. Only the rows still live after it, those whose (bound, row) is
-lexicographically below (incumbent value, incumbent row), are then sorted
-and scored in that order until the next one is dead. Pruning cannot change
-the minimizer, for two reasons. The relaxations are widened by a slack far
-above float rounding, so a bound never exceeds a value the scan computes.
-And candidates compare as (value, i, j) tuples: a row whose bound ties the
-incumbent can at best tie it, so it is scored only when its smaller index
-would win the tie, as the lexicographic scan resolves it. Every row left
-unscored is therefore dead against the final incumbent.
-
-One caveat of the single-incumbent refinement: coarse-pass minima are
-exactly monotone in the distortion and perception budgets (feasible sets
-nest), but the refinement box follows the incumbent, so final rates across
-neighbouring budgets can wobble by roughly a thousandth of a bit at coarse
-resolutions when adjacent targets settle in different basins.
+``solve_min2`` searches a cached coarse grid of allocations on [0, 1/2]^4
+and refines once at a tenth of the resolution around the incumbent. Both
+passes run one kernel (``_PairSearch``), which returns what a scan of the
+whole product returns, the lexicographically smallest minimizer, while
+scoring few pairs: rows are visited best-bound first and stop at the first
+row that cannot beat or win a tie with the incumbent. The refinement box
+follows the incumbent, so rates across neighbouring budgets can wobble by
+about a thousandth of a bit when adjacent targets settle in different
+basins. The oracle's minimum is exact and does not wobble.
 """
 
 import math
@@ -63,14 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HypothesisError, InfeasibleError
-from .probability_core import (
-    FiniteDistribution,
-    JointDistribution,
-    _as_probability,
-    _tv_of_masses,
-    binary_entropy_array,
-    conditional_mutual_information,
-)
+from .probability_core import (FiniteDistribution, JointDistribution, _as_probability,
+                               _tv_of_masses, binary_entropy, conditional_mutual_information)
 from .rdpf_closed_form import rdpf_piecewise_array
 from .semantic_model import SemanticModel
 
@@ -134,6 +107,7 @@ class SolverResult:
     argmin: DecoderLaw | None
     grid_resolution: float
     branch_allocation: tuple[float, float, float, float] | None = None
+    dual_bound: float | None = None  # oracle only: a certified lower bound on the rate
 
 
 def evaluate_decoder(model: SemanticModel, law: DecoderLaw) -> DecoderMetrics:
@@ -165,8 +139,205 @@ def shat_marginal(model: SemanticModel, law: DecoderLaw) -> FiniteDistribution:
     return FiniteDistribution(np.array([p0, 1.0 - p0]))
 
 
+
+
 # ---------------------------------------------------------------------------
-# grid axes and decoder tables
+# exact oracle
+# ---------------------------------------------------------------------------
+
+# The oracle aims at least this far above the distortion floor, within the
+# 1e-12 tolerance, so its multipliers stay finite when D sits at the floor.
+_AIM = 1e-13
+_ROOT_TOL, _ROOT_WIDTH = 1e-15, 1e-12  # a bracket closes on its residual or width
+_K_CAP = 1000.0  # a cell cost in bits past which 2**-k moves no cell off 0 or 1
+_MULTIPLIER_CAP = 2.0 ** 20
+_LN2 = math.log(2.0)
+
+
+class _Unbounded(Exception):
+    """A multiplier bracket grew past _MULTIPLIER_CAP."""
+
+
+def _knapsack(p0: np.ndarray, p1: np.ndarray, target: float,
+              P: float) -> tuple[float, np.ndarray]:
+    """Least Hamming distortion, and a minimizer, over cells z = P(Shat = 0 |
+    cell) in [0, 1] whose pooled P(Shat = 0) lies within P of ``target``,
+    given p0, p1 = p(S = 0, cell), p(S = 1, cell). A fractional knapsack: the
+    MAP rule reaches the Bayes error, and cells move its P(Shat = 0) to the
+    nearer budget edge, least distortion per unit of P(Shat = 0) first."""
+    weight, cost = p0 + p1, p1 - p0  # per cell: its mass and the distortion slope in z
+    map_zero = cost < 0
+    z = map_zero.astype(float)
+    floor = float(np.minimum(p0, p1).sum())
+    shift = float(weight[map_zero].sum()) - target
+    excess = abs(shift) - P
+    # only the cells the MAP rule decodes as 0 can lower P(Shat = 0); only the others raise it
+    movable = np.flatnonzero((map_zero if shift > 0 else ~map_zero) & (weight > 0))
+    for k in sorted(movable, key=lambda k: abs(cost[k]) / weight[k]):
+        if excess <= 0:
+            break
+        step = min(excess, weight[k])
+        floor += step * abs(cost[k]) / weight[k]
+        z[k] += -step / weight[k] if shift > 0 else step / weight[k]
+        excess -= step
+    return floor, z
+
+
+def _distortion_floor(model: SemanticModel, P: float,
+                      merged: bool = False) -> tuple[float, DecoderLaw]:
+    """(least distortion, a decoder reaching it) among decoders whose
+    P(Shat = 0) lies within P of P(S = 0). ``merged`` restricts them to
+    s_y = t_y, where Shat is independent of X given Y: rate 0."""
+    p0, p1 = model.joint.masses  # p(S = s, x, y)
+    if merged:
+        floor, (z0, z1) = _knapsack(p0.sum(axis=0), p1.sum(axis=0), 1.0 - model.pi, P)
+        return floor, DecoderLaw(z0, z0, z1, z1)
+    floor, z = _knapsack(p0.ravel(), p1.ravel(), 1.0 - model.pi, P)  # cells in (x, y) order
+    return floor, DecoderLaw(z[0], z[2], z[1], z[3])
+
+
+def _branch_argmin(px0: float, px1: float, k0: float, k1: float) -> tuple[float, float]:
+    """P(Shat = 0 | X = x), x = 0, 1, minimizing I(X; Shat) + E[k_X 1{Shat = 0}]
+    on one branch with p(x) = (px0, px1), costs k in bits. In Blahut's form
+    the value is min over r = P(Shat = 0) of -sum_x p(x) log2(r a_x + 1 - r),
+    a_x = 2**-k_x, with cells r a_x / (r a_x + 1 - r). Costs of one sign suit
+    one reconstruction for both x; otherwise the stationary r solves a
+    linear equation, clipped to [0, 1]."""
+    if k0 >= 0.0 and k1 >= 0.0:
+        return 0.0, 0.0
+    if k0 <= 0.0 and k1 <= 0.0:
+        return 1.0, 1.0
+    k0, k1 = (min(max(k, -_K_CAP), _K_CAP) for k in (k0, k1))
+    # a_x - 1 through expm1, exact where a_x rounds to 1
+    r = min(max(-px0 / math.expm1(-_LN2 * k1) - px1 / math.expm1(-_LN2 * k0), 0.0), 1.0)
+    a0, a1 = 2.0 ** -k0, 2.0 ** -k1
+    return r * a0 / (r * a0 + (1.0 - r)), r * a1 / (r * a1 + (1.0 - r))
+
+
+def _bracketed_root(residual, step: float):
+    """(cells, multipliers) at the root of a residual that does not increase
+    in t >= 0; ``residual(t)`` returns (h, cells, multipliers), and h <= 0 is
+    feasible. Unless t = 0 is feasible, the bracket [0, step] grows fourfold
+    until its upper end is, and regula falsi (Illinois) closes it. h is
+    linear in the cells, so the two ends mix to put h at 0, also across a
+    jump where a branch minimizer is not unique; the multipliers are those
+    of the end with the larger share."""
+    lo = 0.0
+    h_lo, z_lo, m_lo = residual(lo)
+    if h_lo <= 0.0:
+        return z_lo, m_lo
+    hi = step
+    h_hi, z_hi, m_hi = residual(hi)
+    while h_hi > 0.0:
+        if hi >= _MULTIPLIER_CAP:
+            raise _Unbounded
+        lo, h_lo, z_lo, m_lo = hi, h_hi, z_hi, m_hi
+        hi *= 4.0
+        h_hi, z_hi, m_hi = residual(hi)
+    f_lo, f_hi, side = h_lo, h_hi, 0
+    while min(h_lo, -h_hi) > _ROOT_TOL and hi - lo > _ROOT_WIDTH:
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            break  # closed in floats
+        h, z, multipliers = residual(t)
+        if h > 0.0:
+            lo, h_lo, z_lo, m_lo, f_lo = t, h, z, multipliers, h
+            f_hi *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:
+            hi, h_hi, z_hi, m_hi, f_hi = t, h, z, multipliers, h
+            f_lo *= 0.5 if side > 0 else 1.0
+            side = 1
+    theta = h_hi / (h_hi - h_lo)  # share of the infeasible end, in [0, 1)
+    mixed = tuple(theta * a + (1.0 - theta) * b for a, b in zip(z_lo, z_hi))
+    return mixed, m_lo if theta > 0.5 else m_hi
+
+
+def _dual_solve(model: SemanticModel, D: float, P: float, aim_d: float):
+    """(cells in (s0, t0, s1, t1) order, dual value) where the minimum is
+    positive, at a distortion ``aim_d`` within the tolerance of D.
+    Multipliers lam >= 0 on distortion and nu on P(Shat = 0) charge the cell
+    (x, y) k = lam (P(S = 1 | x, y) - P(S = 0 | x, y)) + nu bits per unit of
+    P(x, y) P(Shat = 0 | x, y), and the dual is
+    g = sum_y phi_y + lam (P(S = 0) - D) - nu P(S = 0) - |nu| P. At fixed nu
+    the minimizer's distortion does not increase in lam: a root puts it on
+    aim_d. Unless that meets P with nu = 0, P(Shat = 0) does not increase
+    in nu (lam re-solved each time): a second root puts it on the nearer
+    edge of the budget."""
+    p0, p1 = model.joint.masses.reshape(2, 4)[:, [0, 2, 1, 3]]
+    weight, cost = (p0 + p1).tolist(), (p1 - p0).tolist()
+    slope = [c / w if w > 0 else 0.0 for c, w in zip(cost, weight)]
+    branch = [weight[k & 2] + weight[k | 1] for k in range(4)]  # P(Y = y) per cell
+    p_x = [w / b for w, b in zip(weight, branch)]  # p(x | y)
+    base, source0 = float(p0.sum()), 1.0 - model.pi
+
+    def argmin(lam, nu):
+        k = [lam * s + nu for s in slope]
+        return (*_branch_argmin(p_x[0], p_x[1], k[0], k[1]),
+                *_branch_argmin(p_x[2], p_x[3], k[2], k[3]))
+
+    def distortion(z):
+        return base + sum(c * v for c, v in zip(cost, z))
+
+    def mass0(z):
+        return sum(w * v for w, v in zip(weight, z))
+
+    def on_distortion(nu):
+        def residual(lam):
+            z = argmin(lam, nu)
+            return distortion(z) - aim_d, z, (lam, nu)
+        return _bracketed_root(residual, 1.0)
+
+    z, (lam, nu) = on_distortion(0.0)
+    sign = math.copysign(1.0, mass0(z) - source0)
+    if sign * (mass0(z) - source0) > P + _ROOT_TOL:
+        def residual(t):
+            z_t, found = on_distortion(sign * t)
+            return sign * (mass0(z_t) - source0) - P, z_t, found
+        z, (lam, nu) = _bracketed_root(residual, 1.0)
+    s = argmin(lam, nu)  # g is the Lagrangian at its minimizer
+    rate = sum(branch[k] * binary_entropy(p_x[k] * s[k] + p_x[k + 1] * s[k + 1])
+               - weight[k] * binary_entropy(s[k]) - weight[k + 1] * binary_entropy(s[k + 1])
+               for k in (0, 2))
+    dual = rate + lam * (distortion(s) - D) + nu * (mass0(s) - source0)
+    return z, dual - abs(nu) * P if nu else dual  # |nu| P is 0 at nu = 0, also at P = inf
+
+
+def oracle_min_rate(model: SemanticModel, D: float, P: float,
+                    resolution: float | None = None) -> SolverResult:
+    """Exact minimum of I(X; Shat | Y) over all decoding rules meeting the
+    targets within 1e-12; deterministic. ``resolution`` is only validated
+    (``grid_resolution`` reads 0). The rate is the argmin's as
+    ``evaluate_decoder`` computes it, clipped at 0; ``dual_bound`` is the
+    dual value at the returned multipliers, 0 at a zero rate. Where a
+    multiplier would pass 2**20 (D within 1e-13 of the floor on a model
+    with masses or posterior gaps near 0), the argmin is the knapsack's
+    floor decoder and the bound is only 0. Raises InfeasibleError iff the
+    exact distortion floor at P exceeds D."""
+    D, P, _ = _validate_args(D, P, resolution)
+    floor, floor_law = _distortion_floor(model, P)
+    if floor > D + _TOL:
+        raise InfeasibleError(
+            f"D <= {D} and P <= {P} cannot both be met: the exact distortion floor "
+            f"at this P is {floor:.6g} > D, so no decoder meets both targets"
+        )
+    aim_d = min(max(D, floor + _AIM), D + _TOL)
+    zero_floor, law = _distortion_floor(model, P, merged=True)
+    dual = 0.0  # the Lagrangian's minimum at zero multipliers is the zero rate
+    if zero_floor > aim_d:
+        try:
+            cells, dual = _dual_solve(model, D, P, aim_d)
+            law = DecoderLaw(*cells)
+        except _Unbounded:
+            law = floor_law
+    exact = evaluate_decoder(model, law)
+    return SolverResult(rate=max(0.0, exact.rate), achieved_D=exact.distortion,
+                        achieved_P=exact.perception, argmin=law, grid_resolution=0.0,
+                        dual_bound=dual)
+
+
+# ---------------------------------------------------------------------------
+# branch-decomposed program: grid axes, the pair-search kernel, the driver
 # ---------------------------------------------------------------------------
 
 def _axis_grid(resolution: float, upper: float) -> np.ndarray:
@@ -182,36 +353,6 @@ def _refine_axis(center: float, resolution: float, upper: float) -> np.ndarray:
     return np.unique(np.clip(np.round(pts, 12), 0.0, upper))
 
 
-def _branch_columns(model: SemanticModel, y: int, s_vals: np.ndarray,
-                    t_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rate, distortion and P(Shat = 0) of branch y, weighted by P(Y = y),
-    over the (s, t) product grid flattened in lexicographic (s-major)
-    order. The rate is clipped at 0."""
-    p_y = model.p_a if y == 0 else model.p_b
-    cells = model.joint.masses[:, :, y] / p_y  # p(S, X | Y = y)
-    px0 = float(cells[0, 0] + cells[1, 0])
-    px1 = float(cells[0, 1] + cells[1, 1])
-    s = s_vals[:, None]
-    t = t_vals[None, :]
-    marg0 = px0 * s + px1 * t
-    info = (
-        binary_entropy_array(marg0)
-        - px0 * binary_entropy_array(s)
-        - px1 * binary_entropy_array(t)
-    )
-    dist = (
-        cells[0, 0] * (1.0 - s)
-        + cells[0, 1] * (1.0 - t)
-        + cells[1, 0] * s
-        + cells[1, 1] * t
-    )
-    return p_y * np.maximum(info, 0.0).ravel(), p_y * dist.ravel(), p_y * marg0.ravel()
-
-
-# ---------------------------------------------------------------------------
-# pair search: the one product-scan kernel, and the grid driver of both routes
-# ---------------------------------------------------------------------------
-
 # Widening of the bound relaxations. Every table entry is a probability or
 # a rate of at most one bit, so float rounding in the constraint sums is
 # below 1e-15 and can never push a feasible pair outside the relaxation.
@@ -225,16 +366,12 @@ def _best_first(bound: np.ndarray, score) -> tuple[float, int, int]:
 
     ``score(rows)`` returns the score matrix of those rows over every
     column, and ``bound[i]`` must not exceed any score in row i. The row
-    with the least (bound, index), found by argmin, is scored first; it
-    usually holds the minimum. A row is live while (bound[i], i) is below
-    (incumbent value, incumbent row); any other row scores worse than the
-    incumbent, or at best ties it with a larger index and loses the tie.
-    Only the rows live after the first are sorted, by (bound, index), and
-    scored in chunks that double in size. Liveness only shrinks as the
-    incumbent improves, and the dead rows form a suffix of that order, so
-    the visit stops at the first of them: every row left unscored is dead
-    against the final incumbent. A row whose bound is inf holds no finite
-    score.
+    with the least (bound, index) is scored first; it usually holds the
+    minimum. A row is live while (bound[i], i) is below (incumbent value,
+    incumbent row); any other row can at best tie the incumbent with a
+    larger index and lose. The live rows are sorted by (bound, index) and
+    scored in chunks that double in size, and the visit stops at the first
+    dead one: liveness only shrinks, so every later row is dead too.
     """
     best = (math.inf, -1, -1)
     first = int(np.argmin(bound))
@@ -269,70 +406,40 @@ def _least_in_rows(rows: np.ndarray, score) -> tuple[float, int, int]:
     return float(vals[k]), int(rows[k]), int(cols[k])
 
 
-def _sparse_table(values: np.ndarray) -> np.ndarray:
-    """table[k, x] = min(values[x : x + 2**k]) wherever that slice is full."""
-    n = values.size
-    table = np.full((max(n.bit_length(), 1), n), np.inf)
-    table[0] = values
-    for k in range(1, table.shape[0]):
-        half = 1 << (k - 1)
-        stop = n - 2 * half + 1
-        table[k, :stop] = np.minimum(table[k - 1, :stop], table[k - 1, half:half + stop])
-    return table
-
-
 class _PairSearch:
     """Exact minimum of a_i + b_j over the pairs (i, j) with
-    d_i + e_j <= D + tol and |m_i + n_j - c| <= P + tol, where the row
-    arrays (a, d, m) belong to one branch and the column arrays (b, e, n)
-    to the other.
-
-    Every pair is scored with the same float expressions a full product
-    scan would use, and ties resolve to the smallest (i, j), so the answer
-    is the full scan's. The columns are indexed twice for lower bounds: by
-    e with prefix minima of b (the D constraint), and by n with a sparse
-    table of range minima of b (the P interval). Both depend on the tables
-    alone and serve every (D, P) query.
+    d_i + e_j <= D + tol and m_i + n_j <= P + tol, where the row arrays
+    (a, d, m) belong to one branch and the column arrays (b, e, n) to the
+    other. Every pair is scored with the float expressions of a full
+    product scan, and ties resolve to the smallest (i, j), so the answer
+    is the full scan's. Row bounds come from prefix minima of b in e order
+    and in n order, which serve every (D, P) query.
     """
 
-    def __init__(self, a, d, m, b, e, n, c: float):
+    def __init__(self, a, d, m, b, e, n):
         self.a, self.d, self.m = a, d, m
         self.b, self.e, self.n = b, e, n
-        self.c = c
         by_e = np.argsort(e, kind="stable")
         self.e_sorted = e[by_e]
-        # b_prefix_min[k] = least b among the k smallest e (inf for k = 0)
-        self.b_prefix_min = np.r_[np.inf, np.minimum.accumulate(b[by_e])]
+        # b_min_by_e[k] = least b among the k smallest e (inf for k = 0)
+        self.b_min_by_e = np.r_[np.inf, np.minimum.accumulate(b[by_e])]
         by_n = np.argsort(n, kind="stable")
         self.n_sorted = n[by_n]
-        self.b_range_min = _sparse_table(b[by_n])
-
-    def _range_min(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """min of b over the n-sorted columns lo..hi-1; inf where empty."""
-        last = self.n_sorted.size - 1
-        level = np.frexp(np.maximum(hi - lo, 1))[1] - 1
-        left = np.minimum(lo, last)
-        right = np.maximum(hi - (1 << level), 0)
-        found = np.minimum(self.b_range_min[level, left], self.b_range_min[level, right])
-        return np.where(hi > lo, found, np.inf)
+        self.b_min_by_n = np.r_[np.inf, np.minimum.accumulate(b[by_n])]
 
     def rate_bound(self, D: float, P: float) -> np.ndarray:
         """Per row, a lower bound on a_i + b_j over the row's feasible
-        pairs; inf where the row has none. Each constraint alone, widened
-        by the slack, bounds the least b reachable from the row. At
-        P = inf every column is in reach, so the P bound is the least b,
-        which never exceeds the D bound."""
-        low_d = self.b_prefix_min[
+        pairs (inf where it has none): each constraint alone, widened by
+        the slack, bounds the least b the row reaches. At P = inf the P
+        bound is the least b, never above the D bound."""
+        low_d = self.b_min_by_e[
             np.searchsorted(self.e_sorted, D + _TOL + _SLACK - self.d, side="right")
         ]
         if P == math.inf:
             return self.a + low_d
-        reach = P + _TOL + _SLACK
-        centre = self.c - self.m
-        low_p = self._range_min(
-            np.searchsorted(self.n_sorted, centre - reach, side="left"),
-            np.searchsorted(self.n_sorted, centre + reach, side="right"),
-        )
+        low_p = self.b_min_by_n[
+            np.searchsorted(self.n_sorted, P + _TOL + _SLACK - self.m, side="right")
+        ]
         return self.a + np.maximum(low_d, low_p)
 
     def argmin(self, D: float, P: float) -> tuple[float, int, int]:
@@ -341,14 +448,14 @@ class _PairSearch:
 
         def score(rows):
             feasible = (self.d[rows, None] + self.e[None, :] <= D + _TOL) & (
-                np.abs(self.m[rows, None] + self.n[None, :] - self.c) <= P + _TOL
+                self.m[rows, None] + self.n[None, :] <= P + _TOL
             )
             return np.where(feasible, self.a[rows, None] + self.b[None, :], np.inf)
 
         return _best_first(self.rate_bound(D, P), score)
 
 
-# Coarse searches keyed by (route, model parameters, resolution).
+# Coarse solve_min2 searches keyed by (model parameters, resolution).
 _TABLE_CACHE: dict[tuple, object] = {}
 _TABLE_LOCK = threading.Lock()
 
@@ -365,134 +472,19 @@ def _cached(key: tuple, build):
         return entry
 
 
-def _grid_argmin(key: tuple, resolution: float, upper: float, box, D: float, P: float,
-                 rate_floor: float = -math.inf):
-    """Grid minimum (value, (u0, v0, u1, v1)) at (D, P), or None when no
-    coarse pair is feasible.
-
-    ``box(u0, v0, u1, v1)`` builds the pair search over the major and minor
-    axis of each branch; the coarse search over ``_axis_grid(resolution,
-    upper)`` is built once per ``key``. The refinement box spans ten steps
-    of resolution / 10 around each coarse axis value, and a refined pair
-    wins only when strictly better. It is skipped when the coarse value is
-    already at ``rate_floor``, which no entry of a box undercuts."""
-    def build():
-        grid = _axis_grid(resolution, upper)
-        return grid, box(grid, grid, grid, grid)
-
-    def decode(axes, i, j):
-        u0, v0, u1, v1 = axes
-        return (float(u0[i // v0.size]), float(v0[i % v0.size]),
-                float(u1[j // v1.size]), float(v1[j % v1.size]))
-
-    grid, coarse = _cached(key, build)
-    value, i, j = coarse.argmin(D, P)
-    if not math.isfinite(value):
-        return None
-    point = decode((grid,) * 4, i, j)
-    if value > rate_floor:
-        axes = tuple(_refine_axis(v, resolution, upper) for v in point)
-        f_value, fi, fj = box(*axes).argmin(D, P)
-        if f_value < value:
-            value, point = f_value, decode(axes, fi, fj)
-    return value, point
-
-
-def _validate_oracle_args(D: float, P: float, resolution: float) -> tuple[float, float, float]:
-    resolution = float(resolution)
-    if not _RES_MIN <= resolution <= _RES_MAX:
-        raise DomainError(
-            f"resolution must lie in [{_RES_MIN}, {_RES_MAX}], got {resolution}"
-        )
+def _validate_args(D: float, P: float, resolution: float | None):
+    if resolution is not None:
+        resolution = float(resolution)
+        if not _RES_MIN <= resolution <= _RES_MAX:
+            raise DomainError(f"resolution must lie in [{_RES_MIN}, {_RES_MAX}], got {resolution}")
     P = float(P)
     if math.isnan(P) or P < -_TOL:
         raise DomainError(f"perception budget must be non-negative, got {P}")
     D = float(D)
     if math.isnan(D):
         raise DomainError("distortion target D must be a number, got nan")
-    return D, P, resolution
+    return D, max(P, 0.0), resolution  # a budget within the tolerance below 0 reads 0
 
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-# ---------------------------------------------------------------------------
-
-def _oracle_search(model: SemanticModel, s0: np.ndarray, t0: np.ndarray,
-                   s1: np.ndarray, t1: np.ndarray) -> _PairSearch:
-    """Pair search over decoder pairs: rate, distortion and the signed
-    deviation of the pooled P(Shat = 0) from P(S = 0)."""
-    return _PairSearch(*_branch_columns(model, 0, s0, t0),
-                       *_branch_columns(model, 1, s1, t1), 1.0 - model.pi)
-
-
-def _distortion_floor(model: SemanticModel, P: float) -> float:
-    """Least expected Hamming distortion of any decoder whose P(Shat = 0)
-    lies within P of P(S = 0). Both are linear in the cells
-    z = P(Shat = 0 | x, y), so this is a fractional knapsack: the MAP rule
-    reaches the Bayes error, and when its P(Shat = 0) lies outside the
-    budget the cells move it to the nearer edge, those that cost the least
-    distortion per unit of P(Shat = 0) first."""
-    p0, p1 = model.joint.masses.reshape(2, 4)  # p(S = s, x, y), cells in (x, y) order
-    weight, cost = p0 + p1, p1 - p0  # per cell: P(x, y) and the distortion slope in z
-    map_zero = cost < 0
-    floor = float(np.minimum(p0, p1).sum())
-    shift = float(weight[map_zero].sum()) - (1.0 - model.pi)
-    excess = abs(shift) - P
-    # only the cells the MAP rule decodes as 0 can lower P(Shat = 0); only the others raise it
-    movable = np.flatnonzero((map_zero if shift > 0 else ~map_zero) & (weight > 0))
-    for k in sorted(movable, key=lambda k: abs(cost[k]) / weight[k]):
-        if excess <= 0:
-            break
-        step = min(excess, weight[k])
-        floor += step * abs(cost[k]) / weight[k]
-        excess -= step
-    return floor
-
-
-def oracle_min_rate(model: SemanticModel, D: float, P: float,
-                    resolution: float) -> SolverResult:
-    """Exhaustive minimum of I(X; Shat | Y) over all decoding rules meeting
-    the distortion and perception targets; deterministic for fixed inputs.
-    The rate is clipped at 0, just as the grid tables clip I(X; Shat | Y),
-    so a zero-rate optimum never reads as a rounding-negative rate.
-
-    The grid passes skip rows whose lower bound exceeds the incumbent, yet
-    return the minimizer a full scan of every grid candidate returns: the
-    bounds are float-safe and ties break on (value, i, j) (see the module
-    docstring).
-
-    Raises InfeasibleError when no grid candidate satisfies both
-    constraints. Its message gives the exact distortion floor at P, the
-    least distortion of any decoder, on the grid or off it, within the
-    perception budget. A floor at or below D means that decoders off the
-    grid meet both targets.
-    """
-    D, P, resolution = _validate_oracle_args(D, P, resolution)
-    # every table rate is clipped at 0, so no refined pair beats a coarse 0
-    found = _grid_argmin(("oracle", model.params, resolution), resolution, 1.0,
-                         lambda *axes: _oracle_search(model, *axes), D, P, rate_floor=0.0)
-    if found is None:
-        floor = _distortion_floor(model, P)
-        verdict = ("<= D, so decoders off the grid meet both targets" if floor <= D
-                   else "> D, so no decoder meets both targets")
-        raise InfeasibleError(
-            f"no decoder on the grid of resolution {resolution} meets D <= {D}, "
-            f"P <= {P}; the exact distortion floor at this P is {floor:.6g} {verdict}"
-        )
-    law = DecoderLaw(*found[1])
-    exact = evaluate_decoder(model, law)
-    return SolverResult(
-        rate=max(0.0, exact.rate),
-        achieved_D=exact.distortion,
-        achieved_P=exact.perception,
-        argmin=law,
-        grid_resolution=resolution,
-    )
-
-
-# ---------------------------------------------------------------------------
-# branch-decomposed program
-# ---------------------------------------------------------------------------
 
 def _min2_hypotheses(model: SemanticModel) -> float:
     if abs(model.pi - 0.5) > _TOL or model.q1 != model.q2:
@@ -512,8 +504,7 @@ def _min2_hypotheses(model: SemanticModel) -> float:
 def _min2_search(model: SemanticModel, q: float,
                  d0_vals, p0_vals, d1_vals, p1_vals) -> _PairSearch:
     """Pair search over branch allocations: rate, semantic distortion and
-    aligned perception. With c = 0 the P test |m_i + n_j| <= P + tol is the
-    one-sided m_i + n_j <= P + tol, since both terms are non-negative."""
+    aligned perception."""
     p_a, p_b = model.p_a, model.p_b
     star0, star1 = min(model.a_star, 0.5), min(model.b_star, 0.5)
     r0 = rdpf_piecewise_array(star0, d0_vals[:, None], p0_vals[None, :])
@@ -530,37 +521,49 @@ def _min2_search(model: SemanticModel, q: float,
     dsem1 = (p_b * np.broadcast_to(sem1[:, None], r1.shape)).ravel()
     per0 = (p_a * np.broadcast_to(p0_vals[None, :], r0.shape)).ravel()
     per1 = (p_b * np.broadcast_to(p1_vals[None, :], r1.shape)).ravel()
-    return _PairSearch(obj0, dsem0, per0, obj1, dsem1, per1, 0.0)
+    return _PairSearch(obj0, dsem0, per0, obj1, dsem1, per1)
 
 
 def solve_min2(model: SemanticModel, D: float, P: float,
                resolution: float) -> SolverResult:
     """Minimize the branch-decomposed rate over per-branch (distortion,
-    perception) allocations on [0, 1/2]^4 with one refinement pass.
+    perception) allocations on [0, 1/2]^4: a coarse grid search, built once
+    per model and resolution, then one pass over a box of ten steps of
+    resolution / 10 around each coarse value, whose pair wins only when
+    strictly better.
 
     achieved_P reports the aligned budget p_a p_0 + p_b p_1, an upper bound
     on the true total variation of any decoder realizing the allocation.
-    The result can exceed the exhaustive oracle near the zero-rate plateau,
-    where only sign cancellation across branches reaches lower rates.
+    The result can exceed the oracle near the zero-rate plateau, where only
+    sign cancellation across branches reaches lower rates.
     """
-    D, P, resolution = _validate_oracle_args(D, P, resolution)
+    D, P, resolution = _validate_args(D, P, resolution)
     q = _min2_hypotheses(model)
-    # no rate floor: rounding can leave table entries below 0, so a coarse 0 can lose
-    found = _grid_argmin(("min2", model.params, resolution), resolution, 0.5,
-                         lambda *axes: _min2_search(model, q, *axes), D, P)
-    if found is None:
+
+    def build():
+        grid = _axis_grid(resolution, 0.5)
+        return grid, _min2_search(model, q, grid, grid, grid, grid)
+
+    def decode(axes, i, j):
+        d0, p0, d1, p1 = axes
+        return (float(d0[i // p0.size]), float(p0[i % p0.size]),
+                float(d1[j // p1.size]), float(p1[j % p1.size]))
+
+    grid, coarse = _cached((model.params, resolution), build)
+    rate, i, j = coarse.argmin(D, P)
+    if not math.isfinite(rate):
         raise InfeasibleError(
             f"no branch allocation meets D <= {D}, P <= {P}; the semantic "
             f"distortion floor of this model is {q}"
         )
-    rate, (d0, p0, d1, p1) = found
+    point = decode((grid,) * 4, i, j)
+    axes = tuple(_refine_axis(v, resolution, 0.5) for v in point)
+    fine, fi, fj = _min2_search(model, q, *axes).argmin(D, P)
+    if fine < rate:
+        rate, point = fine, decode(axes, fi, fj)
+    d0, p0, d1, p1 = point
     achieved_d = model.p_a * ((1 - 2 * q) * d0 + q) + model.p_b * ((1 - 2 * q) * d1 + q)
     achieved_p = model.p_a * p0 + model.p_b * p1
-    return SolverResult(
-        rate=float(rate),
-        achieved_D=float(achieved_d),
-        achieved_P=float(achieved_p),
-        argmin=None,
-        grid_resolution=resolution,
-        branch_allocation=(d0, d1, p0, p1),
-    )
+    return SolverResult(rate=float(rate), achieved_D=float(achieved_d),
+                        achieved_P=float(achieved_p), argmin=None, grid_resolution=resolution,
+                        branch_allocation=(d0, d1, p0, p1))

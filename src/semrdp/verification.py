@@ -1,5 +1,5 @@
 """Cross-method verification suite: nine acceptance criteria that check the
-closed form, the grid oracle and Monte Carlo against each other.
+closed form, the exact oracle and Monte Carlo against each other.
 
 Every criterion is one row ``(key, title, check)`` of ``CRITERIA``, and
 every check has the signature ``check(cfg, data) -> (passed, detail)``,
@@ -50,7 +50,6 @@ class VerificationConfig:
     q_values: tuple[float, ...] = (0.0, 0.1, 0.2)
     p_values: tuple[float, ...] = (0.02, 0.05, 0.1, math.inf)
     d_points: int = 20
-    oracle_resolution: float = 0.01
     seed: int = 20250808
     transform_laws: int = 20
     transform_n: int = 100_000
@@ -120,7 +119,7 @@ def _sandwich_data(cfg: VerificationConfig):
         for p_val in sorted(cfg.p_values):
             closed = np.array([closed_form_rate(model, float(d), p_val) for d in d_grid])
             oracle = np.array([
-                _rate_or_inf(lambda: oracle_min_rate(model, d, p_val, cfg.oracle_resolution).rate)
+                _rate_or_inf(lambda: oracle_min_rate(model, d, p_val).rate)
                 for d in d_grid
             ])
             data[(q, p_val)] = (d_grid, closed, oracle)
@@ -144,7 +143,7 @@ def _side_information_anchor(model: SemanticModel, distortion: float):
 
 
 def check_sandwich(cfg: VerificationConfig, data):
-    """Sandwich the exhaustive search between the closed form's two readings.
+    """Sandwich the exact oracle between the closed form's two readings.
 
     At every grid point the oracle must satisfy
 
@@ -152,9 +151,8 @@ def check_sandwich(cfg: VerificationConfig, data):
         |oracle - closed(D, inf)| <= tol      (the exact DSBS minimum)
 
     Both readings come from ``closed_form_rate`` as this module looks it
-    up, so a shifted closed form fails in either direction. Where the
-    perception branch is slack, closed(D, P) == closed(D, inf) and the two
-    conditions are the plain two-sided agreement.
+    up, so a shifted closed form fails in either direction. Where
+    perception is slack, the two are the plain two-sided agreement.
 
     Why closed(D, inf) is exact for every P >= 0 on the doubly symmetric
     construction: flipping every bit of (S, X, Y) leaves their joint law
@@ -219,7 +217,7 @@ def check_spot_values(cfg: VerificationConfig, data):
     spot = closed_form_rate(model, 0.2, 0.05)
     spot_ok = abs(spot - 0.1937) <= 2e-4
     exact = closed_form_rate(model, 0.2, math.inf)
-    oracle = oracle_min_rate(model, 0.2, 0.05, cfg.oracle_resolution).rate
+    oracle = oracle_min_rate(model, 0.2, 0.05).rate
     oracle_ok = oracle <= spot + 0.01 and abs(oracle - exact) <= 0.01
     zero_vals = [closed_form_rate(model, 0.26, p) for p in cfg.p_values]
     zero_ok = all(v == 0.0 for v in zero_vals)
@@ -234,13 +232,13 @@ def check_spot_values(cfg: VerificationConfig, data):
     return spot_ok and oracle_ok and zero_ok, detail
 
 
-def zero_rate_threshold(model: SemanticModel, P: float, resolution: float) -> float:
-    """Smallest distortion at which the exhaustive search reaches (near) zero
-    rate, located by bisection."""
+def zero_rate_threshold(model: SemanticModel, P: float) -> float:
+    """Smallest distortion at which the oracle reaches (near) zero rate,
+    located by bisection."""
     lo, hi = model.q1, 0.6
     while hi - lo > ZERO_RATE_WIDTH:
         mid = 0.5 * (lo + hi)
-        rate = _rate_or_inf(lambda: oracle_min_rate(model, mid, P, resolution).rate)
+        rate = _rate_or_inf(lambda: oracle_min_rate(model, mid, P).rate)
         if rate <= ZERO_RATE_TOLERANCE:
             hi = mid
         else:
@@ -250,7 +248,7 @@ def zero_rate_threshold(model: SemanticModel, P: float, resolution: float) -> fl
 
 def check_zero_rate_threshold(cfg: VerificationConfig, data):
     model = dsbs_model(0.1, 0.2)
-    threshold = zero_rate_threshold(model, 0.05, cfg.oracle_resolution)
+    threshold = zero_rate_threshold(model, 0.05)
     threshold_ok = abs(threshold - 0.26) <= 0.01
     anchor_ok, anchor = _side_information_anchor(model, 0.26)
     detail = (

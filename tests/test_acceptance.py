@@ -78,7 +78,7 @@ def test_criterion_4_zero_rate_threshold(acceptance_config, sandwich_data):
     assert anchor.perception == pytest.approx(0.0, abs=1e-12)
     passed, detail = _check(4, acceptance_config, sandwich_data)
     assert passed, detail
-    threshold = zero_rate_threshold(model, 0.05, acceptance_config.oracle_resolution)
+    threshold = zero_rate_threshold(model, 0.05)
     assert threshold == pytest.approx(0.26, abs=0.01)
 
 

@@ -129,10 +129,7 @@ def test_fault_injection_breaks_sandwich(monkeypatch):
         monkeypatch.setattr(verification, "closed_form_rate",
                             lambda model, D, P: closed_form_rate(model, D, P) + bias)
 
-    small = VerificationConfig(
-        q_values=(0.1,), p_values=(INF,), d_points=4,
-        oracle_resolution=0.05,
-    )
+    small = VerificationConfig(q_values=(0.1,), p_values=(INF,), d_points=4)
     clean, detail, _ = _sandwich(small)
     assert clean, detail
     shift_closed_form(0.1)
@@ -155,7 +152,7 @@ def test_fault_injection_breaks_sandwich(monkeypatch):
 
 
 def test_zero_rate_threshold_quick(model_q01):
-    threshold = zero_rate_threshold(model_q01, 0.05, 0.05)
+    threshold = zero_rate_threshold(model_q01, 0.05)
     assert threshold == pytest.approx(0.26, abs=0.015)
 
 
@@ -168,12 +165,13 @@ def _solver_cfg(axis):
 
 
 @pytest.mark.parametrize("axis, digest", [
-    ("D", "af47884a15cfe598049c517e601d20d1bf502a0bf6ba5d8d1ce864c919ccd03c"),
-    ("P", "605d73388358aa5e6ddf2563cb8edb9e04a1df45b679035dec39e612556057c1"),
+    ("D", "f18c0e5086e5150a4f2c810cf9f56fd3540f2e53404854bd4ea8b65a974dac26"),
+    ("P", "d8879117c6d0ea7ea8a4729aa560fbf850b6963df5a95b5620ff8c895e2e1571"),
 ])
 def test_solver_sweeps_pinned_to_recorded_digests(axis, digest, monkeypatch):
-    # sha256 of the CSV as recorded at 324f765, before the pair search
-    # stopped scoring rows that can only lose a tie
+    # sha256 of the CSV as re-recorded when the oracle became an exact
+    # solve; only R_oracle moved, and R_closed and R_min2 are the columns
+    # recorded at 324f765
     monkeypatch.setattr(solver, "_TABLE_CACHE", {})
     text = sweep_curve(_solver_cfg(axis))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -203,23 +201,18 @@ def test_simulated_sweeps_pinned_to_recorded_digests(axis, digest):
 def test_sweep_builds_each_coarse_search_once(axis, monkeypatch):
     monkeypatch.setattr(solver, "_TABLE_CACHE", {})
     cfg = _solver_cfg(axis)
-    builds = {"min2": 0, "oracle": 0}
+    builds = []
+    build = solver._min2_search
+    coarse_rows = solver._axis_grid(cfg.resolution, 0.5).size ** 2
 
-    def counted(name, build, coarse_rows):
-        def wrapper(model, *args):
-            search = build(model, *args)
-            builds[name] += search.a.size == coarse_rows
-            return search
-        return wrapper
+    def counted(model, *args):
+        search = build(model, *args)
+        builds.append(search.a.size == coarse_rows)
+        return search
 
-    min2_rows = solver._axis_grid(cfg.resolution, 0.5).size ** 2
-    oracle_rows = solver._axis_grid(cfg.resolution, 1.0).size ** 2
-    monkeypatch.setattr(solver, "_min2_search",
-                        counted("min2", solver._min2_search, min2_rows))
-    monkeypatch.setattr(solver, "_oracle_search",
-                        counted("oracle", solver._oracle_search, oracle_rows))
+    monkeypatch.setattr(solver, "_min2_search", counted)
     sweep_curve(cfg)
-    assert builds == {"min2": 1, "oracle": 1}
+    assert sum(builds) == 1
 
 
 @pytest.mark.parametrize("axis", ["D", "P"])
@@ -284,7 +277,7 @@ def test_cli_oracle_point(tmp_path):
     out = tmp_path / "oracle.csv"
     code = main([
         "oracle", "--q", "0.1", "--pi-x", "0.2", "--D", "0.26", "--P", "0.05",
-        "--resolution", "0.05", "--out", str(out),
+        "--out", str(out),
     ])
     assert code == 0
     header, row = out.read_text().splitlines()
@@ -370,12 +363,12 @@ def test_cli_config_file_merge(tmp_path):
 def test_cli_config_rejects_unknown_keys(command, line, tmp_path, capsys):
     key = line.split()[0]
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"{line}\nresolution = 0.05\n")
+    cfg_file.write_text(f"{line}\nseed = 7\n")
     assert main(command + ["--config", str(cfg_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("semrdp: error: ")
-    assert key in captured.err and "resolution" not in captured.err
+    assert key in captured.err and "seed" not in captured.err
 
 
 def test_cli_simulated_rate_column(tmp_path):
@@ -398,7 +391,7 @@ def test_cli_simulated_rate_column(tmp_path):
 
 def test_quick_verification_structure():
     cfg = VerificationConfig(
-        q_values=(0.1,), p_values=(INF,), d_points=3, oracle_resolution=0.05,
+        q_values=(0.1,), p_values=(INF,), d_points=3,
         transform_laws=2, transform_n=5000, consistency_trials=2,
         consistency_n=2000, binning_trials=10, binning_margins=(0.2, 0.8),
         chain_joints=50,
@@ -410,9 +403,10 @@ def test_quick_verification_structure():
     csv = summary.to_csv()
     assert csv.splitlines()[0] == "q,P,D,R_closed,R_oracle"
     assert len(csv.splitlines()) == 1 + 3
-    # sha256 of both artifacts as recorded at b330961, before the suite
-    # moved out of cli_sweeper
+    # sha256 of both artifacts as re-recorded when the oracle became an
+    # exact solve; only the oracle's readings in criteria 1 and 3 and the
+    # R_oracle column moved from the digests recorded at b330961
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1890cdb728c957e23d047768636b33712b4307276de21f5a05f7c762c940d59e")
+        "a268ab40418d55f906b09e8a02bb47a29991b71abb1bb345fdd00a815c65be06")
     assert hashlib.sha256(csv.encode()).hexdigest() == (
-        "8de573f484866c08dbe12460f2c7c3acbd0cebd1a2c5f0ba65b4b651dbeb75a1")
+        "6feb297905cc088a1c0bcdd4bf3248ce4be690d77b6290e487199f4cad8afb62")

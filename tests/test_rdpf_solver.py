@@ -18,7 +18,6 @@ from semrdp import (
     HypothesisError,
     InfeasibleError,
     JointDistribution,
-    SolverResult,
     binary_entropy,
     build_model,
     closed_form_rate,
@@ -32,6 +31,7 @@ from semrdp import (
     tv_distance,
 )
 from semrdp import rdpf_solver as solver
+from semrdp.probability_core import binary_entropy_array
 from semrdp.rdpf_closed_form import rdpf_piecewise_array
 
 INF = math.inf
@@ -142,35 +142,9 @@ def test_oracle_zero_rate_plateau(model_q01):
     assert result.achieved_P <= 0.05 + 1e-9
 
 
-def test_oracle_skips_refinement_after_a_zero_rate(model_q01, monkeypatch):
-    # past the plateau the coarse rate is 0 and no refined pair can beat it,
-    # so only the coarse pair of branch tables is built
-    monkeypatch.setattr(solver, "_TABLE_CACHE", {})
-    builds = []
-    columns = solver._branch_columns
-
-    def counted(*args):
-        builds.append(args[1])
-        return columns(*args)
-
-    monkeypatch.setattr(solver, "_branch_columns", counted)
-    results = [oracle_min_rate(model_q01, d, 0.05, 0.02) for d in (0.3, 0.45)]
-    assert builds == [0, 1]
-    # recorded before the skip, when each point also built its refinement;
-    # the rate is clipped at 0, so a zero-rate optimum reads exactly 0.0
-    assert results == [
-        SolverResult(rate=0.0, achieved_D=0.2936,
-                     achieved_P=0.05000000000000002,
-                     argmin=DecoderLaw(0.88, 0.88, 0.02, 0.02), grid_resolution=0.02),
-        SolverResult(rate=0.0, achieved_D=0.44720000000000004,
-                     achieved_P=0.04999999999999996,
-                     argmin=DecoderLaw(0.56, 0.56, 0.34, 0.34), grid_resolution=0.02),
-    ]
-
-
 def test_oracle_spot_agreement(model_q01):
-    # the closed form is achievable, so the exhaustive search sits at or
-    # below it, and within the coarse-grid sandwich at this point
+    # the closed form is achievable, so the exact minimum sits at or below
+    # it, and within the sandwich tolerance at this point
     result = oracle_min_rate(model_q01, 0.2, 0.05, 0.02)
     closed = closed_form_rate(model_q01, 0.2, 0.05)
     assert result.rate <= closed + 0.01
@@ -189,16 +163,15 @@ def test_oracle_infeasible(model_q01):
 
 
 def test_oracle_infeasible_message_shows_the_violated_target():
-    # no grid decoder meets P = 0 here, yet the exact floor lies below D:
-    # the error must say that decoders off the grid meet both targets
+    # the floor at P = 0 lies above D, and the error states both
     model = build_model(0.3869, 0.1484, 0.159, 0.3799, 0.309)
     with pytest.raises(InfeasibleError) as info:
-        oracle_min_rate(model, 0.45, 0.0, 0.02)
+        oracle_min_rate(model, 0.15, 0.0)
     message = str(info.value)
-    assert "grid of resolution 0.02 meets D <= 0.45, P <= 0.0;" in message
-    floor = re.search(r"distortion floor at this P is ([^ ]+) <= D", message).group(1)
+    assert message.startswith("D <= 0.15 and P <= 0.0 cannot both be met:")
+    floor = re.search(r"distortion floor at this P is ([^ ]+) > D", message).group(1)
     assert floor == "0.16909"
-    assert message.endswith("so decoders off the grid meet both targets")
+    assert message.endswith("so no decoder meets both targets")
 
 
 def _floor_by_vertices(model, P):
@@ -237,8 +210,12 @@ def test_distortion_floor_matches_vertex_enumeration(pi, channels, P):
         model = build_model(pi, *channels)
     except DegenerateChannelError:
         assume(False)
-    floor = solver._distortion_floor(model, P)
+    floor, law = solver._distortion_floor(model, P)
     assert floor == pytest.approx(_floor_by_vertices(model, P), abs=1e-12)
+    # the knapsack's decoder reaches the floor within the budget
+    metrics = evaluate_decoder(model, law)
+    assert metrics.distortion == pytest.approx(floor, abs=1e-12)
+    assert metrics.perception <= P + 1e-12
     assert floor >= _bayes_error(model) - 1e-15
 
 
@@ -246,27 +223,24 @@ def test_distortion_floor_anchors():
     rng = np.random.default_rng(4)
     for _ in range(50):
         model = build_model(rng.uniform(0.0, 0.5), *rng.uniform(0.0, 1.0, 4))
-        assert solver._distortion_floor(model, INF) == pytest.approx(_bayes_error(model),
-                                                                    abs=1e-15)
+        assert solver._distortion_floor(model, INF)[0] == pytest.approx(_bayes_error(model),
+                                                                       abs=1e-15)
         # mirror averaging makes Shat uniform at no cost in distortion
         q, pi_x = rng.uniform(0.0, 0.49), rng.uniform(0.01, 0.5)
         for P in (0.0, 0.01, INF):
-            assert solver._distortion_floor(dsbs_model(q, pi_x), P) == pytest.approx(q, abs=1e-15)
+            assert solver._distortion_floor(dsbs_model(q, pi_x), P)[0] == pytest.approx(q,
+                                                                                      abs=1e-15)
 
 
 def test_oracle_respects_the_distortion_floor():
-    # every grid answer is a decoder within P, so it sits at or above the
-    # floor; a target below the floor raises and prints the floor
+    # every answer is a decoder within P, so it sits at or above the floor;
+    # a target below the floor raises and prints the floor
     asymmetric, dsbs = _seeded_models(9)
     for model in (asymmetric, dsbs):
         for P in (0.0, 0.02, INF):
-            floor = solver._distortion_floor(model, P)
+            floor = solver._distortion_floor(model, P)[0]
             for D in (floor + 0.05, floor + 0.2):
-                try:
-                    result = oracle_min_rate(model, D, P, 0.05)
-                except InfeasibleError:
-                    assert P == 0.0  # the grid misses the P = 0 hyperplane
-                    continue
+                result = oracle_min_rate(model, D, P, 0.05)
                 assert result.achieved_D >= floor - 1e-12
             with pytest.raises(InfeasibleError, match=f"is {floor:.6g} > D"):
                 oracle_min_rate(model, floor - 0.01, P, 0.05)
@@ -379,37 +353,159 @@ def test_min2_matches_oracle_when_perception_is_slack(model_q01):
 
 
 # ---------------------------------------------------------------------------
-# the pair-search kernel against the full product scans it replaced
+# the exact oracle against a full decoder-grid scan and its own certificate
 # ---------------------------------------------------------------------------
 
 _TOL = 1e-12
 _P_BUDGETS = (0.0, 1e-6, 1e-4, 0.05, INF)
 
 
+def _branch_columns(model, y, s_vals, t_vals):
+    """Rate, distortion and P(Shat = 0) of branch y, weighted by P(Y = y),
+    over the (s, t) product grid flattened in lexicographic (s-major)
+    order. The rate is clipped at 0."""
+    p_y = model.p_a if y == 0 else model.p_b
+    cells = model.joint.masses[:, :, y] / p_y  # p(S, X | Y = y)
+    px0 = float(cells[0, 0] + cells[1, 0])
+    px1 = float(cells[0, 1] + cells[1, 1])
+    s = s_vals[:, None]
+    t = t_vals[None, :]
+    marg0 = px0 * s + px1 * t
+    info = (binary_entropy_array(marg0) - px0 * binary_entropy_array(s)
+            - px1 * binary_entropy_array(t))
+    dist = cells[0, 0] * (1.0 - s) + cells[0, 1] * (1.0 - t) + cells[1, 0] * s + cells[1, 1] * t
+    return p_y * np.maximum(info, 0.0).ravel(), p_y * dist.ravel(), p_y * marg0.ravel()
+
+
 def _columns(model, axes):
     """The weighted branch columns of both branches over four axes."""
     s0, t0, s1, t1 = axes
-    return solver._branch_columns(model, 0, s0, t0), solver._branch_columns(model, 1, s1, t1)
+    return _branch_columns(model, 0, s0, t0), _branch_columns(model, 1, s1, t1)
 
 
-def _reference_scan(cols0, cols1, model, d_targets, p_target, chunk_rows=512):
-    """Full-product masked argmin over two oracle branch tables, per
-    distortion target: lexicographic scan, strict improvements only."""
-    p_s0 = 1.0 - model.pi
-    (rate0, dist0, marg0), (rate1, dist1, marg1) = cols0, cols1
+def _reference_scan(model, D, P, resolution=0.05):
+    """Least rate over every decoder on the full (s0, t0, s1, t1) grid that
+    meets D and |P(Shat = 0) - P(S = 0)| <= P, the search the grid oracle
+    ran; inf when none does. Unlike that search it grants no tolerance: on
+    a model whose masses are near 1e-12, a decoder 1e-12 past D can be
+    far cheaper than any decoder that meets it."""
+    grid = solver._axis_grid(resolution, 1.0)
+    (rate0, dist0, marg0), (rate1, dist1, marg1) = _columns(model, (grid,) * 4)
+    feasible = (dist0[:, None] + dist1[None, :] <= D) & (
+        np.abs(marg0[:, None] + marg1[None, :] - (1.0 - model.pi)) <= P)
+    return float(np.where(feasible, rate0[:, None] + rate1[None, :], np.inf).min())
+
+
+def _assert_certified(model, D, P, result):
+    """The argmin meets both targets within the tolerance, re-evaluates to
+    the reported rate, and the dual bound certifies that rate."""
+    exact = evaluate_decoder(model, result.argmin)
+    assert exact.distortion <= D + 1e-12 and exact.perception <= P + 1e-12
+    assert result.rate == max(0.0, exact.rate)
+    assert result.rate - 1e-9 <= result.dual_bound <= result.rate + 1e-9
+    assert result.grid_resolution == 0.0
+
+
+@pytest.mark.parametrize("params, D, expected", [
+    # the grid oracle raised InfeasibleError here at resolutions 0.02 and 0.01
+    ((0.40953, 0.05840, 0.17423, 0.14638, 0.24663), 0.249914, 0.0219813),
+    # the grid oracle overshot by 0.080 bits at resolution 0.02
+    ((0.3, 0.1, 0.15, 0.2, 0.3), 0.25, 0.0452266),
+    # zero rate, which the grid oracle called infeasible
+    ((0.3869, 0.1484, 0.159, 0.3799, 0.309), 0.45, 0.0),
+])
+def test_oracle_is_exact_where_the_grid_missed_at_zero_perception(params, D, expected):
+    model = build_model(*params)
+    result = oracle_min_rate(model, D, 0.0)
+    assert result.rate == pytest.approx(expected, abs=1e-6)
+    _assert_certified(model, D, 0.0, result)
+
+
+def _drawn_model(pi, channels):
+    try:
+        return build_model(pi, *channels)
+    except DegenerateChannelError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pi=st.floats(0.0, 0.5), channels=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+       share=st.floats(-0.1, 1.0), P=st.sampled_from([0.0, 1e-3, 0.05, INF]))
+def test_oracle_is_certified_and_never_above_the_grid(pi, channels, share, P):
+    # D runs from below the floor (share < 0) through the floor itself
+    # (share = 0, where the distortion multiplier is unbounded) to 0.5
+    model = _drawn_model(pi, channels)
+    floor = solver._distortion_floor(model, P)[0]
+    D = floor + share * (0.5 - floor) if share >= 0 else floor + share
+    if floor > D + 1e-12:
+        with pytest.raises(InfeasibleError):
+            oracle_min_rate(model, D, P)
+        return
+    result = oracle_min_rate(model, D, P)
+    _assert_certified(model, D, P, result)
+    assert result.rate <= _reference_scan(model, D, P) + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), pi_x=st.floats(0.01, 0.49), share=st.floats(0.0, 1.0),
+       P=st.sampled_from([0.0, 1e-3, 0.05, INF]))
+def test_oracle_reaches_the_distortion_only_rate_on_dsbs_models(q, pi_x, share, P):
+    # mirror averaging makes Shat uniform at no cost (check_sandwich), so
+    # the minimum at every P is the closed form's distortion-only rate
+    model = dsbs_model(q, pi_x)
+    D = q + share * (0.5 - q)
+    result = oracle_min_rate(model, D, P)
+    assert result.rate == pytest.approx(closed_form_rate(model, D, INF), abs=1e-9)
+    _assert_certified(model, D, P, result)
+
+
+def test_oracle_edge_cases():
+    model = build_model(0.3, 0.1, 0.15, 0.2, 0.3)
+    for P in (0.0, 0.05, INF):
+        floor, law = solver._distortion_floor(model, P)
+        # D exactly at the floor, where the knapsack's decoder is feasible
+        result = oracle_min_rate(model, floor, P)
+        _assert_certified(model, floor, P, result)
+        assert result.rate <= evaluate_decoder(model, law).rate + 1e-12
+    # P = inf: the perception term |nu| P is 0 * inf, which must read 0
+    result = oracle_min_rate(model, 0.2, INF)
+    _assert_certified(model, 0.2, INF, result)
+    assert result.dual_bound == pytest.approx(result.rate, abs=1e-12)
+    # zero-mass cells: X = Y with pi = 0, so S = 0 and every x != y has no mass
+    lone = build_model(0.0, 0.3, 0.3, 0.0, 0.0)
+    for D, P in ((0.0, 0.0), (0.0, INF), (0.5, 0.0)):
+        result = oracle_min_rate(lone, D, P)
+        assert result.rate == 0.0
+        _assert_certified(lone, D, P, result)
+    noisy = build_model(0.2, 0.1, 0.2, 0.0, 0.4)  # X = 0 never gives Y = 1: cell (0, 1) is empty
+    for P in (0.0, 0.01, INF):
+        D = solver._distortion_floor(noisy, P)[0] + 0.02
+        result = oracle_min_rate(noisy, D, P)
+        assert result.rate > 0.0
+        _assert_certified(noisy, D, P, result)
+        assert result.rate <= _reference_scan(noisy, D, P) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the pair-search kernel against the full product scans it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_pair_scan(tables, d_targets, P):
+    """Full-product masked argmin over two branch tables (a, d, m, b, e, n)
+    with the one-sided perception test, per distortion target:
+    lexicographic scan, strict improvements only."""
+    obj0, dsem0, per0, obj1, dsem1, per1 = tables
     best = [(math.inf, -1, -1) for _ in d_targets]
-    n0 = rate0.size
-    for start in range(0, n0, chunk_rows):
-        stop = min(start + chunk_rows, n0)
-        rate = rate0[start:stop, None] + rate1[None, :]
-        dtot = dist0[start:stop, None] + dist1[None, :]
-        ptot = np.abs(marg0[start:stop, None] + marg1[None, :] - p_s0)
-        feas_p = ptot <= p_target + _TOL
-        for k, d_target in enumerate(d_targets):
-            feasible = feas_p & (dtot <= d_target + _TOL)
-            if not feasible.any():
+    for start in range(0, obj0.size, 512):
+        sl = slice(start, min(start + 512, obj0.size))
+        total = obj0[sl, None] + obj1[None, :]
+        dtot = dsem0[sl, None] + dsem1[None, :]
+        feas_p = per0[sl, None] + per1[None, :] <= P + _TOL
+        for k, D in enumerate(d_targets):
+            feas = feas_p & (dtot <= D + _TOL)
+            if not feas.any():
                 continue
-            masked = np.where(feasible, rate, np.inf)
+            masked = np.where(feas, total, np.inf)
             flat = int(masked.argmin())
             val = float(masked.flat[flat])
             if val < best[k][0]:
@@ -419,24 +515,8 @@ def _reference_scan(cols0, cols1, model, d_targets, p_target, chunk_rows=512):
 
 
 def _reference_min2_scan(obj0, dsem0, per0, obj1, dsem1, per1, D, P):
-    """Full-product masked argmin over branch allocations, with the
-    one-sided aligned perception test."""
-    best = (math.inf, -1, -1)
-    for start in range(0, obj0.size, 512):
-        sl = slice(start, min(start + 512, obj0.size))
-        total = obj0[sl, None] + obj1[None, :]
-        feas = (dsem0[sl, None] + dsem1[None, :] <= D + _TOL) & (
-            per0[sl, None] + per1[None, :] <= P + _TOL
-        )
-        if not feas.any():
-            continue
-        masked = np.where(feas, total, np.inf)
-        flat = int(masked.argmin())
-        val = float(masked.flat[flat])
-        if val < best[0]:
-            i_local, j = divmod(flat, masked.shape[1])
-            best = (val, start + i_local, j)
-    return best
+    """``_reference_pair_scan`` at one distortion target."""
+    return _reference_pair_scan((obj0, dsem0, per0, obj1, dsem1, per1), [D], P)[0]
 
 
 def _reference_branch_rate_table(star, d_vals, p_vals):
@@ -469,47 +549,57 @@ def _decode(grid, i, j):
     return tuple(float(v) for v in (grid[i // n], grid[i % n], grid[j // n], grid[j % n]))
 
 
+def _decoder_search(model, axes):
+    """The kernel over the decoder-grid tables the grid oracle searched,
+    with a one-sided budget on the pooled P(Shat = 0) in place of its
+    two-sided perception test."""
+    (a, d, m), (b, e, n) = _columns(model, axes)
+    return solver._PairSearch(a, d, m, b, e, n)
+
+
 @pytest.mark.parametrize("seed, resolution", [(1, 0.05), (2, 0.05), (3, 0.02)])
 def test_pair_search_matches_full_scan_on_oracle_tables(seed, resolution):
     grid = solver._axis_grid(resolution, 1.0)
     for model in _seeded_models(seed):
-        cols0, cols1 = _columns(model, (grid,) * 4)
-        search = solver._oracle_search(model, grid, grid, grid, grid)
+        search = _decoder_search(model, (grid,) * 4)
+        arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
         d_targets = _targets_from(float(search.d.min() + search.e.min()))
-        for P in _P_BUDGETS:
-            expected = _reference_scan(cols0, cols1, model, d_targets, P)
+        for P in (0.0, 0.4, INF):
+            expected = _reference_pair_scan(arrays, d_targets, P)
             assert [search.argmin(d, P) for d in d_targets] == expected
             for d, (_, i, j) in zip(d_targets, expected):
                 if i < 0:
                     continue
-                # the refinement box the grid driver builds around this incumbent
+                # a refinement box around this incumbent, as the grid driver builds it
                 box = [solver._refine_axis(v, resolution, 1.0) for v in _decode(grid, i, j)]
-                fine = solver._oracle_search(model, *box)
-                fine_cols = _columns(model, box)
-                assert fine.argmin(d, P) == _reference_scan(*fine_cols, model, [d], P)[0]
+                fine = _decoder_search(model, box)
+                assert fine.argmin(d, P) == _reference_min2_scan(
+                    fine.a, fine.d, fine.m, fine.b, fine.e, fine.n, d, P)
 
 
 def test_pair_search_breaks_ties_on_mirrored_decoders():
     # on a DSBS model a decoder (s0, t0, s1, t1) and its mirror
-    # (1 - t1, 1 - s1, 1 - t0, 1 - s0) score the same rate to the last bit;
-    # the result must be the lexicographically smaller pair of the two
+    # (1 - t1, 1 - s1, 1 - t0, 1 - s0) score the same rate to the last bit,
+    # and their P(Shat = 0) sum to 1; where both are feasible the result
+    # must be the lexicographically smaller pair of the two
     model = dsbs_model(0.1, 0.3)
     grid = solver._axis_grid(0.02, 1.0)
-    search = solver._oracle_search(model, grid, grid, grid, grid)
+    search = _decoder_search(model, (grid,) * 4)
+    arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
 
     def flat(s, t):
         return int(np.abs(grid - s).argmin()) * grid.size + int(np.abs(grid - t).argmin())
 
-    for P in (0.05, INF):
+    for P in (0.6, INF):
         rate, i, j = search.argmin(0.2, P)
-        assert (rate, i, j) == _reference_scan(*_columns(model, (grid,) * 4), model, [0.2], P)[0]
+        assert (rate, i, j) == _reference_min2_scan(*arrays, 0.2, P)
         law = DecoderLaw(*_decode(grid, i, j))
         mi = flat(1.0 - law.t1, 1.0 - law.s1)
         mj = flat(1.0 - law.t0, 1.0 - law.s0)
         assert (i, j) < (mi, mj)
         assert search.a[mi] + search.b[mj] == rate
         assert search.d[mi] + search.e[mj] <= 0.2 + _TOL
-        assert abs(search.m[mi] + search.n[mj] - search.c) <= P + _TOL
+        assert search.m[mi] + search.n[mj] <= P + _TOL
 
 
 @pytest.mark.parametrize("seed, resolution", [(5, 0.05), (6, 0.02)])
@@ -582,7 +672,7 @@ def test_min2_search_tables_follow_each_branch_posterior():
 def _brute_force(search, D, P):
     """Score matrix of a pair search over the whole product."""
     dtot = search.d[:, None] + search.e[None, :]
-    ptot = np.abs(search.m[:, None] + search.n[None, :] - search.c)
+    ptot = search.m[:, None] + search.n[None, :]
     feasible = (dtot <= D + _TOL) & (ptot <= P + _TOL)
     return np.where(feasible, search.a[:, None] + search.b[None, :], np.inf)
 
@@ -591,13 +681,10 @@ def _rate_bound_of_both(search, D, P):
     """The row bound from both constraints, also at P = inf, where the P
     bound reaches every column."""
     slack = _TOL + solver._SLACK
-    low_d = search.b_prefix_min[np.searchsorted(search.e_sorted, D + slack - search.d,
-                                                side="right")]
-    centre = search.c - search.m
-    low_p = search._range_min(
-        np.searchsorted(search.n_sorted, centre - (P + slack), side="left"),
-        np.searchsorted(search.n_sorted, centre + (P + slack), side="right"),
-    )
+    low_d = search.b_min_by_e[np.searchsorted(search.e_sorted, D + slack - search.d,
+                                              side="right")]
+    low_p = search.b_min_by_n[np.searchsorted(search.n_sorted, P + slack - search.m,
+                                              side="right")]
     return search.a + np.maximum(low_d, low_p)
 
 
@@ -613,10 +700,10 @@ def test_pair_search_matches_brute_force_on_lattice_tables():
     for _ in range(60):
         rows, cols = rng.integers(1, 3000), rng.integers(1, 30)
         search = solver._PairSearch(lattice(rows, 4), 0.2 + lattice(rows, 8), lattice(rows, 10),
-                                    lattice(cols, 4), 0.2 + lattice(cols, 8), lattice(cols, 10),
-                                    float(rng.integers(0, 21)) * 0.1)
+                                    lattice(cols, 4), 0.2 + lattice(cols, 8), lattice(cols, 10))
         for _ in range(4):
-            D, P = float(rng.integers(0, 16)) * 0.1, (0.0, 0.1, 0.2, INF)[rng.integers(0, 4)]
+            D = float(rng.integers(0, 16)) * 0.1
+            P = float(rng.integers(0, 21)) * 0.1 if rng.random() < 0.75 else INF
             value = _brute_force(search, D, P)
             assert np.array_equal(search.rate_bound(D, P), _rate_bound_of_both(search, D, P))
             assert np.all(search.rate_bound(D, P) <= value.min(axis=1))
