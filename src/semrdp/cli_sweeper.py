@@ -125,10 +125,10 @@ def sweep_curve(cfg: SweepConfig) -> str:
     def rate(method, index, d, p):
         if method == "closed_form":
             return _rate_or_inf(closed_form_rate, model, d, p)
+        # both solvers only validate the resolution; benchmarks/tracing.py reads it here
         if method == "min2":
             return _rate_or_inf(lambda: solve_min2(model, d, p, cfg.resolution).rate)
         if method == "oracle":
-            # the oracle only validates the resolution; benchmarks/tracing.py reads it here
             return _rate_or_inf(lambda: oracle_min_rate(model, d, p, cfg.resolution).rate)
         return _simulated_rate(model, cfg, index, d, p)
 

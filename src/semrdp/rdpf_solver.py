@@ -21,22 +21,14 @@ Two independent routes are provided on purpose:
   semantic-distortion budget p_a ((1-2q) d_0 + q) + p_b ((1-2q) d_1 + q) <= D
   and the aligned perception budget p_a p_0 + p_b p_1 <= P. The aligned
   sum upper-bounds the true total variation, so every allocation is
-  realizable and solve_min2 never undercuts the oracle by more than grid
-  slack; near the zero-rate plateau cancellation makes the oracle better.
-
-``solve_min2`` searches a cached coarse grid of allocations on [0, 1/2]^4
-and refines once at a tenth of the resolution around the incumbent. Both
-passes run one kernel (``_PairSearch``), which returns what a scan of the
-whole product returns, the lexicographically smallest minimizer, while
-scoring few pairs: rows are visited best-bound first and stop at the first
-row that cannot beat or win a tie with the incumbent. The refinement box
-follows the incumbent, so rates across neighbouring budgets can wobble by
-about a thousandth of a bit when adjacent targets settle in different
-basins. The oracle's minimum is exact and does not wobble.
+  realizable and solve_min2 never undercuts the oracle; near the zero-rate
+  plateau cancellation makes the oracle better. Each branch RDPF is convex
+  (Blau & Michaeli 2019), so the program is a separable convex allocation:
+  it is solved exactly by the oracle's branch minimizers and bracketed
+  roots, one multiplier on each budget, and carries its dual value too.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +36,7 @@ import numpy as np
 from .errors import DomainError, HypothesisError, InfeasibleError
 from .probability_core import (FiniteDistribution, JointDistribution, _as_probability,
                                _tv_of_masses, binary_entropy, conditional_mutual_information)
-from .rdpf_closed_form import rdpf_piecewise_array
+from .rdpf_closed_form import rdpf_piecewise
 from .semantic_model import SemanticModel
 
 _TOL = 1e-12
@@ -107,7 +99,7 @@ class SolverResult:
     argmin: DecoderLaw | None
     grid_resolution: float
     branch_allocation: tuple[float, float, float, float] | None = None
-    dual_bound: float | None = None  # oracle only: a certified lower bound on the rate
+    dual_bound: float | None = None  # a certified lower bound on the rate
 
 
 def evaluate_decoder(model: SemanticModel, law: DecoderLaw) -> DecoderMetrics:
@@ -207,33 +199,37 @@ def _branch_argmin(px0: float, px1: float, k0: float, k1: float) -> tuple[float,
         return 0.0, 0.0
     if k0 <= 0.0 and k1 <= 0.0:
         return 1.0, 1.0
-    k0, k1 = (min(max(k, -_K_CAP), _K_CAP) for k in (k0, k1))
+    k0, k1 = min(max(k0, -_K_CAP), _K_CAP), min(max(k1, -_K_CAP), _K_CAP)
     # a_x - 1 through expm1, exact where a_x rounds to 1
     r = min(max(-px0 / math.expm1(-_LN2 * k1) - px1 / math.expm1(-_LN2 * k0), 0.0), 1.0)
     a0, a1 = 2.0 ** -k0, 2.0 ** -k1
     return r * a0 / (r * a0 + (1.0 - r)), r * a1 / (r * a1 + (1.0 - r))
 
 
-def _bracketed_root(residual, step: float):
+def _bracketed_root(residual, step: float, start: float = 0.0):
     """(cells, multipliers) at the root of a residual that does not increase
     in t >= 0; ``residual(t)`` returns (h, cells, multipliers), and h <= 0 is
-    feasible. Unless t = 0 is feasible, the bracket [0, step] grows fourfold
-    until its upper end is, and regula falsi (Illinois) closes it. h is
-    linear in the cells, so the two ends mix to put h at 0, also across a
-    jump where a branch minimizer is not unique; the multipliers are those
-    of the end with the larger share."""
-    lo = 0.0
-    h_lo, z_lo, m_lo = residual(lo)
-    if h_lo <= 0.0:
-        return z_lo, m_lo
-    hi = step
-    h_hi, z_hi, m_hi = residual(hi)
+    feasible. The bracket opens at t = start and widens by step, 4 step,
+    16 step, ... away from it: upward until its upper end is feasible, or
+    downward, to 0 at most, until its lower end is not; a feasible t = 0 is
+    the root. Regula falsi (Illinois) closes it. h is linear in the cells,
+    so the two ends mix to put h at 0, also across a jump where a branch
+    minimizer is not unique; the multipliers are those of the end with the
+    larger share."""
+    lo = hi = start
+    h_lo, z_lo, m_lo = h_hi, z_hi, m_hi = residual(start)
     while h_hi > 0.0:
         if hi >= _MULTIPLIER_CAP:
             raise _Unbounded
         lo, h_lo, z_lo, m_lo = hi, h_hi, z_hi, m_hi
-        hi *= 4.0
+        hi, step = start + step, 4.0 * step
         h_hi, z_hi, m_hi = residual(hi)
+    while h_lo <= 0.0:
+        if lo == 0.0:
+            return z_lo, m_lo
+        hi, h_hi, z_hi, m_hi = lo, h_lo, z_lo, m_lo
+        lo, step = max(start - step, 0.0), 4.0 * step
+        h_lo, z_lo, m_lo = residual(lo)
     f_lo, f_hi, side = h_lo, h_hi, 0
     while min(h_lo, -h_hi) > _ROOT_TOL and hi - lo > _ROOT_WIDTH:
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
@@ -337,140 +333,8 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
 
 
 # ---------------------------------------------------------------------------
-# branch-decomposed program: grid axes, the pair-search kernel, the driver
+# branch-decomposed program
 # ---------------------------------------------------------------------------
-
-def _axis_grid(resolution: float, upper: float) -> np.ndarray:
-    steps = int(math.floor(upper / resolution + 1e-9))
-    pts = np.round(np.arange(steps + 1) * resolution, 12)
-    if pts[-1] < upper - 1e-12:
-        pts = np.append(pts, upper)
-    return pts
-
-
-def _refine_axis(center: float, resolution: float, upper: float) -> np.ndarray:
-    pts = center + np.arange(-10, 11) * (resolution / 10.0)
-    return np.unique(np.clip(np.round(pts, 12), 0.0, upper))
-
-
-# Widening of the bound relaxations. Every table entry is a probability or
-# a rate of at most one bit, so float rounding in the constraint sums is
-# below 1e-15 and can never push a feasible pair outside the relaxation.
-_SLACK = 1e-9
-_FIRST_CHUNK, _MAX_CHUNK = 16, 256
-
-
-def _best_first(bound: np.ndarray, score) -> tuple[float, int, int]:
-    """Lexicographically smallest (score, i, j) over all pairs, or
-    (inf, -1, -1) when no score is finite.
-
-    ``score(rows)`` returns the score matrix of those rows over every
-    column, and ``bound[i]`` must not exceed any score in row i. The row
-    with the least (bound, index) is scored first; it usually holds the
-    minimum. A row is live while (bound[i], i) is below (incumbent value,
-    incumbent row); any other row can at best tie the incumbent with a
-    larger index and lose. The live rows are sorted by (bound, index) and
-    scored in chunks that double in size, and the visit stops at the first
-    dead one: liveness only shrinks, so every later row is dead too.
-    """
-    best = (math.inf, -1, -1)
-    first = int(np.argmin(bound))
-    if not bound[first] < math.inf:
-        return best
-    # the first row can hold no finite score, and (inf, -1, -1) must then stay
-    best = min(best, _least_in_rows(np.array([first]), score))
-    index = np.arange(bound.size)
-    live_rows = (bound < best[0]) | ((bound == best[0]) & (index < best[1]))
-    live_rows[first] = False
-    order = np.flatnonzero(live_rows)
-    order = order[np.argsort(bound[order], kind="stable")]
-    start, size = 0, _FIRST_CHUNK
-    while start < order.size:
-        rows = order[start:start + size]
-        low = bound[rows]
-        live = np.count_nonzero((low < best[0]) | ((low == best[0]) & (rows < best[1])))
-        if live == 0:
-            break
-        best = min(best, _least_in_rows(rows[:live], score))
-        start += size
-        size = min(2 * size, _MAX_CHUNK)
-    return best
-
-
-def _least_in_rows(rows: np.ndarray, score) -> tuple[float, int, int]:
-    """Lexicographically smallest (score, i, j) with i among ``rows``."""
-    scores = score(rows)
-    cols = scores.argmin(axis=1)
-    vals = scores[np.arange(rows.size), cols]
-    k = int(np.lexsort((rows, vals))[0])
-    return float(vals[k]), int(rows[k]), int(cols[k])
-
-
-class _PairSearch:
-    """Exact minimum of a_i + b_j over the pairs (i, j) with
-    d_i + e_j <= D + tol and m_i + n_j <= P + tol, where the row arrays
-    (a, d, m) belong to one branch and the column arrays (b, e, n) to the
-    other. Every pair is scored with the float expressions of a full
-    product scan, and ties resolve to the smallest (i, j), so the answer
-    is the full scan's. Row bounds come from prefix minima of b in e order
-    and in n order, which serve every (D, P) query.
-    """
-
-    def __init__(self, a, d, m, b, e, n):
-        self.a, self.d, self.m = a, d, m
-        self.b, self.e, self.n = b, e, n
-        by_e = np.argsort(e, kind="stable")
-        self.e_sorted = e[by_e]
-        # b_min_by_e[k] = least b among the k smallest e (inf for k = 0)
-        self.b_min_by_e = np.r_[np.inf, np.minimum.accumulate(b[by_e])]
-        by_n = np.argsort(n, kind="stable")
-        self.n_sorted = n[by_n]
-        self.b_min_by_n = np.r_[np.inf, np.minimum.accumulate(b[by_n])]
-
-    def rate_bound(self, D: float, P: float) -> np.ndarray:
-        """Per row, a lower bound on a_i + b_j over the row's feasible
-        pairs (inf where it has none): each constraint alone, widened by
-        the slack, bounds the least b the row reaches. At P = inf the P
-        bound is the least b, never above the D bound."""
-        low_d = self.b_min_by_e[
-            np.searchsorted(self.e_sorted, D + _TOL + _SLACK - self.d, side="right")
-        ]
-        if P == math.inf:
-            return self.a + low_d
-        low_p = self.b_min_by_n[
-            np.searchsorted(self.n_sorted, P + _TOL + _SLACK - self.m, side="right")
-        ]
-        return self.a + np.maximum(low_d, low_p)
-
-    def argmin(self, D: float, P: float) -> tuple[float, int, int]:
-        """(value, i, j) of the lexicographically smallest minimizer, or
-        (inf, -1, -1) when no pair is feasible."""
-
-        def score(rows):
-            feasible = (self.d[rows, None] + self.e[None, :] <= D + _TOL) & (
-                self.m[rows, None] + self.n[None, :] <= P + _TOL
-            )
-            return np.where(feasible, self.a[rows, None] + self.b[None, :], np.inf)
-
-        return _best_first(self.rate_bound(D, P), score)
-
-
-# Coarse solve_min2 searches keyed by (model parameters, resolution).
-_TABLE_CACHE: dict[tuple, object] = {}
-_TABLE_LOCK = threading.Lock()
-
-
-def _cached(key: tuple, build):
-    """The cache entry for ``key``, built by ``build()`` on a miss. The
-    build runs under the lock, so threads that miss together build once."""
-    with _TABLE_LOCK:
-        entry = _TABLE_CACHE.get(key)
-        if entry is None:
-            if len(_TABLE_CACHE) > 8:
-                _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-            entry = _TABLE_CACHE[key] = build()
-        return entry
-
 
 def _validate_args(D: float, P: float, resolution: float | None):
     if resolution is not None:
@@ -493,6 +357,16 @@ def _min2_hypotheses(model: SemanticModel) -> float:
             "common observation crossover; the distortion conversion and the "
             "source/observation marginal identity both rely on it"
         )
+    if model.q1 >= 0.5:
+        raise HypothesisError(
+            f"the distortion conversion divides by 1 - 2q, so q must lie below 1/2, "
+            f"got {model.q1}"
+        )
+    if min(model.a_star, model.b_star) <= 0.0:
+        raise DomainError(
+            f"branch posteriors must be positive, got a*={model.a_star}, b*={model.b_star}; "
+            "a branch that knows X from Y has no Bernoulli RDPF"
+        )
     if model.a_star > 0.5 + _TOL or model.b_star > 0.5 + _TOL:
         raise HypothesisError(
             f"branch posteriors must not exceed 1/2, got a*={model.a_star}, "
@@ -501,69 +375,145 @@ def _min2_hypotheses(model: SemanticModel) -> float:
     return model.q1
 
 
-def _min2_search(model: SemanticModel, q: float,
-                 d0_vals, p0_vals, d1_vals, p1_vals) -> _PairSearch:
-    """Pair search over branch allocations: rate, semantic distortion and
-    aligned perception."""
-    p_a, p_b = model.p_a, model.p_b
-    star0, star1 = min(model.a_star, 0.5), min(model.b_star, 0.5)
-    r0 = rdpf_piecewise_array(star0, d0_vals[:, None], p0_vals[None, :])
-    same = np.array_equal(d0_vals, d1_vals) and np.array_equal(p0_vals, p1_vals)
-    if star0 == star1 and same:
-        r1 = r0  # exact test: a DSBS model's a* and b* can differ in the last bit
+def _zero_perception_cost(s: float, lam: float) -> float:
+    """k0 = nu0 - lam in [-lam, 0], where nu0 is the multiplier on P(Shat = 0)
+    at which the minimizer of I(X; Shat) + lam P(X != Shat) + nu P(Shat = 0)
+    for a Bernoulli(s) source, 0 < s <= 1/2, keeps P(Shat = 0) = 1 - s: zero
+    perception. With t = 2**-lam, x = 2**-nu0 is the positive root of
+    (1 - s) x**2 - (1 - 2s) t x - s, and x / t = 1 + u / t with
+    u = 2s (1 - t**2) / (S + t), S = sqrt((1 - 2s)**2 t**2 + 4s (1 - s)).
+    Computing k0 = -log2(1 + u / t) this way keeps its relative precision as
+    s or lam nears 0, where nu0 - lam would cancel."""
+    t = 2.0 ** -lam
+    root = math.sqrt(((1.0 - 2.0 * s) * t) ** 2 + 4.0 * s * (1.0 - s))
+    u = -2.0 * s * math.expm1(-2.0 * _LN2 * lam) / (root + t)
+    if u <= t:
+        k0 = -math.log1p(u / t) / _LN2
     else:
-        r1 = rdpf_piecewise_array(star1, d1_vals[:, None], p1_vals[None, :])
-    sem0 = (1.0 - 2.0 * q) * d0_vals + q
-    sem1 = (1.0 - 2.0 * q) * d1_vals + q
-    obj0 = (p_a * r0).ravel()
-    obj1 = (p_b * r1).ravel()
-    dsem0 = (p_a * np.broadcast_to(sem0[:, None], r0.shape)).ravel()
-    dsem1 = (p_b * np.broadcast_to(sem1[:, None], r1.shape)).ravel()
-    per0 = (p_a * np.broadcast_to(p0_vals[None, :], r0.shape)).ravel()
-    per1 = (p_b * np.broadcast_to(p1_vals[None, :], r1.shape)).ravel()
-    return _PairSearch(obj0, dsem0, per0, obj1, dsem1, per1)
+        k0 = -(math.log2(u) + lam + math.log1p(t / u) / _LN2)
+    return max(k0, -lam)  # nu0 >= 0 also in floats
+
+
+def _zero_rate_allocation(star, weight, P: float):
+    """Per branch (d_y, p_y) of least total distortion at rate 0, where Shat
+    ignores X: P(Shat = 0) = 1 - s costs 2s(1 - s) at no perception, and
+    each unit of perception spent raising it cuts (1 - 2s), at most s per
+    branch. A fractional knapsack: the budget goes to the larger cut first."""
+    allocation = [(0.0, 0.0)] * 2
+    for y in sorted(range(2), key=lambda y: star[y]):
+        s = star[y]
+        spent = min(s, max(P, 0.0) / weight[y])
+        P -= weight[y] * spent
+        allocation[y] = (2.0 * s * (1.0 - s) - (1.0 - 2.0 * s) * spent, spent)
+    return allocation
+
+
+def _min2_dual(star, weight, target: float, aim: float, P: float):
+    """(per-branch (d_y, p_y), dual value) of the least sum_y w_y R_y(d_y, p_y)
+    with sum_y w_y d_y at ``aim`` and sum_y w_y p_y <= P, where the minimum is
+    positive. Branch y is a Bernoulli(s_y) source whose value 0 has mass
+    c_y = 1 - s_y. Multipliers lam on distortion and mu on perception charge
+    its cells P(Shat = 0 | X = x) as the oracle's branches, with nu_y =
+    min(nu0_y(lam), mu) on P(Shat = 0): nu0_y keeps the branch at zero
+    perception, so |nu_y| <= mu prices |P(Shat = 0) - c_y|. The dual is
+    g = sum_y w_y (I_y + lam d_y + nu_y (m_y - c_y)) - lam target - mu P.
+    A root on lam puts the distortion on aim; unless that meets P with
+    mu = 0, a second root on mu (lam re-solved each time) puts the
+    perception at P + _AIM, inside the tolerance: it never reads exactly 0
+    in floats. At P = 0, mu = inf and only the lam root runs."""
+    branches = [(s, 1.0 - s, w) for s, w in zip(star, weight)]
+
+    def costs(s, lam, mu):  # (k0, k1) = (nu - lam, nu + lam) at nu = min(nu0, mu)
+        k0 = _zero_perception_cost(s, lam)
+        if k0 + lam > mu:
+            k0 = mu - lam
+        return k0, k0 + 2.0 * lam
+
+    def argmin(lam, mu):
+        cells = []
+        for s, c, _ in branches:
+            cells += _branch_argmin(c, s, *costs(s, lam, mu))
+        return cells
+
+    def allocation(z):  # per branch (P(X != Shat), |P(Shat = 0) - c|)
+        return [(c * (1.0 - z0) + s * z1, abs(c * z0 + s * z1 - c))
+                for (s, c, _), z0, z1 in zip(branches, z[::2], z[1::2])]
+
+    def total(z, k):  # weighted distortion (k = 0) or perception (k = 1)
+        return sum(w * pair[k] for (_, _, w), pair in zip(branches, allocation(z)))
+
+    warm = (0.0, 1.0)  # (start, step) of the next lam root: near the last one at mu > 0
+
+    def on_distortion(mu):
+        nonlocal warm
+
+        def residual(lam):
+            z = argmin(lam, mu)
+            return total(z, 0) - aim, z, (lam, mu)
+        # at mu = 0 the root can sit at lam = 0+, across a jump of the
+        # minimizer, where the branch minimizers lose their precision
+        start, step = warm if mu > 0.0 else (0.0, 1.0)
+        z, found = _bracketed_root(residual, step, start)
+        if mu > 0.0:
+            warm = (found[0], max(abs(found[0] - start), 2.0 ** -20))
+        return z, found
+
+    def on_perception(mu):
+        z, found = on_distortion(mu)
+        return total(z, 1) - (P + _AIM), z, found
+
+    z, (lam, mu) = on_distortion(math.inf) if P == 0.0 else _bracketed_root(on_perception, 1.0)
+    cells = argmin(lam, mu)  # g is the Lagrangian at its minimizer
+    dual = -lam * target - (mu * P if 0.0 < P < math.inf else 0.0)  # mu P is inf * 0 at P = 0 or inf
+    for (s, c, w), z0, z1 in zip(branches, cells[::2], cells[1::2]):
+        nu = costs(s, lam, mu)[0] + lam
+        m = c * z0 + s * z1  # P(Shat = 0) on the branch
+        info = binary_entropy(m) - c * binary_entropy(z0) - s * binary_entropy(z1)
+        dual += w * (info + lam * (c * (1.0 - z0) + s * z1) + nu * (m - c))
+    return allocation(z), dual
 
 
 def solve_min2(model: SemanticModel, D: float, P: float,
-               resolution: float) -> SolverResult:
-    """Minimize the branch-decomposed rate over per-branch (distortion,
-    perception) allocations on [0, 1/2]^4: a coarse grid search, built once
-    per model and resolution, then one pass over a box of ten steps of
-    resolution / 10 around each coarse value, whose pair wins only when
-    strictly better.
+               resolution: float | None = None) -> SolverResult:
+    """Exact minimum of the branch-decomposed rate over per-branch
+    (distortion, perception) allocations, within the 1e-12 tolerance on
+    both budgets; deterministic. ``resolution`` is only validated
+    (``grid_resolution`` reads 0). Raises InfeasibleError iff D < q.
+
+    Rate 0 when the zero-rate knapsack over both branches meets D;
+    otherwise the Lagrangian dual with the oracle's branch minimizers and
+    bracketed roots, and ``dual_bound`` is its value at the returned
+    multipliers. The rate is sum_y w_y rdpf_piecewise(s_y, d_y, p_y) at
+    the allocation, clipped at 0. Where no distortion is left to aim at (D
+    within rounding of q - 1e-12), the distortion multiplier would pass
+    2**20; the allocation is then d_y = p_y = 0, Shat = X, and the bound is
+    only 0.
 
     achieved_P reports the aligned budget p_a p_0 + p_b p_1, an upper bound
     on the true total variation of any decoder realizing the allocation.
     The result can exceed the oracle near the zero-rate plateau, where only
     sign cancellation across branches reaches lower rates.
     """
-    D, P, resolution = _validate_args(D, P, resolution)
+    D, P, _ = _validate_args(D, P, resolution)
     q = _min2_hypotheses(model)
-
-    def build():
-        grid = _axis_grid(resolution, 0.5)
-        return grid, _min2_search(model, q, grid, grid, grid, grid)
-
-    def decode(axes, i, j):
-        d0, p0, d1, p1 = axes
-        return (float(d0[i // p0.size]), float(p0[i % p0.size]),
-                float(d1[j // p1.size]), float(p1[j % p1.size]))
-
-    grid, coarse = _cached((model.params, resolution), build)
-    rate, i, j = coarse.argmin(D, P)
-    if not math.isfinite(rate):
+    if D < q - _TOL:
         raise InfeasibleError(
             f"no branch allocation meets D <= {D}, P <= {P}; the semantic "
             f"distortion floor of this model is {q}"
         )
-    point = decode((grid,) * 4, i, j)
-    axes = tuple(_refine_axis(v, resolution, 0.5) for v in point)
-    fine, fi, fj = _min2_search(model, q, *axes).argmin(D, P)
-    if fine < rate:
-        rate, point = fine, decode(axes, fi, fj)
-    d0, p0, d1, p1 = point
-    achieved_d = model.p_a * ((1 - 2 * q) * d0 + q) + model.p_b * ((1 - 2 * q) * d1 + q)
-    achieved_p = model.p_a * p0 + model.p_b * p1
-    return SolverResult(rate=float(rate), achieved_D=float(achieved_d),
-                        achieved_P=float(achieved_p), argmin=None, grid_resolution=resolution,
-                        branch_allocation=(d0, d1, p0, p1))
+    star = (min(model.a_star, 0.5), min(model.b_star, 0.5))
+    weight = (model.p_a, model.p_b)
+    scale = 1.0 - 2.0 * q  # semantic distortion (1 - 2q) d + q per branch
+    aim = (min(max(D, q + _AIM), D + _TOL) - q) / scale
+    allocation, rate, dual = _zero_rate_allocation(star, weight, P), 0.0, 0.0
+    if sum(w * d for w, (d, _) in zip(weight, allocation)) > aim:
+        try:
+            allocation, dual = _min2_dual(star, weight, (D - q) / scale, aim, P)
+        except _Unbounded:
+            allocation = [(0.0, 0.0)] * 2
+        rate = max(0.0, sum(w * rdpf_piecewise(s, d, p)
+                            for s, w, (d, p) in zip(star, weight, allocation)))
+    (d0, p0), (d1, p1) = allocation
+    return SolverResult(rate=rate, achieved_D=scale * (weight[0] * d0 + weight[1] * d1) + q,
+                        achieved_P=weight[0] * p0 + weight[1] * p1, argmin=None,
+                        grid_resolution=0.0, branch_allocation=(d0, d1, p0, p1), dual_bound=dual)

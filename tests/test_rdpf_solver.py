@@ -1,9 +1,6 @@
 import itertools
 import math
 import re
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -33,6 +30,8 @@ from semrdp import (
 from semrdp import rdpf_solver as solver
 from semrdp.probability_core import binary_entropy_array
 from semrdp.rdpf_closed_form import rdpf_piecewise_array
+
+import min2_grid as grid_ref
 
 INF = math.inf
 
@@ -353,6 +352,137 @@ def test_min2_matches_oracle_when_perception_is_slack(model_q01):
 
 
 # ---------------------------------------------------------------------------
+# the exact branch-decomposed program against the grid, the oracle and its
+# own certificate
+# ---------------------------------------------------------------------------
+
+def _assert_min2_certified(model, D, P, result):
+    """Both budgets met within the tolerance, the rate is the branch RDPFs
+    at the allocation, and the dual value certifies it."""
+    assert result.achieved_D <= D + 1e-12 and result.achieved_P <= P + 1e-12
+    d0, d1, p0, p1 = result.branch_allocation
+    q = model.q1
+    assert result.achieved_D == pytest.approx(
+        model.p_a * ((1 - 2 * q) * d0 + q) + model.p_b * ((1 - 2 * q) * d1 + q), abs=1e-15)
+    assert result.achieved_P == pytest.approx(model.p_a * p0 + model.p_b * p1, abs=1e-15)
+    rate = (model.p_a * rdpf_piecewise(min(model.a_star, 0.5), d0, p0)
+            + model.p_b * rdpf_piecewise(min(model.b_star, 0.5), d1, p1))
+    # a zero rate is exact; the RDPFs at the zero-rate allocation can round above 0
+    assert result.rate == max(0.0, rate) or (result.rate == 0.0 and rate <= 1e-15)
+    assert abs(result.rate - result.dual_bound) <= 1e-9
+    assert result.grid_resolution == 0.0 and result.argmin is None
+
+
+def _min2_model(q, a, b):
+    """build_model(0.5, q, q, a, b) with both branch posteriors in (0, 1/2]:
+    a* = b / (1 - a + b) and b* = a / (1 - b + a) stay at or below 1/2
+    while a + b <= 1."""
+    assume(a + b <= 1.0)
+    return build_model(0.5, q, q, a, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), a=st.floats(1e-9, 1.0), b=st.floats(1e-9, 1.0),
+       share=st.floats(0.0, 1.0), P=st.sampled_from([0.0, 1e-3, 0.05, INF]))
+def test_solve_min2_is_certified_between_the_oracle_and_the_grid(q, a, b, share, P):
+    # every allocation is a decoder, so the oracle's certified lower bound
+    # is below the program; the grid searches a subset of its allocations
+    model = _min2_model(q, a, b)
+    D = q + share * (0.5 - q)
+    result = solve_min2(model, D, P)
+    _assert_min2_certified(model, D, P, result)
+    assert result.rate >= oracle_min_rate(model, D, P).dual_bound - 1e-9
+    assert result.rate <= grid_ref.grid_min2(model, D, P, 0.05)[0] + 1e-9
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), pi_x=st.floats(0.01, 0.5), share=st.floats(0.0, 1.0),
+       P=st.sampled_from([0.0, 1e-3, 0.05, INF]))
+def test_solve_min2_reaches_the_branch_rdpf_on_dsbs_models(q, pi_x, share, P):
+    # equal branch posteriors: the RDPF is convex in (d, p), so the equal
+    # split is optimal and the program is R_pix(D_x, P) (Jensen); at rate 0
+    # any split the zero-rate knapsack allows is optimal
+    model = dsbs_model(q, pi_x)
+    D = q + share * (0.5 - q)
+    result = solve_min2(model, D, P)
+    assert result.rate == pytest.approx(rdpf_piecewise(pi_x, (D - q) / (1 - 2 * q), P), abs=1e-9)
+    _assert_min2_certified(model, D, P, result)
+    if result.rate > 0.0:
+        d0, d1, p0, p1 = result.branch_allocation
+        assert d0 == pytest.approx(d1, abs=1e-9) and p0 == pytest.approx(p1, abs=1e-9)
+
+
+def test_solve_min2_edge_cases():
+    model = build_model(0.5, 0.1, 0.1, 0.15, 0.3)
+    s, weight = (model.a_star, model.b_star), (model.p_a, model.p_b)
+    # D = q: only Shat = X meets it, at the full branch entropies; a target
+    # within the tolerance below q reads q, and one further below is infeasible
+    for D in (0.1, 0.1 - 5e-13):
+        for P in (0.0, 0.05, INF):
+            result = solve_min2(model, D, P)
+            _assert_min2_certified(model, D, P, result)
+            assert result.rate == pytest.approx(sum(w * binary_entropy(v)
+                                                    for w, v in zip(weight, s)), abs=1e-9)
+    with pytest.raises(InfeasibleError, match="distortion floor of this model is 0.1"):
+        solve_min2(model, 0.1 - 2e-12, 0.05)
+    # at the tolerance's edge no distortion is left to aim at: the distortion
+    # multiplier is unbounded, so Shat = X comes back with only the bound 0
+    edge = solve_min2(model, 0.1 - 1e-12, 0.05)
+    assert edge.branch_allocation == (0.0, 0.0, 0.0, 0.0) and edge.dual_bound == 0.0
+    assert edge.achieved_D <= 0.1 and edge.rate == pytest.approx(
+        sum(w * binary_entropy(v) for w, v in zip(weight, s)), abs=1e-12)
+    # P = 0: mu = inf, both branches at zero perception
+    result = solve_min2(model, 0.25, 0.0)
+    _assert_min2_certified(model, 0.25, 0.0, result)
+    # a budget far below the float noise of the perception sum, which the
+    # mu root never reaches, still gets a finite mu
+    tiny = solve_min2(model, 0.25, 1e-300)
+    _assert_min2_certified(model, 0.25, 1e-300, tiny)
+    assert tiny.rate == pytest.approx(result.rate, abs=1e-9)
+    # the zero-rate knapsack boundary: the least distortion at rate 0 spends
+    # P on the branch with the smaller posterior first, where a unit of
+    # perception cuts 1 - 2s, at most s per branch
+    P = 0.05
+    order = sorted(range(2), key=lambda y: s[y])
+    spent = {order[0]: min(s[order[0]], P / weight[order[0]])}
+    spent[order[1]] = min(s[order[1]], (P - weight[order[0]] * spent[order[0]]) / weight[order[1]])
+    d_x = sum(w * (2 * v * (1 - v) - (1 - 2 * v) * spent[y])
+              for y, (w, v) in enumerate(zip(weight, s)))
+    zero_onset = (1 - 2 * 0.1) * d_x + 0.1
+    assert solve_min2(model, zero_onset + 1e-12, P).rate == 0.0
+    below = solve_min2(model, zero_onset - 1e-6, P)
+    _assert_min2_certified(model, zero_onset - 1e-6, P, below)
+    assert 0.0 < below.rate <= 1e-3
+    # a branch posterior near 0 (b = 1e-9 gives a* ~ 1e-9)
+    near = build_model(0.5, 0.05, 0.05, 0.3, 1e-9)
+    assert near.a_star < 2e-9
+    for D, P in ((0.1, 0.0), (0.1, 0.01), (0.2, 0.05), (0.2, INF)):
+        result = solve_min2(near, D, P)
+        _assert_min2_certified(near, D, P, result)
+        assert result.rate >= oracle_min_rate(near, D, P).dual_bound - 1e-9
+        assert result.rate <= grid_ref.grid_min2(near, D, P, 0.05)[0] + 1e-9
+
+
+def test_zero_perception_cost():
+    # k0 = nu0 - lam keeps the branch minimizer at P(Shat = 0) = 1 - s, also
+    # for posteriors and multipliers near 0, where nu0 - lam cancels; nu0 is
+    # 0 at s = 1/2, where the R(D) reconstruction is already uniform
+    for lam in (0.0, 0.3, 2.0, 40.0):
+        assert solver._zero_perception_cost(0.5, lam) + lam == pytest.approx(0.0, abs=1e-15)
+    for s in (1e-9, 1e-4, 0.2, 0.45):
+        for lam in (1e-3, 0.3, 2.0, 10.0, 60.0):
+            k0 = solver._zero_perception_cost(s, lam)
+            assert -lam < k0 < 0.0
+            # 2**-nu0 is the positive root of (1 - s) x**2 - (1 - 2s) 2**-lam x - s
+            x = 2.0 ** -(k0 + lam)
+            assert (1 - s) * x * x - (1 - 2 * s) * 2.0 ** -lam * x - s == pytest.approx(0.0,
+                                                                                  abs=1e-15)
+            z0, z1 = solver._branch_argmin(1 - s, s, k0, k0 + 2 * lam)
+            # the minimizer's stationary r loses about 1e-16 / lam to cancellation
+            assert (1 - s) * z0 + s * z1 - (1 - s) == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # the exact oracle against a full decoder-grid scan and its own certificate
 # ---------------------------------------------------------------------------
 
@@ -389,7 +519,7 @@ def _reference_scan(model, D, P, resolution=0.05):
     ran; inf when none does. Unlike that search it grants no tolerance: on
     a model whose masses are near 1e-12, a decoder 1e-12 past D can be
     far cheaper than any decoder that meets it."""
-    grid = solver._axis_grid(resolution, 1.0)
+    grid = grid_ref._axis_grid(resolution, 1.0)
     (rate0, dist0, marg0), (rate1, dist1, marg1) = _columns(model, (grid,) * 4)
     feasible = (dist0[:, None] + dist1[None, :] <= D) & (
         np.abs(marg0[:, None] + marg1[None, :] - (1.0 - model.pi)) <= P)
@@ -554,12 +684,12 @@ def _decoder_search(model, axes):
     with a one-sided budget on the pooled P(Shat = 0) in place of its
     two-sided perception test."""
     (a, d, m), (b, e, n) = _columns(model, axes)
-    return solver._PairSearch(a, d, m, b, e, n)
+    return grid_ref._PairSearch(a, d, m, b, e, n)
 
 
 @pytest.mark.parametrize("seed, resolution", [(1, 0.05), (2, 0.05), (3, 0.02)])
 def test_pair_search_matches_full_scan_on_oracle_tables(seed, resolution):
-    grid = solver._axis_grid(resolution, 1.0)
+    grid = grid_ref._axis_grid(resolution, 1.0)
     for model in _seeded_models(seed):
         search = _decoder_search(model, (grid,) * 4)
         arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
@@ -571,7 +701,7 @@ def test_pair_search_matches_full_scan_on_oracle_tables(seed, resolution):
                 if i < 0:
                     continue
                 # a refinement box around this incumbent, as the grid driver builds it
-                box = [solver._refine_axis(v, resolution, 1.0) for v in _decode(grid, i, j)]
+                box = [grid_ref._refine_axis(v, resolution, 1.0) for v in _decode(grid, i, j)]
                 fine = _decoder_search(model, box)
                 assert fine.argmin(d, P) == _reference_min2_scan(
                     fine.a, fine.d, fine.m, fine.b, fine.e, fine.n, d, P)
@@ -583,7 +713,7 @@ def test_pair_search_breaks_ties_on_mirrored_decoders():
     # and their P(Shat = 0) sum to 1; where both are feasible the result
     # must be the lexicographically smaller pair of the two
     model = dsbs_model(0.1, 0.3)
-    grid = solver._axis_grid(0.02, 1.0)
+    grid = grid_ref._axis_grid(0.02, 1.0)
     search = _decoder_search(model, (grid,) * 4)
     arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
 
@@ -608,8 +738,8 @@ def test_pair_search_matches_full_scan_on_min2_tables(seed, resolution):
     for _ in range(2):
         model = dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4))
         q = model.q1
-        grid = solver._axis_grid(resolution, 0.5)
-        search = solver._min2_search(model, q, grid, grid, grid, grid)
+        grid = grid_ref._axis_grid(resolution, 0.5)
+        search = grid_ref._min2_search(model, q, grid, grid, grid, grid)
         arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
         for P in _P_BUDGETS:
             for D in _targets_from(q):
@@ -618,15 +748,16 @@ def test_pair_search_matches_full_scan_on_min2_tables(seed, resolution):
                 _, i, j = expected
                 if i < 0:
                     continue
-                box = [solver._refine_axis(v, resolution, 0.5) for v in _decode(grid, i, j)]
-                fine = solver._min2_search(model, q, *box)
+                box = [grid_ref._refine_axis(v, resolution, 0.5) for v in _decode(grid, i, j)]
+                fine = grid_ref._min2_search(model, q, *box)
                 assert fine.argmin(D, P) == _reference_min2_scan(
                     fine.a, fine.d, fine.m, fine.b, fine.e, fine.n, D, P)
 
 
 @pytest.mark.parametrize("seed, resolution", [(7, 0.05), (8, 0.02)])
 def test_solve_min2_matches_scalar_branch_tables(seed, resolution, monkeypatch):
-    # a DSBS model and one with an asymmetric side channel (a* != b*)
+    # the grid reference solve_min2 replaced, on array and on scalar branch
+    # tables; a DSBS model and one with an asymmetric side channel (a* != b*)
     rng = np.random.default_rng(seed)
     q = rng.uniform(0.0, 0.2)
     models = [dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4)),
@@ -635,18 +766,11 @@ def test_solve_min2_matches_scalar_branch_tables(seed, resolution, monkeypatch):
              for D in _targets_from(model.q1)]
 
     def solve_all():
-        results = []
-        for model, D, P in cases:
-            try:
-                result = solve_min2(model, D, P, resolution)
-                results.append((result.rate, result.branch_allocation))
-            except InfeasibleError:
-                results.append(None)
-        return results
+        return [grid_ref.grid_min2(model, D, P, resolution) for model, D, P in cases]
 
     kernel = solve_all()
     monkeypatch.setattr(
-        solver, "rdpf_piecewise_array",
+        grid_ref, "rdpf_piecewise_array",
         # _min2_search passes the axes as a column and a row
         lambda star, d_col, p_row: _reference_branch_rate_table(star, d_col[:, 0], p_row[0]))
     for array, scalar in zip(kernel, solve_all()):
@@ -660,9 +784,9 @@ def test_solve_min2_matches_scalar_branch_tables(seed, resolution, monkeypatch):
 
 def test_min2_search_tables_follow_each_branch_posterior():
     # equal axes share one table only when the branch posteriors agree too
-    grid = solver._axis_grid(0.05, 0.5)
+    grid = grid_ref._axis_grid(0.05, 0.5)
     for model in (build_model(0.5, 0.1, 0.1, 0.1, 0.3), dsbs_model(0.1, 0.2)):
-        search = solver._min2_search(model, 0.1, grid, grid, grid, grid)
+        search = grid_ref._min2_search(model, 0.1, grid, grid, grid, grid)
         for star, p_y, obj in ((model.a_star, model.p_a, search.a),
                                (model.b_star, model.p_b, search.b)):
             table = rdpf_piecewise_array(min(star, 0.5), grid[:, None], grid[None, :])
@@ -680,7 +804,7 @@ def _brute_force(search, D, P):
 def _rate_bound_of_both(search, D, P):
     """The row bound from both constraints, also at P = inf, where the P
     bound reaches every column."""
-    slack = _TOL + solver._SLACK
+    slack = _TOL + grid_ref._SLACK
     low_d = search.b_min_by_e[np.searchsorted(search.e_sorted, D + slack - search.d,
                                               side="right")]
     low_p = search.b_min_by_n[np.searchsorted(search.n_sorted, P + slack - search.m,
@@ -699,7 +823,7 @@ def test_pair_search_matches_brute_force_on_lattice_tables():
 
     for _ in range(60):
         rows, cols = rng.integers(1, 3000), rng.integers(1, 30)
-        search = solver._PairSearch(lattice(rows, 4), 0.2 + lattice(rows, 8), lattice(rows, 10),
+        search = grid_ref._PairSearch(lattice(rows, 4), 0.2 + lattice(rows, 8), lattice(rows, 10),
                                     lattice(cols, 4), 0.2 + lattice(cols, 8), lattice(cols, 10))
         for _ in range(4):
             D = float(rng.integers(0, 16)) * 0.1
@@ -717,18 +841,18 @@ def test_best_first_visits_rows_whose_bound_ties_the_incumbent():
     # the bound-0 rows come first and find row `late`; a chunk must then
     # start among the bound-1 rows, whose bound equals the incumbent, and
     # row `early` wins the tie on its smaller index
-    early = 2 * solver._MAX_CHUNK
+    early = 2 * grid_ref._MAX_CHUNK
     late = early + 100
     bound = np.r_[np.ones(early + 1), np.zeros(100)]
     scores = np.full(late + 1, 2.0)
     scores[[early, late]] = 1.0
-    assert solver._best_first(bound, lambda rows: scores[rows, None]) == (1.0, early, 0)
+    assert grid_ref._best_first(bound, lambda rows: scores[rows, None]) == (1.0, early, 0)
 
 
 def test_best_first_stops_at_rows_that_can_only_lose_a_tie():
     # the first row reaches the least possible score 0; every later row
     # with bound 0 has a larger index, so at best it ties and loses
-    bound = np.zeros(40 * solver._FIRST_CHUNK)
+    bound = np.zeros(40 * grid_ref._FIRST_CHUNK)
     scores = np.zeros(bound.size)
     scored = []
 
@@ -736,7 +860,7 @@ def test_best_first_stops_at_rows_that_can_only_lose_a_tie():
         scored.extend(rows.tolist())
         return scores[rows, None]
 
-    assert solver._best_first(bound, score) == (0.0, 0, 0)
+    assert grid_ref._best_first(bound, score) == (0.0, 0, 0)
     assert scored == [0]
 
 
@@ -760,7 +884,7 @@ def test_best_first_matches_brute_force_on_tied_lattice_scores():
             scored.extend(r.tolist())
             return scores[r]
 
-        result = solver._best_first(bound, score)
+        result = grid_ref._best_first(bound, score)
         flat = int(np.argmin(scores))
         i, j = divmod(flat, cols)
         expected = (float(scores[i, j]), i, j) if np.isfinite(scores[i, j]) else (INF, -1, -1)
@@ -769,30 +893,3 @@ def test_best_first_matches_brute_force_on_tied_lattice_scores():
         index = np.arange(rows)
         live = (bound < result[0]) | ((bound == result[0]) & (index < result[1]))
         assert set(np.flatnonzero(live).tolist()) <= set(scored)
-
-
-def test_cached_builds_once_under_contending_threads(monkeypatch):
-    # more threads than cores miss the same key together; a check outside
-    # the build would let several of them build
-    monkeypatch.setattr(solver, "_TABLE_CACHE", {})
-    builds, got = [], []
-
-    def build():
-        builds.append(None)
-        time.sleep(0.01)
-        return object()
-
-    threads = [threading.Thread(target=lambda: got.append(solver._cached(("k",), build)))
-               for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(builds) == 1
-    assert len(got) == 8 and all(entry is got[0] for entry in got)
