@@ -138,9 +138,10 @@ def shat_marginal(model: SemanticModel, law: DecoderLaw) -> FiniteDistribution:
 # ---------------------------------------------------------------------------
 
 # The oracle aims at least this far above the distortion floor, within the
-# 1e-12 tolerance, so its multipliers stay finite when D sits at the floor.
+# 1e-12 tolerance, so its multipliers stay finite when D sits at the floor;
+# both solvers let perception pass its budget by this much before it binds.
 _AIM = 1e-13
-_ROOT_TOL, _ROOT_WIDTH = 1e-15, 1e-12  # a bracket closes on its residual or width
+_ROOT_TOL, _ROOT_WIDTH = 1e-12, 1e-10  # a bracket closes on its residual or width
 _K_CAP = 1000.0  # a cell cost in bits past which 2**-k moves no cell off 0 or 1
 _MULTIPLIER_CAP = 2.0 ** 20
 _LN2 = math.log(2.0)
@@ -206,18 +207,20 @@ def _branch_argmin(px0: float, px1: float, k0: float, k1: float) -> tuple[float,
     return r * a0 / (r * a0 + (1.0 - r)), r * a1 / (r * a1 + (1.0 - r))
 
 
-def _bracketed_root(residual, step: float, start: float = 0.0):
+def _bracketed_root(residual, start: float = 0.0, step: float = 1.0, first=None):
     """(cells, multipliers) at the root of a residual that does not increase
     in t >= 0; ``residual(t)`` returns (h, cells, multipliers), and h <= 0 is
-    feasible. The bracket opens at t = start and widens by step, 4 step,
-    16 step, ... away from it: upward until its upper end is feasible, or
-    downward, to 0 at most, until its lower end is not; a feasible t = 0 is
-    the root. Regula falsi (Illinois) closes it. h is linear in the cells,
-    so the two ends mix to put h at 0, also across a jump where a branch
-    minimizer is not unique; the multipliers are those of the end with the
-    larger share."""
+    feasible; ``first`` is residual(start) when the caller already has it.
+    The bracket opens at t = start and widens by step, 4 step, 16 step, ...
+    away from it: upward until its upper end is feasible, or downward, to 0
+    at most, until its lower end is not; a feasible t = 0 is the root.
+    Regula falsi (Illinois) closes it until |h| <= _ROOT_TOL at one end or
+    the bracket is _ROOT_WIDTH wide. h is linear in the cells, so the two
+    ends mix to put h at 0, also across a jump where a branch minimizer is
+    not unique; the multipliers are those of the end with the larger
+    share."""
     lo = hi = start
-    h_lo, z_lo, m_lo = h_hi, z_hi, m_hi = residual(start)
+    h_lo, z_lo, m_lo = h_hi, z_hi, m_hi = first or residual(start)
     while h_hi > 0.0:
         if hi >= _MULTIPLIER_CAP:
             raise _Unbounded
@@ -249,6 +252,21 @@ def _bracketed_root(residual, step: float, start: float = 0.0):
     return mixed, m_lo if theta > 0.5 else m_hi
 
 
+def _warm_start(roots, x: float) -> tuple[float, float]:
+    """(start, step) of a lam root at x, given the (x, lam) of the roots
+    found so far: from 0 by 1 before any, from the one root by 1, and then
+    from the linear interpolation of the two nearest in x, stepping by its
+    distance from the nearer one, at least 2**-30."""
+    if not roots:
+        return 0.0, 1.0
+    (xa, la), *farther = sorted(roots, key=lambda root: abs(root[0] - x))
+    if not farther:
+        return la, 1.0
+    xb, lb = farther[0]
+    lam = la + (lb - la) * (x - xa) / (xb - xa)
+    return max(lam, 0.0), max(abs(lam - la), 2.0 ** -30)
+
+
 def _dual_solve(model: SemanticModel, D: float, P: float, aim_d: float):
     """(cells in (s0, t0, s1, t1) order, dual value) where the minimum is
     positive, at a distortion ``aim_d`` within the tolerance of D.
@@ -258,44 +276,50 @@ def _dual_solve(model: SemanticModel, D: float, P: float, aim_d: float):
     g = sum_y phi_y + lam (P(S = 0) - D) - nu P(S = 0) - |nu| P. At fixed nu
     the minimizer's distortion does not increase in lam: a root puts it on
     aim_d. Unless that meets P with nu = 0, P(Shat = 0) does not increase
-    in nu (lam re-solved each time): a second root puts it on the nearer
-    edge of the budget."""
+    in nu (lam re-solved each time): a second root, which opens on the
+    nu = 0 root, puts it on the nearer edge of the budget. Each lam root at
+    nu != 0 starts from the roots found at nu != 0 (_warm_start)."""
     p0, p1 = model.joint.masses.reshape(2, 4)[:, [0, 2, 1, 3]]
     weight, cost = (p0 + p1).tolist(), (p1 - p0).tolist()
-    slope = [c / w if w > 0 else 0.0 for c, w in zip(cost, weight)]
     branch = [weight[k & 2] + weight[k | 1] for k in range(4)]  # P(Y = y) per cell
     p_x = [w / b for w, b in zip(weight, branch)]  # p(x | y)
     base, source0 = float(p0.sum()), 1.0 - model.pi
+    (px0, px1, px2, px3), (c0, c1, c2, c3) = p_x, cost
+    g0, g1, g2, g3 = (c / w if w > 0 else 0.0 for c, w in zip(cost, weight))  # lam's slope per cell
 
-    def argmin(lam, nu):
-        k = [lam * s + nu for s in slope]
-        return (*_branch_argmin(p_x[0], p_x[1], k[0], k[1]),
-                *_branch_argmin(p_x[2], p_x[3], k[2], k[3]))
-
-    def distortion(z):
-        return base + sum(c * v for c, v in zip(cost, z))
+    def argmin(lam, nu):  # (cells, their distortion)
+        z = (*_branch_argmin(px0, px1, lam * g0 + nu, lam * g1 + nu),
+             *_branch_argmin(px2, px3, lam * g2 + nu, lam * g3 + nu))
+        return z, base + (c0 * z[0] + c1 * z[1] + c2 * z[2] + c3 * z[3])
 
     def mass0(z):
         return sum(w * v for w, v in zip(weight, z))
 
+    roots = []  # (nu, lam) of the lam roots found at nu != 0
+
     def on_distortion(nu):
         def residual(lam):
-            z = argmin(lam, nu)
-            return distortion(z) - aim_d, z, (lam, nu)
-        return _bracketed_root(residual, 1.0)
+            z, distortion = argmin(lam, nu)
+            return distortion - aim_d, z, (lam, nu)
+        return _bracketed_root(residual, *_warm_start(roots, nu))
 
-    z, (lam, nu) = on_distortion(0.0)
+    # never a warm start from nu = 0: lam can sit at 0+ there, where
+    # _branch_argmin loses its precision
+    z, found = on_distortion(0.0)
     sign = math.copysign(1.0, mass0(z) - source0)
-    if sign * (mass0(z) - source0) > P + _ROOT_TOL:
+    excess = sign * (mass0(z) - source0)
+    if excess > P + _AIM:
         def residual(t):
-            z_t, found = on_distortion(sign * t)
-            return sign * (mass0(z_t) - source0) - P, z_t, found
-        z, (lam, nu) = _bracketed_root(residual, 1.0)
-    s = argmin(lam, nu)  # g is the Lagrangian at its minimizer
+            z_t, found_t = on_distortion(sign * t)
+            roots.append(found_t[::-1])
+            return sign * (mass0(z_t) - source0) - P, z_t, found_t
+        z, found = _bracketed_root(residual, first=(excess - P, z, found))
+    lam, nu = found
+    s, distortion = argmin(lam, nu)  # g is the Lagrangian at its minimizer
     rate = sum(branch[k] * binary_entropy(p_x[k] * s[k] + p_x[k + 1] * s[k + 1])
                - weight[k] * binary_entropy(s[k]) - weight[k + 1] * binary_entropy(s[k + 1])
                for k in (0, 2))
-    dual = rate + lam * (distortion(s) - D) + nu * (mass0(s) - source0)
+    dual = rate + lam * (distortion - D) + nu * (mass0(s) - source0)
     return z, dual - abs(nu) * P if nu else dual  # |nu| P is 0 at nu = 0, also at P = inf
 
 
@@ -408,6 +432,27 @@ def _zero_rate_allocation(star, weight, P: float):
     return allocation
 
 
+def _min2_cells(branches, lam: float, mu: float):
+    """(cells P(Shat = 0 | X = x) of both branches, weighted distortion) of
+    the branch minimizers at multipliers (lam, mu); branch y = (s, c, w)
+    pays (k0, k1) = (nu - lam, nu + lam) with nu = min(nu0_y(lam), mu)."""
+    cells, distortion = [], 0.0
+    for s, c, w in branches:
+        k0 = _zero_perception_cost(s, lam)
+        if k0 + lam > mu:
+            k0 = mu - lam
+        z0, z1 = _branch_argmin(c, s, k0, k0 + 2.0 * lam)
+        cells += (z0, z1)
+        distortion += w * (c * (1.0 - z0) + s * z1)
+    return cells, distortion
+
+
+def _plateau_edge(branches, lam: float) -> float:
+    """mu_e = max_y nu0_y(lam): at mu >= mu_e every branch pays nu0_y, so
+    it sits at zero perception."""
+    return max(_zero_perception_cost(s, lam) for s, _, _ in branches) + lam
+
+
 def _min2_dual(star, weight, target: float, aim: float, P: float):
     """(per-branch (d_y, p_y), dual value) of the least sum_y w_y R_y(d_y, p_y)
     with sum_y w_y d_y at ``aim`` and sum_y w_y p_y <= P, where the minimum is
@@ -420,53 +465,44 @@ def _min2_dual(star, weight, target: float, aim: float, P: float):
     A root on lam puts the distortion on aim; unless that meets P with
     mu = 0, a second root on mu (lam re-solved each time) puts the
     perception at P + _AIM, inside the tolerance: it never reads exactly 0
-    in floats. At P = 0, mu = inf and only the lam root runs."""
+    in floats. At P = 0, mu = inf and only the lam root runs. For mu at or
+    above mu_e = max_y nu0_y(lam_inf), with lam_inf the root at mu = inf,
+    every branch sits at zero perception and lam = lam_inf, so the mu root
+    lies in [0, mu_e]. Each lam root at 0 < mu < mu_e starts from the
+    roots found at mu > 0 (_warm_start)."""
     branches = [(s, 1.0 - s, w) for s, w in zip(star, weight)]
-
-    def costs(s, lam, mu):  # (k0, k1) = (nu - lam, nu + lam) at nu = min(nu0, mu)
-        k0 = _zero_perception_cost(s, lam)
-        if k0 + lam > mu:
-            k0 = mu - lam
-        return k0, k0 + 2.0 * lam
-
-    def argmin(lam, mu):
-        cells = []
-        for s, c, _ in branches:
-            cells += _branch_argmin(c, s, *costs(s, lam, mu))
-        return cells
+    roots = []  # (mu, lam) of the lam roots found at mu > 0
 
     def allocation(z):  # per branch (P(X != Shat), |P(Shat = 0) - c|)
         return [(c * (1.0 - z0) + s * z1, abs(c * z0 + s * z1 - c))
                 for (s, c, _), z0, z1 in zip(branches, z[::2], z[1::2])]
 
-    def total(z, k):  # weighted distortion (k = 0) or perception (k = 1)
-        return sum(w * pair[k] for (_, _, w), pair in zip(branches, allocation(z)))
-
-    warm = (0.0, 1.0)  # (start, step) of the next lam root: near the last one at mu > 0
-
     def on_distortion(mu):
-        nonlocal warm
-
         def residual(lam):
-            z = argmin(lam, mu)
-            return total(z, 0) - aim, z, (lam, mu)
-        # at mu = 0 the root can sit at lam = 0+, across a jump of the
-        # minimizer, where the branch minimizers lose their precision
-        start, step = warm if mu > 0.0 else (0.0, 1.0)
-        z, found = _bracketed_root(residual, step, start)
-        if mu > 0.0:
-            warm = (found[0], max(abs(found[0] - start), 2.0 ** -20))
-        return z, found
+            cells, distortion = _min2_cells(branches, lam, mu)
+            return distortion - aim, cells, (lam, mu)
+        return _bracketed_root(residual, *_warm_start(roots, mu))
 
-    def on_perception(mu):
-        z, found = on_distortion(mu)
-        return total(z, 1) - (P + _AIM), z, found
+    def excess(z):  # the weighted perception past its aim
+        return sum(w * p for (_, _, w), (_, p) in zip(branches, allocation(z))) - (P + _AIM)
 
-    z, (lam, mu) = on_distortion(math.inf) if P == 0.0 else _bracketed_root(on_perception, 1.0)
-    cells = argmin(lam, mu)  # g is the Lagrangian at its minimizer
+    z, (lam, mu) = on_distortion(math.inf if P == 0.0 else 0.0)
+    if P > 0.0 and excess(z) > 0.0:
+        z_inf, (lam_inf, _) = on_distortion(math.inf)
+        edge = _plateau_edge(branches, lam_inf)
+        roots.append((edge, lam_inf))
+
+        def on_perception(mu):
+            if mu >= edge:  # zero perception: its excess is -(P + _AIM) up to rounding
+                return -(P + _AIM), z_inf, (lam_inf, mu)
+            z_mu, found = on_distortion(mu)
+            roots.append((mu, found[0]))
+            return excess(z_mu), z_mu, found
+        z, (lam, mu) = _bracketed_root(on_perception, step=edge, first=(excess(z), z, (lam, mu)))
+    cells = _min2_cells(branches, lam, mu)[0]  # g is the Lagrangian at its minimizer
     dual = -lam * target - (mu * P if 0.0 < P < math.inf else 0.0)  # mu P is inf * 0 at P = 0 or inf
     for (s, c, w), z0, z1 in zip(branches, cells[::2], cells[1::2]):
-        nu = costs(s, lam, mu)[0] + lam
+        nu = min(_zero_perception_cost(s, lam) + lam, mu)
         m = c * z0 + s * z1  # P(Shat = 0) on the branch
         info = binary_entropy(m) - c * binary_entropy(z0) - s * binary_entropy(z1)
         dual += w * (info + lam * (c * (1.0 - z0) + s * z1) + nu * (m - c))

@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import re
+import statistics
 
 import numpy as np
 import pytest
@@ -614,6 +616,124 @@ def test_oracle_edge_cases():
         assert result.rate > 0.0
         _assert_certified(noisy, D, P, result)
         assert result.rate <= _reference_scan(noisy, D, P) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the nested multiplier searches of both exact solvers
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), a=st.floats(1e-9, 1.0), b=st.floats(1e-9, 1.0),
+       share=st.floats(0.01, 0.99))
+def test_min2_plateau_edge_holds_every_branch_at_zero_perception(q, a, b, share):
+    # at mu >= mu_e = max_y nu0_y(lam_inf) every branch pays its own nu0_y,
+    # so the cells are those of the mu = inf root and lam stays lam_inf:
+    # the mu root's bracket is exactly [0, mu_e]
+    model = _min2_model(q, a, b)
+    star = (min(model.a_star, 0.5), min(model.b_star, 0.5))
+    branches = [(s, 1.0 - s, w) for s, w in zip(star, (model.p_a, model.p_b))]
+    aim = share * sum(w * 2 * s * (1 - s) for s, _, w in branches)  # below the zero-rate distortion
+
+    def residual(lam):
+        cells, distortion = solver._min2_cells(branches, lam, INF)
+        return distortion - aim, cells, lam
+    z_inf, lam_inf = solver._bracketed_root(residual)
+    edge = solver._plateau_edge(branches, lam_inf)
+    cells = solver._min2_cells(branches, lam_inf, edge)[0]
+    assert cells == solver._min2_cells(branches, lam_inf, INF)[0]
+    perception = sum(w * abs(c * z0 + s * z1 - c)
+                     for (s, c, w), z0, z1 in zip(branches, cells[::2], cells[1::2]))
+    # the branch minimizer's stationary r loses about 1e-16 / lam
+    assert perception <= 1e-15 / min(lam_inf, 1.0)
+    distortion = sum(w * (c * (1 - z0) + s * z1)
+                     for (s, c, w), z0, z1 in zip(branches, z_inf[::2], z_inf[1::2]))
+    assert distortion == pytest.approx(aim, abs=1e-12)
+
+
+def _recorded_roots(monkeypatch):
+    """(start, multipliers) of every _bracketed_root call, in order of return."""
+    roots, real = [], solver._bracketed_root
+
+    def recorded(residual, start=0.0, step=1.0, first=None):
+        cells, multipliers = real(residual, start, step, first)
+        roots.append((start, multipliers))
+        return cells, multipliers
+    monkeypatch.setattr(solver, "_bracketed_root", recorded)
+    return roots
+
+
+def _assert_no_warm_start_from_the_unconstrained_root(roots):
+    # the lam root at nu = 0 (mu = 0) can sit at lam = 0+, where the branch
+    # minimizers lose their precision; the roots at nu != 0 start elsewhere
+    (unconstrained,) = [m[0] for _, m in roots if m[1] == 0.0]
+    assert any(m[1] != 0.0 for _, m in roots)
+    assert all(start != unconstrained for start, m in roots if m[1] != 0.0)
+    return unconstrained
+
+
+@pytest.mark.parametrize("q, pi_x, D, P", [
+    (0.1, 0.2, 0.275, 0.05),  # the mu = 0 root jumps at lam = 0+
+    # two draws whose mu = 0 root settles at lam ~ 1e-11
+    (0.0785, 0.2341, 0.2762, 0.05),
+    (0.0328, 0.1689, 0.1972, 0.02),
+])
+def test_nested_roots_near_the_lam_jump_come_from_the_dual(q, pi_x, D, P, monkeypatch):
+    model = dsbs_model(q, pi_x)
+    roots = _recorded_roots(monkeypatch)
+    result = solve_min2(model, D, P)
+    assert _assert_no_warm_start_from_the_unconstrained_root(roots) < 1e-9
+    # the dual's allocation, not the capped multiplier's Shat = X
+    _assert_min2_certified(model, D, P, result)
+    assert result.branch_allocation != (0.0,) * 4 and result.dual_bound > 0.0
+    assert abs(result.achieved_D - D) <= 1e-12 and abs(result.achieved_P - P) <= 1e-12
+    # mirror averaging: the oracle reaches the distortion-only rate, here 0
+    oracle = oracle_min_rate(model, D, P)
+    _assert_certified(model, D, P, oracle)
+    assert oracle.rate == pytest.approx(closed_form_rate(model, D, INF), abs=1e-9)
+
+
+def test_oracle_nested_roots_never_warm_start_from_the_unconstrained_root(monkeypatch):
+    model = build_model(0.4, 0.1, 0.15, 0.2, 0.3)
+    roots = _recorded_roots(monkeypatch)
+    result = oracle_min_rate(model, 0.22, 0.01)
+    _assert_no_warm_start_from_the_unconstrained_root(roots)
+    _assert_certified(model, 0.22, 0.01, result)
+    exact = evaluate_decoder(model, result.argmin)
+    assert abs(exact.distortion - 0.22) <= 1e-12 and abs(exact.perception - 0.01) <= 1e-12
+
+
+def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
+    # the count is deterministic, so a slower multiplier search fails here;
+    # the medians of _branch_argmin calls per P-binding query were 138
+    # (solve_min2) and 240 (oracle) before the exact mu bracket, the warm
+    # starts and the reused nu = 0 root, and 100 and 98 with them
+    calls = [0]
+    real = solver._branch_argmin
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(solver, "_branch_argmin", counted)
+    rng = random.Random(15)
+    min2, oracle = [], []
+    for k in range(40):
+        q, pi_x = round(rng.uniform(0.02, 0.2), 4), round(rng.uniform(0.1, 0.4), 4)
+        D, P = q + rng.uniform(0.4, 0.9) * (1 - 2 * q) * pi_x, (0.02, 0.05)[k % 2]
+        calls[0] = 0
+        if abs(solve_min2(dsbs_model(q, pi_x), D, P).achieved_P - P) <= 1e-12:
+            min2.append(calls[0])
+    for _ in range(20):
+        model = build_model(*(round(rng.uniform(lo, hi), 4) for lo, hi in (
+            (0.25, 0.5), (0.05, 0.2), (0.05, 0.2), (0.1, 0.35), (0.1, 0.35))))
+        floor = solver._distortion_floor(model, 0.01)[0]
+        D = floor + rng.uniform(0.02, 0.25) * (0.5 - floor)
+        calls[0] = 0
+        result = oracle_min_rate(model, D, 0.01)
+        if result.rate > 0.0 and abs(evaluate_decoder(model, result.argmin).perception
+                                     - 0.01) <= 1e-12:
+            oracle.append(calls[0])
+    assert len(min2) >= 35 and len(oracle) >= 15
+    assert statistics.median(min2) <= 110 and statistics.median(oracle) <= 108
 
 
 # ---------------------------------------------------------------------------
