@@ -26,6 +26,8 @@ Two independent routes are provided on purpose:
   (Blau & Michaeli 2019), so the program is a separable convex allocation:
   it is solved exactly by the oracle's branch minimizers and bracketed
   roots, one multiplier on each budget, and carries its dual value too.
+  Its distortion root without perception multiplier is closed-form (Blahut
+  1972); equal posteriors are priced once, and a zero one is dropped.
 """
 
 import math
@@ -386,11 +388,6 @@ def _min2_hypotheses(model: SemanticModel) -> float:
             f"the distortion conversion divides by 1 - 2q, so q must lie below 1/2, "
             f"got {model.q1}"
         )
-    if min(model.a_star, model.b_star) <= 0.0:
-        raise DomainError(
-            f"branch posteriors must be positive, got a*={model.a_star}, b*={model.b_star}; "
-            "a branch that knows X from Y has no Bernoulli RDPF"
-        )
     if model.a_star > 0.5 + _TOL or model.b_star > 0.5 + _TOL:
         raise HypothesisError(
             f"branch posteriors must not exceed 1/2, got a*={model.a_star}, "
@@ -433,24 +430,43 @@ def _zero_rate_allocation(star, weight, P: float):
 
 
 def _min2_cells(branches, lam: float, mu: float):
-    """(cells P(Shat = 0 | X = x) of both branches, weighted distortion) of
-    the branch minimizers at multipliers (lam, mu); branch y = (s, c, w)
-    pays (k0, k1) = (nu - lam, nu + lam) with nu = min(nu0_y(lam), mu)."""
-    cells, distortion = [], 0.0
+    """(cells P(Shat = 0 | X = x) of the branch minimizers, weighted distortion)
+    at multipliers (lam, mu); branch y = (s, c, w) pays (k0, k1) = (nu - lam,
+    nu + lam), nu = min(nu0_y(lam), mu), once per run of equal posteriors."""
+    cells, distortion, last = [], 0.0, None
     for s, c, w in branches:
-        k0 = _zero_perception_cost(s, lam)
-        if k0 + lam > mu:
-            k0 = mu - lam
-        z0, z1 = _branch_argmin(c, s, k0, k0 + 2.0 * lam)
+        if s != last:
+            k0 = _zero_perception_cost(s, lam)
+            if k0 + lam > mu:
+                k0 = mu - lam
+            z0, z1 = _branch_argmin(c, s, k0, k0 + 2.0 * lam)
+            d, last = c * (1.0 - z0) + s * z1, s
         cells += (z0, z1)
-        distortion += w * (c * (1.0 - z0) + s * z1)
+        distortion += w * d
     return cells, distortion
 
 
 def _plateau_edge(branches, lam: float) -> float:
     """mu_e = max_y nu0_y(lam): at mu >= mu_e every branch pays nu0_y, so
     it sits at zero perception."""
-    return max(_zero_perception_cost(s, lam) for s, _, _ in branches) + lam
+    return max(_zero_perception_cost(s, lam) for s in {s for s, _, _ in branches}) + lam
+
+
+def _slope_start(branches, aim: float) -> tuple[float, float]:
+    """(start, step) of the lam root at mu = 0: branch y is a Bernoulli(s_y)
+    source at distortion min(d, s_y), lam = log2((1 - d) / d) the slope of
+    h(s_y) - h(d) (Blahut 1972). The root solves sum_y w_y min(d, s_y) = aim
+    (step: ~_ROOT_TOL in h), is the jump at lam = 0+, or unbounded at aim <= 0."""
+    if aim <= 0.0:
+        return 0.0, 1.0
+    if sum(w * s for s, _, w in branches) <= aim:  # the cells' distortion at Shat = 0
+        return 0.0, _ROOT_WIDTH
+    fixed, free = 0.0, sum(w for _, _, w in branches)
+    for s, _, w in sorted(branches)[:-1]:
+        if fixed + free * s < aim:  # d* > s: the branch sits at s
+            fixed, free = fixed + w * s, free - w
+    d = (aim - fixed) / free
+    return max(math.log2((1.0 - d) / d), 0.0), _ROOT_TOL / (_LN2 * free * d * (1.0 - d))
 
 
 def _min2_dual(star, weight, target: float, aim: float, P: float):
@@ -468,9 +484,9 @@ def _min2_dual(star, weight, target: float, aim: float, P: float):
     in floats. At P = 0, mu = inf and only the lam root runs. For mu at or
     above mu_e = max_y nu0_y(lam_inf), with lam_inf the root at mu = inf,
     every branch sits at zero perception and lam = lam_inf, so the mu root
-    lies in [0, mu_e]. Each lam root at 0 < mu < mu_e starts from the
-    roots found at mu > 0 (_warm_start)."""
-    branches = [(s, 1.0 - s, w) for s, w in zip(star, weight)]
+    lies in [0, mu_e]. The lam roots open at _slope_start at mu = 0, else at
+    _warm_start. A branch with s_y = 0 is dropped at d_y = p_y = 0."""
+    branches = [(s, 1.0 - s, w) for s, w in zip(star, weight) if s > 0.0]
     roots = []  # (mu, lam) of the lam roots found at mu > 0
 
     def allocation(z):  # per branch (P(X != Shat), |P(Shat = 0) - c|)
@@ -481,7 +497,8 @@ def _min2_dual(star, weight, target: float, aim: float, P: float):
         def residual(lam):
             cells, distortion = _min2_cells(branches, lam, mu)
             return distortion - aim, cells, (lam, mu)
-        return _bracketed_root(residual, *_warm_start(roots, mu))
+        return _bracketed_root(residual, *(_warm_start(roots, mu) if mu else
+                                           _slope_start(branches, aim)))
 
     def excess(z):  # the weighted perception past its aim
         return sum(w * p for (_, _, w), (_, p) in zip(branches, allocation(z))) - (P + _AIM)
@@ -501,12 +518,16 @@ def _min2_dual(star, weight, target: float, aim: float, P: float):
         z, (lam, mu) = _bracketed_root(on_perception, step=edge, first=(excess(z), z, (lam, mu)))
     cells = _min2_cells(branches, lam, mu)[0]  # g is the Lagrangian at its minimizer
     dual = -lam * target - (mu * P if 0.0 < P < math.inf else 0.0)  # mu P is inf * 0 at P = 0 or inf
+    last = None
     for (s, c, w), z0, z1 in zip(branches, cells[::2], cells[1::2]):
-        nu = min(_zero_perception_cost(s, lam) + lam, mu)
-        m = c * z0 + s * z1  # P(Shat = 0) on the branch
-        info = binary_entropy(m) - c * binary_entropy(z0) - s * binary_entropy(z1)
-        dual += w * (info + lam * (c * (1.0 - z0) + s * z1) + nu * (m - c))
-    return allocation(z), dual
+        if s != last:
+            nu = min(_zero_perception_cost(s, lam) + lam, mu)
+            m = c * z0 + s * z1  # P(Shat = 0) on the branch
+            info = binary_entropy(m) - c * binary_entropy(z0) - s * binary_entropy(z1)
+            term, last = info + lam * (c * (1.0 - z0) + s * z1) + nu * (m - c), s
+        dual += w * term
+    kept = iter(allocation(z))
+    return [next(kept) if s > 0.0 else (0.0, 0.0) for s in star], dual
 
 
 def solve_min2(model: SemanticModel, D: float, P: float,
@@ -519,11 +540,11 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     Rate 0 when the zero-rate knapsack over both branches meets D;
     otherwise the Lagrangian dual with the oracle's branch minimizers and
     bracketed roots, and ``dual_bound`` is its value at the returned
-    multipliers. The rate is sum_y w_y rdpf_piecewise(s_y, d_y, p_y) at
-    the allocation, clipped at 0. Where no distortion is left to aim at (D
-    within rounding of q - 1e-12), the distortion multiplier would pass
-    2**20; the allocation is then d_y = p_y = 0, Shat = X, and the bound is
-    only 0.
+    multipliers. The rate is sum_y w_y rdpf_piecewise(s_y, d_y, p_y) at the
+    allocation, clipped at 0; s_y = 0 knows X from Y, at d_y = p_y = 0. Where
+    no distortion is left to aim at (D within rounding of q - 1e-12), the
+    distortion multiplier would pass 2**20; the allocation is then d_y =
+    p_y = 0, Shat = X, and the bound is only 0.
 
     achieved_P reports the aligned budget p_a p_0 + p_b p_1, an upper bound
     on the true total variation of any decoder realizing the allocation.
@@ -548,7 +569,7 @@ def solve_min2(model: SemanticModel, D: float, P: float,
         except _Unbounded:
             allocation = [(0.0, 0.0)] * 2
         rate = max(0.0, sum(w * rdpf_piecewise(s, d, p)
-                            for s, w, (d, p) in zip(star, weight, allocation)))
+                            for s, w, (d, p) in zip(star, weight, allocation) if s > 0.0))
     (d0, p0), (d1, p1) = allocation
     return SolverResult(rate=rate, achieved_D=scale * (weight[0] * d0 + weight[1] * d1) + q,
                         achieved_P=weight[0] * p0 + weight[1] * p1, argmin=None,

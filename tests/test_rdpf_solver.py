@@ -6,7 +6,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semrdp import (
@@ -465,6 +465,22 @@ def test_solve_min2_edge_cases():
         assert result.rate <= grid_ref.grid_min2(near, D, P, 0.05)[0] + 1e-9
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 0.3), (0.3, 0.0)])
+def test_solve_min2_drops_a_branch_that_knows_x_from_y(a, b):
+    # a = 0 gives b* = 0 (and b = 0 gives a* = 0): given that Y, X is known,
+    # so the branch costs no rate at d = p = 0 and only the other one is priced
+    model = build_model(0.5, 0.1, 0.1, a, b)
+    known = (model.a_star, model.b_star).index(0.0)
+    for D, P in ((0.2, 0.05), (0.1, 0.0), (0.15, 0.02), (0.2, INF), (0.3, 0.01)):
+        result = solve_min2(model, D, P)
+        assert result.achieved_D <= D + 1e-12 and result.achieved_P <= P + 1e-12
+        assert result.branch_allocation[known::2] == (0.0, 0.0)
+        assert abs(result.rate - result.dual_bound) <= 1e-9
+        assert result.rate >= oracle_min_rate(model, D, P).dual_bound - 1e-9
+    # the oracle's answer at this target, where a zero posterior used to raise
+    assert solve_min2(model, 0.2, 0.05).rate == pytest.approx(0.0634623, abs=1e-6)
+
+
 def test_zero_perception_cost():
     # k0 = nu0 - lam keeps the branch minimizer at P(Shat = 0) = 1 - s, also
     # for posteriors and multipliers near 0, where nu0 - lam cancels; nu0 is
@@ -702,11 +718,114 @@ def test_oracle_nested_roots_never_warm_start_from_the_unconstrained_root(monkey
     assert abs(exact.distortion - 0.22) <= 1e-12 and abs(exact.perception - 0.01) <= 1e-12
 
 
+def _min2_cells_priced_per_branch(branches, lam, mu):
+    """_min2_cells as it was before it priced a repeated posterior once."""
+    cells, distortion = [], 0.0
+    for s, c, w in branches:
+        k0 = solver._zero_perception_cost(s, lam)
+        if k0 + lam > mu:
+            k0 = mu - lam
+        z0, z1 = solver._branch_argmin(c, s, k0, k0 + 2.0 * lam)
+        cells += (z0, z1)
+        distortion += w * (c * (1.0 - z0) + s * z1)
+    return cells, distortion
+
+
+@pytest.mark.parametrize("params, D, priced", [
+    ((0.5, 0.1, 0.1, 0.2, 0.2), 0.2, 1),  # dsbs_model(0.1, 0.2): a* = b*
+    ((0.5, 0.1, 0.1, 0.15, 0.3), 0.25, 2),
+])
+def test_min2_prices_each_distinct_branch_posterior_once(params, D, priced, monkeypatch):
+    model = build_model(*params)
+    counts = {"_branch_argmin": 0, "_zero_perception_cost": 0}
+    for name in counts:
+        def counted(*args, real=getattr(solver, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(solver, name, counted)
+    per_call, cells = [], solver._min2_cells
+
+    def recorded(branches, lam, mu):
+        before = dict(counts)
+        found = cells(branches, lam, mu)
+        per_call.append(tuple(counts[name] - before[name] for name in counts))
+        assert found == _min2_cells_priced_per_branch(branches, lam, mu)  # bit-equal
+        return found
+    monkeypatch.setattr(solver, "_min2_cells", recorded)
+    # perception binds, so the lam roots run at mu = 0, mu = inf and between
+    assert abs(solve_min2(model, D, 0.05).achieved_P - 0.05) <= 1e-12
+    assert len(per_call) > 10 and set(per_call) == {(priced, priced)}
+    # only bit-equal posteriors share a pricing: one ulp apart is two
+    s = model.a_star
+    branches = [(s, 1.0 - s, 0.5), (math.nextafter(s, 1.0), 1.0 - s, 0.5)]
+    per_call.clear()
+    solver._min2_cells(branches, 1.5, 0.1)
+    assert per_call == [(2, 2)]
+
+
+def _recorded_evaluations(mp):
+    """[start, residual evaluations, multipliers] of every _bracketed_root
+    call, in order of call."""
+    calls, real = [], solver._bracketed_root
+
+    def recorded(residual, start=0.0, step=1.0, first=None):
+        call = [start, 0, None]
+        calls.append(call)
+
+        def counted(t):
+            call[1] += 1
+            return residual(t)
+        cells, call[2] = real(counted, start, step, first)
+        return cells, call[2]
+    mp.setattr(solver, "_bracketed_root", recorded)
+    return calls
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+       share=st.floats(0.0, 1.0), P=st.sampled_from([1e-3, 0.02, 0.05, INF]))
+@example(q=0.1, a=0.2, b=0.2, share=0.4375, P=0.05)  # D = 0.275: the jump at lam = 0+
+@example(q=0.0, a=0.0, b=0.5, share=0.5, P=1e-3)  # aim = sum_y w_y s_y: flat on (0, lam*]
+def test_min2_unconstrained_root_opens_at_its_exact_multiplier(q, a, b, share, P):
+    # at mu = 0 each branch is a distortion-only Bernoulli source, so the lam
+    # root is known in closed form; the bracket only confirms it
+    assume(a + b <= 1.0)  # a zero posterior included
+    model = _drawn_model(0.5, (q, q, a, b))
+    D = q + share * (0.5 - q)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_evaluations(mp)
+        result = solve_min2(model, D, P)
+    if calls:  # the first root is the one at mu = 0
+        start, evaluations, (lam, mu) = calls[0]
+        assert mu == 0.0 and evaluations <= 3
+        assert result.achieved_D <= D + 1e-12 and result.achieved_P <= P + 1e-12
+        assert abs(result.rate - result.dual_bound) <= 1e-9
+
+
+@pytest.mark.parametrize("q, pi_x, D, P", [
+    (0.0785, 0.2341, 0.2762, 0.05),  # 22 evaluations from [0, 1] before
+    (0.1, 0.2, 0.275, 0.05),  # 17 before
+])
+def test_min2_unconstrained_root_at_the_jump_takes_two_evaluations(q, pi_x, D, P, monkeypatch):
+    # past sum_y w_y s_y the mu = 0 root is the jump at lam = 0+, where
+    # regula falsi from [0, 1] crawled; the bracket [0, _ROOT_WIDTH] mixes
+    # its ends there at once
+    calls = _recorded_evaluations(monkeypatch)
+    result = solve_min2(dsbs_model(q, pi_x), D, P)
+    start, evaluations, (lam, mu) = calls[0]
+    assert (start, mu) == (0.0, 0.0) and 0.0 < lam <= solver._ROOT_WIDTH
+    assert evaluations <= 3
+    _assert_min2_certified(dsbs_model(q, pi_x), D, P, result)
+    assert abs(result.achieved_P - P) <= 1e-12
+
+
 def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
     # the count is deterministic, so a slower multiplier search fails here;
     # the medians of _branch_argmin calls per P-binding query were 138
     # (solve_min2) and 240 (oracle) before the exact mu bracket, the warm
-    # starts and the reused nu = 0 root, and 100 and 98 with them
+    # starts and the reused nu = 0 root, and 100 and 98 with them;
+    # solve_min2's fell to 43 once it priced equal posteriors once and
+    # opened its mu = 0 root at the exact multiplier
     calls = [0]
     real = solver._branch_argmin
 
@@ -733,7 +852,36 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
                                      - 0.01) <= 1e-12:
             oracle.append(calls[0])
     assert len(min2) >= 35 and len(oracle) >= 15
-    assert statistics.median(min2) <= 110 and statistics.median(oracle) <= 108
+    assert statistics.median(min2) <= 48 and statistics.median(oracle) <= 108
+
+
+# ---------------------------------------------------------------------------
+# invariants of both exact solvers across targets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("route", ["oracle", "min2"])
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(pi=st.floats(0.0, 0.5), channels=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+       shares=st.tuples(st.floats(1e-3, 1.0), st.floats(0.0, 0.1)),
+       P=st.sampled_from([0.0, 1e-3, 0.05]), widen=st.sampled_from([0.0, 1e-3, 0.05, INF]))
+def test_rates_do_not_increase_as_the_budgets_loosen(route, pi, channels, shares, P, widen):
+    # every decoder meeting (D, P) meets a looser (D', P'), so the minimum
+    # does not rise: the rate u' at (D', P') stays within its gap u' - l' of
+    # the rate u at (D, P), that is l' <= u, up to the 1e-12 tolerance of
+    # the targets. D stays off the floor, where the solvers aim 1e-13 above
+    # it and an unbounded multiplier scales that into the dual value; the
+    # looser target stays near, where a wrong rate or bound shows
+    if route == "min2":
+        q, _, a, b = channels
+        assume(a + b <= 1.0)
+        q *= 0.45
+        model, solve, floor = _drawn_model(0.5, (q, q, a, b)), solve_min2, q
+    else:
+        model, solve = _drawn_model(pi, channels), oracle_min_rate
+        floor = solver._distortion_floor(model, P)[0]
+    D = floor + shares[0] * (0.5 - floor)
+    looser = solve(model, D + shares[1] * (0.5 - D), P + widen)
+    assert looser.rate <= solve(model, D, P).rate + (looser.rate - looser.dual_bound) + 1e-12
 
 
 # ---------------------------------------------------------------------------
