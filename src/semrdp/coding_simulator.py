@@ -10,8 +10,11 @@ global random state is touched anywhere.
 
 One trial loop serves the decoder trials and the binning experiment: trial
 t samples (S, X, Y) on stream (seed, t, 0) and the caller reconstructs
-from (X, Y) on stream (seed, t, 1). Each report also carries the signed
-perception Phat(Shat = 0) - Phat(S = 0), its mean and standard error.
+from (X, Y) on stream (seed, t, 1). A trial runs in chunks of whole
+perception sub-blocks, and both streams continue across its chunks, so
+every report equals that of one whole-block pass. Each report also carries
+the signed perception Phat(Shat = 0) - Phat(S = 0), its mean and standard
+error.
 
 The binning experiment replaces typical-set machinery, which is vacuous at
 block lengths this small, with minimum-Hamming-distance selection: the
@@ -32,7 +35,7 @@ from .rdpf_solver import DecoderLaw, shat_marginal
 from .semantic_model import SemanticModel
 
 _CODEBOOK_LOG2_CAP = 24.0
-_CODEBOOK_CHUNK = 1 << 16  # codeword symbols drawn as float64 uniforms at a time
+_CODEBOOK_CHUNK = 1 << 16  # symbols drawn as float64 uniforms at a time (codebooks, trials)
 _SUB_BLOCK = 100  # sub-block length of the decoder trials' blockwise perception
 
 
@@ -118,12 +121,28 @@ def sample_block(model: SemanticModel, n: int, seed: int):
     """
     if n < 1:
         raise DomainError(f"block length must be positive, got {n}")
-    cum = np.cumsum(model.joint.masses.ravel())
-    u = _rng(seed).random(n)
-    idx = np.zeros(n, dtype=np.uint8)
-    for threshold in cum[:-1]:
-        idx += u >= threshold
+    idx = _sample_cells(model, _rng(seed), np.empty(n), np.empty(n, dtype=bool),
+                        np.empty(n, dtype=np.uint8))
     return idx >> 2, (idx >> 1) & 1, idx & 1
+
+
+def _sample_cells(model, rng, u, mask, cells):
+    """Fill the uint8 ``cells`` with the cell index 4s + 2x + y of one
+    uniform each, drawn into ``u``: the count of thresholds at or below it."""
+    rng.random(out=u)
+    cells.fill(0)
+    for threshold in np.cumsum(model.joint.masses.ravel())[:-1]:  # uint8 adds need no cast
+        np.add(cells, np.greater_equal(u, threshold, out=mask).view(np.uint8), out=cells)
+    return cells
+
+
+def _decode_cells(table, cells, rng, p_zero=None, shat=None):
+    """Shat of the int64 cells 2x + y, 1 where a uniform is at or above the
+    cell's P(Shat = 0), into the given buffers; n-D cells draw in C order.
+    Cells lie in 0..3, so ``mode="wrap"`` only skips the copy "raise" makes;
+    the uniforms overwrite ``cells``, which the lookup is done with."""
+    p_zero = np.take(table, cells, out=p_zero, mode="wrap")
+    return np.greater_equal(rng.random(out=cells.view(np.float64)), p_zero, out=shat).view(np.uint8)
 
 
 def apply_decoder(law: DecoderLaw, x_block: np.ndarray, y_block: np.ndarray,
@@ -139,17 +158,8 @@ def apply_decoder(law: DecoderLaw, x_block: np.ndarray, y_block: np.ndarray,
     if x_block.size and not {x_block.min(), x_block.max(),
                              y_block.min(), y_block.max()} <= {0, 1}:
         raise DomainError("decoder input symbols must be 0 or 1")
-    p_zero = law.prob_zero_table().ravel().take(2 * x_block + y_block)
-    u = _rng(seed).random(x_block.shape)  # C order: n-D blocks draw as their ravel
-    return (u >= p_zero).view(np.uint8)
-
-
-def _zeros(block: np.ndarray) -> int:
-    return block.size - np.count_nonzero(block)
-
-
-def _freq_zero(block: np.ndarray) -> float:
-    return _zeros(block) / block.size
+    cells = np.array(np.left_shift(x_block, 1) | y_block, dtype=np.int64, order="C")
+    return _decode_cells(law.prob_zero_table().ravel(), cells, _rng(seed))
 
 
 def empirical_metrics(s_block: np.ndarray, shat_block: np.ndarray,
@@ -171,15 +181,19 @@ def empirical_metrics(s_block: np.ndarray, shat_block: np.ndarray,
         raise DomainError(
             f"sub-block length {block_length} does not divide block length {n}"
         )
-    empirical_d = float(np.count_nonzero(s_block != shat_block) / n)
-    fs = (s_block.reshape(-1, block_length) == 0).mean(axis=1)
-    fh = (shat_block.reshape(-1, block_length) == 0).mean(axis=1)
-    p_blockwise = float(np.abs(fs - fh).mean())
-    return BlockMetrics(
-        empirical_D=empirical_d,
-        empirical_P_marginal=abs(_freq_zero(s_block) - _freq_zero(shat_block)),
-        empirical_P_blockwise=p_blockwise,
-    )
+    ones = np.array([np.count_nonzero(block.reshape(-1, block_length), axis=1)
+                     for block in (s_block, shat_block)])
+    d, zeros_s, zeros_shat, p_blockwise = _count_metrics(
+        np.count_nonzero(s_block != shat_block), ones, block_length)
+    return BlockMetrics(d, abs(zeros_s / n - zeros_shat / n), p_blockwise)
+
+
+def _count_metrics(mismatches: int, ones: np.ndarray, sub_block: int) -> tuple:
+    """Distortion, zero counts of S and Shat, and blockwise perception of one
+    block, from its mismatch count and (2, blocks) counts of S = 1, Shat = 1."""
+    n = ones.shape[1] * sub_block
+    fs, fh = (sub_block - ones) / sub_block
+    return mismatches / n, *(n - ones.sum(axis=1)).tolist(), float(np.abs(fs - fh).mean())
 
 
 def _mean_and_se(values) -> tuple[float, float | None]:
@@ -188,25 +202,37 @@ def _mean_and_se(values) -> tuple[float, float | None]:
     return float(values.mean()), se
 
 
-def _run_trials(model: SemanticModel, cfg: TrialConfig, reconstruct,
-                sub_block: int) -> TrialReport:
+def _run_trials(model: SemanticModel, cfg: TrialConfig, reconstruct, sub_block: int,
+                step: int) -> TrialReport:
     """The trial loop of every Monte Carlo run. Trial t draws (S, X, Y) on
-    stream (seed, t, 0) and reconstructs with ``reconstruct(x, y, seed)`` on
-    stream (seed, t, 1), which returns ``(shat, failed)``; ``sub_block`` is
-    the sub-block length of the blockwise perception reading."""
-    per_d, zeros, blockwise, seeds = [], [], [], []
-    failures = 0
-    for t in range(cfg.trials):
-        block_seed = derive_seed(cfg.seed, t, 0)
-        s, x, y = sample_block(model, cfg.n, block_seed)
-        shat, failed = reconstruct(x, y, derive_seed(cfg.seed, t, 1))
-        m = empirical_metrics(s, shat, sub_block)
-        per_d.append(m.empirical_D)
-        zeros.append((_zeros(s), _zeros(shat)))
-        blockwise.append(m.empirical_P_blockwise)
-        seeds.append(block_seed)
-        failures += int(failed)
-    zeros_s, zeros_shat = np.array(zeros).T
+    stream (seed, t, 0) and reconstructs with ``reconstruct(cells, rng)`` on
+    stream (seed, t, 1), mapping uint8 cells 4s + 2x + y to uint8 ``(shat,
+    failed)``. A trial runs in chunks of ``step`` symbols, each either whole
+    ``sub_block``-symbol perception sub-blocks or a piece of the block's one
+    sub-block, and keeps only counts, so the streams and the report are
+    those of whole blocks."""
+    u, mask, cells = np.empty(step), np.empty(step, dtype=bool), np.empty(step, dtype=np.uint8)
+    ones = np.empty((2, cfg.n // sub_block), dtype=np.min_scalar_type(sub_block))
+    seeds = [derive_seed(cfg.seed, t, 0) for t in range(cfg.trials)]
+    per_trial, failures = [], 0
+    for t, block_seed in enumerate(seeds):
+        sample_rng, decode_rng = _rng(block_seed), _rng(derive_seed(cfg.seed, t, 1))
+        mismatches = 0
+        ones.fill(0)
+        for start in range(0, cfg.n, step):
+            m = min(step, cfg.n - start)
+            shat, failed = reconstruct(
+                _sample_cells(model, sample_rng, u[:m], mask[:m], cells[:m]), decode_rng)
+            s = np.right_shift(cells[:m], 2, out=cells[:m])
+            mismatches += np.count_nonzero(np.not_equal(s, shat, out=mask[:m]))
+            rows = slice(start // sub_block, (start + m - 1) // sub_block + 1)
+            for row, block in enumerate((s, shat)):
+                ones[row, rows] += np.add.reduce(block.reshape(-1, min(m, sub_block)), axis=1,
+                                                 dtype=ones.dtype)
+            failures += int(failed)
+        per_trial.append(_count_metrics(mismatches, ones, sub_block))
+    # every count is an integer below 2^53, so the float rows hold them exactly
+    per_d, zeros_s, zeros_shat, blockwise = np.array(per_trial).T
     mean_d, se_d = _mean_and_se(per_d)
     signed, signed_se = _mean_and_se(zeros_shat / cfg.n - zeros_s / cfg.n)
     symbols = cfg.trials * cfg.n
@@ -229,8 +255,16 @@ def run_decoder_trials(model: SemanticModel, law: DecoderLaw, cfg: TrialConfig) 
     The blockwise perception reading uses sub-blocks of ``_SUB_BLOCK``
     symbols, or the whole block when that length does not divide it."""
     sub_block = _SUB_BLOCK if cfg.n % _SUB_BLOCK == 0 else cfg.n
-    return _run_trials(model, cfg, lambda x, y, seed: (apply_decoder(law, x, y, seed), False),
-                       sub_block)
+    # chunks of whole sub-blocks, or pieces of a block that is one sub-block
+    step = min(cfg.n, _CODEBOOK_CHUNK // sub_block * sub_block or _CODEBOOK_CHUNK)
+    table = law.prob_zero_table().ravel()
+    buffers = [np.empty(step, dtype) for dtype in (np.int64, float, bool)]
+
+    def reconstruct(cells, rng):
+        index, *out = (buffer[:cells.size] for buffer in buffers)
+        return _decode_cells(table, np.bitwise_and(cells, 3, out=index), rng, *out), False
+
+    return _run_trials(model, cfg, reconstruct, sub_block, step)
 
 
 def _codebook_sizes(cfg: TrialConfig) -> tuple[int, int]:
@@ -259,8 +293,8 @@ def random_binning_trial(model: SemanticModel, cfg: TrialConfig,
     words, bins = _codebook_sizes(cfg)
     p_one = float(shat_marginal(model, target_law).masses[1])
 
-    def reconstruct(x, y, seed):
-        rng = _rng(seed)
+    def reconstruct(cells, rng):
+        x, y = (cells >> 1) & 1, cells & 1
         # row chunks draw the same uniforms, in the same order, as one
         # (words, n) draw, without holding eight bytes per codeword symbol
         codebook = np.empty((words, cfg.n), dtype=np.uint8)
@@ -277,4 +311,4 @@ def random_binning_trial(model: SemanticModel, cfg: TrialConfig,
         )
         return codebook[decoder_pick], decoder_pick != encoder_pick
 
-    return _run_trials(model, cfg, reconstruct, cfg.n)
+    return _run_trials(model, cfg, reconstruct, cfg.n, cfg.n)  # codes see whole blocks

@@ -74,6 +74,19 @@ def test_apply_decoder_on_two_dimensional_blocks(model_q01):
     assert np.array_equal(block, flat.reshape(20, 30))
 
 
+def test_apply_decoder_draws_in_c_order_whatever_the_layout(model_q01):
+    _, x, y = sample_block(model_q01, 600, 8)
+    law = DecoderLaw(0.9, 0.3, 0.6, 0.05)
+    flat = apply_decoder(law, x, y, 4).reshape(20, 30)
+    x2, y2 = x.reshape(20, 30), y.reshape(20, 30)
+    assert np.array_equal(apply_decoder(law, np.asfortranarray(x2), np.asfortranarray(y2), 4), flat)
+    assert np.array_equal(apply_decoder(law, x2[:, ::2], y2[:, ::2], 4),
+                          apply_decoder(law, x2[:, ::2].copy(), y2[:, ::2].copy(), 4))
+    one, zero = np.uint8(1), np.uint8(0)
+    for seed in range(8):  # a 0-d block decodes as one symbol
+        assert apply_decoder(law, one, zero, seed) == _reference_apply_decoder(law, one, zero, seed)
+
+
 def test_empirical_metrics_trivial_cases():
     block = np.array([0, 1, 0, 1, 1, 0], dtype=np.uint8)
     same = empirical_metrics(block, block.copy(), 3)
@@ -272,6 +285,69 @@ def test_sample_block_clips_to_the_last_cell():
     assert np.count_nonzero(s & x & y) > 1000
 
 
+_SUB_BLOCK = coding_simulator._SUB_BLOCK
+# the trial loop's chunk: as many whole sub-blocks as fit
+_CHUNK = coding_simulator._CODEBOOK_CHUNK // _SUB_BLOCK * _SUB_BLOCK
+# the clipping model of test_sample_block_clips_to_the_last_cell
+_SHORT_MODEL = SimpleNamespace(joint=SimpleNamespace(masses=np.full((2, 2, 2), 0.9 / 8)))
+
+
+def _reference_decoder_trials(model, law, cfg):
+    """The whole-block trial loop that fixed the decoder-trial reports: one
+    pass per trial through the reference kernels and the per-block metrics."""
+    sub_block = _SUB_BLOCK if cfg.n % _SUB_BLOCK == 0 else cfg.n
+    per_d, zeros, blockwise, seeds = [], [], [], []
+    for t in range(cfg.trials):
+        block_seed = derive_seed(cfg.seed, t, 0)
+        s, x, y = _reference_sample_block(model, cfg.n, block_seed)
+        shat = _reference_apply_decoder(law, x, y, derive_seed(cfg.seed, t, 1))
+        fs = (s.reshape(-1, sub_block) == 0).mean(axis=1)
+        fh = (shat.reshape(-1, sub_block) == 0).mean(axis=1)
+        per_d.append(float(np.count_nonzero(s != shat) / cfg.n))
+        zeros.append((cfg.n - np.count_nonzero(s), cfg.n - np.count_nonzero(shat)))
+        blockwise.append(float(np.abs(fs - fh).mean()))
+        seeds.append(block_seed)
+    zeros_s, zeros_shat = np.array(zeros).T
+    per_d, signed = np.array(per_d), zeros_shat / cfg.n - zeros_s / cfg.n
+    symbols = cfg.trials * cfg.n
+
+    def se(values):
+        return float(values.std(ddof=1) / math.sqrt(values.size)) if values.size >= 2 else None
+
+    return TrialReport(
+        empirical_D=float(per_d.mean()), empirical_D_se=se(per_d),
+        empirical_P_marginal=float(abs(zeros_s.sum() / symbols - zeros_shat.sum() / symbols)),
+        empirical_P_blockwise=float(np.mean(blockwise)),
+        empirical_P_signed=float(signed.mean()), empirical_P_signed_se=se(signed),
+        bin_decode_failures=0, seeds_used=tuple(seeds), trials=cfg.trials, n=cfg.n)
+
+
+# 200_003 is no multiple of 100, so the whole block is its one sub-block,
+# counted across chunks of _CODEBOOK_CHUNK symbols
+@pytest.mark.parametrize("n", [1, 99, 100, _CHUNK - 100, _CHUNK, _CHUNK + 100,
+                               3 * _CHUNK + 200, 200_003])
+@pytest.mark.parametrize("model_index", range(len(_STREAM_MODELS) + 1))
+def test_chunked_trials_match_whole_block_reference(model_index, n):
+    model = (_STREAM_MODELS + [_SHORT_MODEL])[model_index]
+    law = DecoderLaw(*np.random.default_rng([model_index, n]).random(4))
+    cfg = TrialConfig(n=n, trials=2, seed=derive_seed(17, model_index, n))
+    assert run_decoder_trials(model, law, cfg) == _reference_decoder_trials(model, law, cfg)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**6 + 1])
+def test_decoder_trial_memory_is_bounded(model_q01, n):
+    # whole-block passes peaked at 21 MB of temporaries for one 10^6-symbol
+    # trial; 10^6 + 1 symbols are one perception sub-block
+    cfg = TrialConfig(n=n, trials=2, seed=3)
+    tracemalloc.start()
+    try:
+        run_decoder_trials(model_q01, DecoderLaw(0.8, 0.3, 0.6, 0.1), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 def test_apply_decoder_rejects_non_binary_symbols():
     ones = np.ones(4, dtype=np.uint8)
     bad = np.array([0, 1, 2, 1], dtype=np.uint8)
@@ -308,3 +384,17 @@ def test_reports_pinned_to_recorded_streams(model_q01):
     assert binning.seeds_used[:3] == (1359894154268611347, 3734321803408795338,
                                       9256614545176165294)
     assert (binning.trials, binning.n) == (20, 12)
+
+
+def test_multi_chunk_report_pinned_to_recorded_streams(model_q01):
+    # recorded with whole-block passes; 200,000 symbols cross three chunk boundaries
+    report = run_decoder_trials(model_q01, DecoderLaw(0.8, 0.3, 0.6, 0.1),
+                                TrialConfig(n=200_000, trials=3, seed=314))
+    assert report == TrialReport(
+        empirical_D=0.2531366666666666, empirical_D_se=0.00029919800207294753,
+        empirical_P_marginal=0.049240000000000006,
+        empirical_P_blockwise=0.05759333333333335,
+        empirical_P_signed=-0.049239999999999985,
+        empirical_P_signed_se=0.0005473648996175523, bin_decode_failures=0,
+        seeds_used=(1431021540424915137, 15710430719167315825, 15690007067645661037),
+        trials=3, n=200_000)
