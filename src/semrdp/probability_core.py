@@ -36,14 +36,12 @@ __all__ = [
     "JointDistribution",
     "bernoulli",
     "binary_entropy",
-    "binary_entropy_array",
     "chain_rule_decomposition",
     "conditional_entropy",
     "conditional_mutual_information",
     "entropy",
     "random_joint",
     "ternary_entropy",
-    "ternary_entropy_array",
     "tv_distance",
 ]
 
@@ -75,17 +73,6 @@ def binary_entropy(p: float) -> float:
     return -(lo * math.log2(lo) + hi * math.log2(hi))
 
 
-def binary_entropy_array(p: np.ndarray) -> np.ndarray:
-    """Vectorized ``binary_entropy`` for arrays already known to lie in [0, 1]."""
-    p = np.asarray(p, dtype=float)
-    hi = np.maximum(p, 1.0 - p)
-    lo = 1.0 - hi
-    out = np.asarray(-hi * np.log2(hi), dtype=float)
-    np.subtract(out, lo * np.log2(np.where(lo > 0.0, lo, 1.0)), out=out)
-    # -1 * log2(1) is -0.0 at p in {0, 1}; adding +0.0 changes only that zero
-    return out + 0.0
-
-
 def ternary_entropy(x: float, y: float) -> float:
     """Entropy in bits of the distribution (x, y, 1 - x - y)."""
     x = _as_probability(x, "x")
@@ -98,16 +85,6 @@ def ternary_entropy(x: float, y: float) -> float:
         if v > 0.0:
             total -= v * math.log2(v)
     return total
-
-
-def ternary_entropy_array(x: np.ndarray, y) -> np.ndarray:
-    """Vectorized ``ternary_entropy`` for arrays already known to form
-    distributions (x, y, 1 - x - y), summed in the scalar's order."""
-    z = np.maximum(1.0 - x - y, 0.0)
-    out = np.zeros(z.shape)
-    for v in np.broadcast_arrays(x, y, z):
-        np.subtract(out, v * np.log2(np.where(v > 0.0, v, 1.0)), out=out)
-    return out
 
 
 def _masses(dist) -> np.ndarray:

@@ -51,11 +51,8 @@ perception errors cancel, and the exact minimum over stochastic decoders
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, HypothesisError, InfeasibleError
-from .probability_core import (_as_probability, binary_entropy, binary_entropy_array,
-                               ternary_entropy, ternary_entropy_array)
+from .probability_core import _as_probability, binary_entropy, ternary_entropy
 from .semantic_model import SemanticModel
 
 _TOL = 1e-12
@@ -150,29 +147,6 @@ def rdpf_piecewise(p: float, D: float, P: float) -> float:
     if D >= d2:
         return 0.0
     return rdpf_pi(p, D, P)
-
-
-def rdpf_piecewise_array(p: float, D, P) -> np.ndarray:
-    """``rdpf_piecewise`` broadcast over arrays of distortions D >= 0 and
-    budgets P >= 0 (inf allowed), with the scalar's dispatch and float
-    expressions; entries agree with it up to the last bits of numpy's log2."""
-    if not 0.0 < p <= 0.5:
-        raise DomainError(f"p must lie in (0, 1/2], got {p}")
-    D, P = np.broadcast_arrays(np.asarray(D, dtype=float), np.asarray(P, dtype=float))
-    rate = np.where(D >= p, 0.0, binary_entropy(p) - binary_entropy_array(np.clip(D, 0.0, 1.0)))
-    if p == 0.5:
-        return rate
-    band = P < p
-    Pb = np.minimum(np.where(band, P, 0.0), p)
-    d1, d2 = perception_band(p, Pb)
-    above = band & (D > d1)
-    mid = above & (D < d2)
-    rate[above] = 0.0
-    Dm, Pm = D[mid], Pb[mid]
-    rate[mid] = (2.0 * binary_entropy(p) + binary_entropy_array(p - Pm)
-                 - ternary_entropy_array(np.maximum((Dm - Pm) / 2.0, 0.0), p)
-                 - ternary_entropy_array((Dm + Pm) / 2.0, 1.0 - p))
-    return rate
 
 
 def _require_doubly_symmetric(model: SemanticModel) -> tuple[float, float, float]:

@@ -99,9 +99,10 @@ class SolverResult:
     achieved_D: float
     achieved_P: float
     argmin: DecoderLaw | None
-    grid_resolution: float
     branch_allocation: tuple[float, float, float, float] | None = None
-    dual_bound: float | None = None  # a certified lower bound on the rate
+    # a certified lower bound on the minimum at the aimed distortion, which
+    # lies within 1e-12 of D (solve_min2 also aims its perception _AIM past P)
+    dual_bound: float | None = None
 
 
 def evaluate_decoder(model: SemanticModel, law: DecoderLaw) -> DecoderMetrics:
@@ -131,8 +132,6 @@ def shat_marginal(model: SemanticModel, law: DecoderLaw) -> FiniteDistribution:
     p_xy = model.joint.masses.sum(axis=0)
     p0 = float((p_xy * law.prob_zero_table()).sum())
     return FiniteDistribution(np.array([p0, 1.0 - p0]))
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +268,13 @@ def _warm_start(roots, x: float) -> tuple[float, float]:
     return max(lam, 0.0), max(abs(lam - la), 2.0 ** -30)
 
 
-def _dual_solve(model: SemanticModel, D: float, P: float, aim_d: float):
+def _dual_solve(model: SemanticModel, P: float, aim_d: float):
     """(cells in (s0, t0, s1, t1) order, dual value) where the minimum is
     positive, at a distortion ``aim_d`` within the tolerance of D.
     Multipliers lam >= 0 on distortion and nu on P(Shat = 0) charge the cell
     (x, y) k = lam (P(S = 1 | x, y) - P(S = 0 | x, y)) + nu bits per unit of
     P(x, y) P(Shat = 0 | x, y), and the dual is
-    g = sum_y phi_y + lam (P(S = 0) - D) - nu P(S = 0) - |nu| P. At fixed nu
+    g = sum_y phi_y + lam (P(S = 0) - aim_d) - nu P(S = 0) - |nu| P. At fixed nu
     the minimizer's distortion does not increase in lam: a root puts it on
     aim_d. Unless that meets P with nu = 0, P(Shat = 0) does not increase
     in nu (lam re-solved each time): a second root, which opens on the
@@ -321,22 +320,21 @@ def _dual_solve(model: SemanticModel, D: float, P: float, aim_d: float):
     rate = sum(branch[k] * binary_entropy(p_x[k] * s[k] + p_x[k + 1] * s[k + 1])
                - weight[k] * binary_entropy(s[k]) - weight[k + 1] * binary_entropy(s[k + 1])
                for k in (0, 2))
-    dual = rate + lam * (distortion - D) + nu * (mass0(s) - source0)
+    dual = rate + lam * (distortion - aim_d) + nu * (mass0(s) - source0)
     return z, dual - abs(nu) * P if nu else dual  # |nu| P is 0 at nu = 0, also at P = inf
 
 
 def oracle_min_rate(model: SemanticModel, D: float, P: float,
                     resolution: float | None = None) -> SolverResult:
     """Exact minimum of I(X; Shat | Y) over all decoding rules meeting the
-    targets within 1e-12; deterministic. ``resolution`` is only validated
-    (``grid_resolution`` reads 0). The rate is the argmin's as
-    ``evaluate_decoder`` computes it, clipped at 0; ``dual_bound`` is the
-    dual value at the returned multipliers, 0 at a zero rate. Where a
-    multiplier would pass 2**20 (D within 1e-13 of the floor on a model
-    with masses or posterior gaps near 0), the argmin is the knapsack's
-    floor decoder and the bound is only 0. Raises InfeasibleError iff the
-    exact distortion floor at P exceeds D."""
-    D, P, _ = _validate_args(D, P, resolution)
+    targets within 1e-12; deterministic. ``resolution`` is only validated.
+    The rate is the argmin's as ``evaluate_decoder`` computes it, clipped
+    at 0; ``dual_bound`` is the dual value at the returned multipliers, 0
+    at a zero rate. Where a multiplier would pass 2**20 (D within 1e-13 of
+    the floor on a model with masses or posterior gaps near 0), the argmin
+    is the knapsack's floor decoder and the bound is only 0. Raises
+    InfeasibleError iff the exact distortion floor at P exceeds D."""
+    D, P = _validate_args(D, P, resolution)
     floor, floor_law = _distortion_floor(model, P)
     if floor > D + _TOL:
         raise InfeasibleError(
@@ -348,24 +346,22 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
     dual = 0.0  # the Lagrangian's minimum at zero multipliers is the zero rate
     if zero_floor > aim_d:
         try:
-            cells, dual = _dual_solve(model, D, P, aim_d)
+            cells, dual = _dual_solve(model, P, aim_d)
             law = DecoderLaw(*cells)
         except _Unbounded:
             law = floor_law
     exact = evaluate_decoder(model, law)
     return SolverResult(rate=max(0.0, exact.rate), achieved_D=exact.distortion,
-                        achieved_P=exact.perception, argmin=law, grid_resolution=0.0,
-                        dual_bound=dual)
+                        achieved_P=exact.perception, argmin=law, dual_bound=dual)
 
 
 # ---------------------------------------------------------------------------
 # branch-decomposed program
 # ---------------------------------------------------------------------------
 
-def _validate_args(D: float, P: float, resolution: float | None):
+def _validate_args(D: float, P: float, resolution: float | None) -> tuple[float, float]:
     if resolution is not None:
-        resolution = float(resolution)
-        if not _RES_MIN <= resolution <= _RES_MAX:
+        if not _RES_MIN <= float(resolution) <= _RES_MAX:
             raise DomainError(f"resolution must lie in [{_RES_MIN}, {_RES_MAX}], got {resolution}")
     P = float(P)
     if math.isnan(P) or P < -_TOL:
@@ -373,7 +369,7 @@ def _validate_args(D: float, P: float, resolution: float | None):
     D = float(D)
     if math.isnan(D):
         raise DomainError("distortion target D must be a number, got nan")
-    return D, max(P, 0.0), resolution  # a budget within the tolerance below 0 reads 0
+    return D, max(P, 0.0)  # a budget within the tolerance below 0 reads 0
 
 
 def _min2_hypotheses(model: SemanticModel) -> float:
@@ -469,15 +465,15 @@ def _slope_start(branches, aim: float) -> tuple[float, float]:
     return max(math.log2((1.0 - d) / d), 0.0), _ROOT_TOL / (_LN2 * free * d * (1.0 - d))
 
 
-def _min2_dual(star, weight, target: float, aim: float, P: float):
+def _min2_dual(star, weight, aim: float, P: float):
     """(per-branch (d_y, p_y), dual value) of the least sum_y w_y R_y(d_y, p_y)
-    with sum_y w_y d_y at ``aim`` and sum_y w_y p_y <= P, where the minimum is
-    positive. Branch y is a Bernoulli(s_y) source whose value 0 has mass
-    c_y = 1 - s_y. Multipliers lam on distortion and mu on perception charge
+    with sum_y w_y d_y at ``aim`` and sum_y w_y p_y <= P + _AIM, where the
+    minimum is positive. Branch y is a Bernoulli(s_y) source whose value 0
+    has mass c_y = 1 - s_y. Multipliers lam on distortion and mu on perception charge
     its cells P(Shat = 0 | X = x) as the oracle's branches, with nu_y =
     min(nu0_y(lam), mu) on P(Shat = 0): nu0_y keeps the branch at zero
     perception, so |nu_y| <= mu prices |P(Shat = 0) - c_y|. The dual is
-    g = sum_y w_y (I_y + lam d_y + nu_y (m_y - c_y)) - lam target - mu P.
+    g = sum_y w_y (I_y + lam d_y + nu_y (m_y - c_y)) - lam aim - mu (P + _AIM).
     A root on lam puts the distortion on aim; unless that meets P with
     mu = 0, a second root on mu (lam re-solved each time) puts the
     perception at P + _AIM, inside the tolerance: it never reads exactly 0
@@ -517,7 +513,8 @@ def _min2_dual(star, weight, target: float, aim: float, P: float):
             return excess(z_mu), z_mu, found
         z, (lam, mu) = _bracketed_root(on_perception, step=edge, first=(excess(z), z, (lam, mu)))
     cells = _min2_cells(branches, lam, mu)[0]  # g is the Lagrangian at its minimizer
-    dual = -lam * target - (mu * P if 0.0 < P < math.inf else 0.0)  # mu P is inf * 0 at P = 0 or inf
+    # charged at the aims; mu P is inf * 0 at P = 0 or inf
+    dual = -lam * aim - (mu * (P + _AIM) if 0.0 < P < math.inf else 0.0)
     last = None
     for (s, c, w), z0, z1 in zip(branches, cells[::2], cells[1::2]):
         if s != last:
@@ -534,8 +531,8 @@ def solve_min2(model: SemanticModel, D: float, P: float,
                resolution: float | None = None) -> SolverResult:
     """Exact minimum of the branch-decomposed rate over per-branch
     (distortion, perception) allocations, within the 1e-12 tolerance on
-    both budgets; deterministic. ``resolution`` is only validated
-    (``grid_resolution`` reads 0). Raises InfeasibleError iff D < q.
+    both budgets; deterministic. ``resolution`` is only validated. Raises
+    InfeasibleError iff D < q.
 
     Rate 0 when the zero-rate knapsack over both branches meets D;
     otherwise the Lagrangian dual with the oracle's branch minimizers and
@@ -551,7 +548,7 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     The result can exceed the oracle near the zero-rate plateau, where only
     sign cancellation across branches reaches lower rates.
     """
-    D, P, _ = _validate_args(D, P, resolution)
+    D, P = _validate_args(D, P, resolution)
     q = _min2_hypotheses(model)
     if D < q - _TOL:
         raise InfeasibleError(
@@ -565,7 +562,7 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     allocation, rate, dual = _zero_rate_allocation(star, weight, P), 0.0, 0.0
     if sum(w * d for w, (d, _) in zip(weight, allocation)) > aim:
         try:
-            allocation, dual = _min2_dual(star, weight, (D - q) / scale, aim, P)
+            allocation, dual = _min2_dual(star, weight, aim, P)
         except _Unbounded:
             allocation = [(0.0, 0.0)] * 2
         rate = max(0.0, sum(w * rdpf_piecewise(s, d, p)
@@ -573,4 +570,4 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     (d0, p0), (d1, p1) = allocation
     return SolverResult(rate=rate, achieved_D=scale * (weight[0] * d0 + weight[1] * d1) + q,
                         achieved_P=weight[0] * p0 + weight[1] * p1, argmin=None,
-                        grid_resolution=0.0, branch_allocation=(d0, d1, p0, p1), dual_bound=dual)
+                        branch_allocation=(d0, d1, p0, p1), dual_bound=dual)

@@ -18,7 +18,7 @@ from semrdp import (
     ternary_entropy,
     tv_distance,
 )
-from semrdp.probability_core import binary_entropy_array, random_joint
+from semrdp.probability_core import random_joint
 
 
 def test_binary_entropy_examples():
@@ -43,27 +43,6 @@ def test_binary_entropy_domain():
     # excursions within the 1e-12 slack are clipped, not rejected
     assert binary_entropy(1.0 + 5e-13) == 0.0
     assert binary_entropy(-5e-13) == 0.0
-
-
-def test_binary_entropy_array_matches_scalar(rng):
-    p = rng.random(64)
-    vec = binary_entropy_array(p)
-    for pi, vi in zip(p, vec):
-        assert vi == pytest.approx(binary_entropy(pi), abs=1e-14)
-
-
-def test_binary_entropy_array_zero_dimensional():
-    for p in (0.0, 0.3, 0.5, 1.0):
-        value = binary_entropy_array(np.float64(p))
-        assert np.ndim(value) == 0
-        assert abs(float(value) - binary_entropy(p)) <= 1e-15
-
-
-def test_binary_entropy_array_has_no_negative_zero():
-    value = binary_entropy_array(np.array([0.0, 1.0, 0.5]))
-    assert value.tolist() == [0.0, 0.0, 1.0]
-    assert not np.signbit(value).any()
-    assert not np.signbit(binary_entropy_array(np.float64(1.0)))
 
 
 def test_ternary_entropy_examples():

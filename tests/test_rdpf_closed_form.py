@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from semrdp import (
     DomainError,
@@ -17,7 +15,7 @@ from semrdp import (
     rdpf_pi,
     rdpf_piecewise,
 )
-from semrdp.rdpf_closed_form import perception_band, rdpf_piecewise_array
+from semrdp.rdpf_closed_form import perception_band
 
 INF = math.inf
 
@@ -92,51 +90,9 @@ def test_rdpf_piecewise_continuous_at_band_edges():
 def test_rdpf_piecewise_uniform_source_ignores_perception():
     # p = 1/2: the band's denominator 1 + 2P - 2p vanishes at P = 0, yet the
     # R(D) reconstruction is already uniform, so every P gives rdf_pi
-    d_vals = np.array([0.0, 0.1, 0.3, 0.5, 0.7])
     for P in (0.0, 1e-20, 0.05, INF):
-        table = rdpf_piecewise_array(0.5, d_vals, P)
-        for d, value in zip(d_vals, table):
-            assert rdpf_piecewise(0.5, float(d), P) == rdf_pi(0.5, float(d))
-            assert value == pytest.approx(rdf_pi(0.5, float(d)), abs=1e-15)
-
-
-def test_rdpf_piecewise_array_scalar_arguments():
-    # scalar D and P broadcast to 0-d arrays, which every branch must accept
-    for p in (0.1, 0.3, 0.5):
-        for P in (0.0, 0.05, 0.2, 0.4, INF):
-            for D in (0.0, 0.05, 0.1, 0.2, 0.3, 0.35, 0.5):
-                value = rdpf_piecewise_array(p, D, P)
-                assert np.ndim(value) == 0
-                assert abs(float(value) - rdpf_piecewise(p, D, P)) <= 1e-15
-
-
-@st.composite
-def _piecewise_grids(draw):
-    """A Bernoulli parameter p, budgets from [0, 1/2] with some at or above
-    p and inf, and distortions from [0, 1/2] plus every band edge D1, D2 of
-    the binding budgets and their float neighbours."""
-    p = draw(st.one_of(st.just(0.5), st.floats(0.0, 0.5, exclude_min=True)))
-    budgets = draw(st.lists(st.one_of(st.just(0.0), st.just(INF), st.floats(0.0, 0.5),
-                                      st.floats(p, 0.5)), min_size=1, max_size=4))
-    distortions = draw(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=8))
-    for P in budgets:
-        if P < p < 0.5:
-            for edge in perception_band(p, P):
-                distortions += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
-    return p, np.array(distortions), np.array(budgets)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_piecewise_grids())
-def test_rdpf_piecewise_array_matches_scalar(grid):
-    # equal dispatch and float expressions; numpy's log2 may differ from
-    # math.log2 in the last bit, which moves a rate of at most ~3 bits by
-    # one or two ulps (4.4e-16 each)
-    p, d_vals, p_vals = grid
-    table = rdpf_piecewise_array(p, d_vals[:, None], p_vals[None, :])
-    assert table.shape == (d_vals.size, p_vals.size)
-    for (i, j), value in np.ndenumerate(table):
-        assert abs(value - rdpf_piecewise(p, float(d_vals[i]), float(p_vals[j]))) <= 1e-15
+        for d in (0.0, 0.1, 0.3, 0.5, 0.7):
+            assert rdpf_piecewise(0.5, d, P) == rdf_pi(0.5, d)
 
 
 def test_breakpoints_examples(model_q01):

@@ -30,8 +30,7 @@ from semrdp import (
     tv_distance,
 )
 from semrdp import rdpf_solver as solver
-from semrdp.probability_core import binary_entropy_array
-from semrdp.rdpf_closed_form import rdpf_piecewise_array
+from semrdp.rdpf_closed_form import perception_band
 
 import min2_grid as grid_ref
 
@@ -233,6 +232,13 @@ def test_distortion_floor_anchors():
                                                                                       abs=1e-15)
 
 
+def _seeded_models(seed):
+    rng = np.random.default_rng(seed)
+    asymmetric = build_model(rng.uniform(0.2, 0.5), *rng.uniform(0.0, 0.25, 2),
+                             *rng.uniform(0.05, 0.4, 2))
+    return asymmetric, dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4))
+
+
 def test_oracle_respects_the_distortion_floor():
     # every answer is a decoder within P, so it sits at or above the floor;
     # a target below the floor raises and prints the floor
@@ -372,7 +378,7 @@ def _assert_min2_certified(model, D, P, result):
     # a zero rate is exact; the RDPFs at the zero-rate allocation can round above 0
     assert result.rate == max(0.0, rate) or (result.rate == 0.0 and rate <= 1e-15)
     assert abs(result.rate - result.dual_bound) <= 1e-9
-    assert result.grid_resolution == 0.0 and result.argmin is None
+    assert result.argmin is None
 
 
 def _min2_model(q, a, b):
@@ -504,10 +510,6 @@ def test_zero_perception_cost():
 # the exact oracle against a full decoder-grid scan and its own certificate
 # ---------------------------------------------------------------------------
 
-_TOL = 1e-12
-_P_BUDGETS = (0.0, 1e-6, 1e-4, 0.05, INF)
-
-
 def _branch_columns(model, y, s_vals, t_vals):
     """Rate, distortion and P(Shat = 0) of branch y, weighted by P(Y = y),
     over the (s, t) product grid flattened in lexicographic (s-major)
@@ -519,16 +521,10 @@ def _branch_columns(model, y, s_vals, t_vals):
     s = s_vals[:, None]
     t = t_vals[None, :]
     marg0 = px0 * s + px1 * t
-    info = (binary_entropy_array(marg0) - px0 * binary_entropy_array(s)
-            - px1 * binary_entropy_array(t))
+    info = (grid_ref._binary_entropy(marg0) - px0 * grid_ref._binary_entropy(s)
+            - px1 * grid_ref._binary_entropy(t))
     dist = cells[0, 0] * (1.0 - s) + cells[0, 1] * (1.0 - t) + cells[1, 0] * s + cells[1, 1] * t
     return p_y * np.maximum(info, 0.0).ravel(), p_y * dist.ravel(), p_y * marg0.ravel()
-
-
-def _columns(model, axes):
-    """The weighted branch columns of both branches over four axes."""
-    s0, t0, s1, t1 = axes
-    return _branch_columns(model, 0, s0, t0), _branch_columns(model, 1, s1, t1)
 
 
 def _reference_scan(model, D, P, resolution=0.05):
@@ -538,7 +534,8 @@ def _reference_scan(model, D, P, resolution=0.05):
     a model whose masses are near 1e-12, a decoder 1e-12 past D can be
     far cheaper than any decoder that meets it."""
     grid = grid_ref._axis_grid(resolution, 1.0)
-    (rate0, dist0, marg0), (rate1, dist1, marg1) = _columns(model, (grid,) * 4)
+    rate0, dist0, marg0 = _branch_columns(model, 0, grid, grid)
+    rate1, dist1, marg1 = _branch_columns(model, 1, grid, grid)
     feasible = (dist0[:, None] + dist1[None, :] <= D) & (
         np.abs(marg0[:, None] + marg1[None, :] - (1.0 - model.pi)) <= P)
     return float(np.where(feasible, rate0[:, None] + rate1[None, :], np.inf).min())
@@ -551,7 +548,6 @@ def _assert_certified(model, D, P, result):
     assert exact.distortion <= D + 1e-12 and exact.perception <= P + 1e-12
     assert result.rate == max(0.0, exact.rate)
     assert result.rate - 1e-9 <= result.dual_bound <= result.rate + 1e-9
-    assert result.grid_resolution == 0.0
 
 
 @pytest.mark.parametrize("params, D, expected", [
@@ -884,280 +880,91 @@ def test_rates_do_not_increase_as_the_budgets_loosen(route, pi, channels, shares
     assert looser.rate <= solve(model, D, P).rate + (looser.rate - looser.dual_bound) + 1e-12
 
 
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pi=st.floats(0.0, 0.5), channels=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+       shares=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+       budgets=st.tuples(*[st.sampled_from([0.0, 1e-3, 0.05]) | st.floats(0.0, 0.5)] * 2),
+       theta=st.floats(0.0, 1.0))
+def test_oracle_rate_is_convex_in_the_targets(pi, channels, shares, budgets, theta):
+    # the minimum is convex in (D, P) (Blau & Michaeli 2019, Thm. 1): on a
+    # chord, the rate u at the midpoint stays within its gap u - l of the
+    # chord, up to the 1e-12 tolerance of the targets. Both ends sit off
+    # their floors, and the floor is convex in P, so the midpoint does too
+    model = _drawn_model(pi, channels)
+    ends = []
+    for share, P in zip(shares, budgets):
+        floor = solver._distortion_floor(model, P)[0]
+        ends.append((floor + share * (0.5 - floor), P))
+    (D1, P1), (D2, P2) = ends
+    mid = oracle_min_rate(model, theta * D1 + (1 - theta) * D2, theta * P1 + (1 - theta) * P2)
+    chord = (theta * oracle_min_rate(model, D1, P1).rate
+             + (1 - theta) * oracle_min_rate(model, D2, P2).rate)
+    assert mid.rate <= chord + (mid.rate - mid.dual_bound) + 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), pi_x=st.floats(0.01, 0.49), share=st.floats(0.0, 1.0),
+       P=st.floats(0.0, 0.5))
+def test_closed_form_is_never_below_the_oracle_certificate(q, pi_x, share, P):
+    # the closed form is an achievable rate, so no certified lower bound on
+    # the minimum lies above it, whatever the perception budget
+    model = dsbs_model(q, pi_x)
+    D = q + share * (0.5 - q)
+    for budget in (0.0, P, INF):
+        bound = oracle_min_rate(model, D, budget).dual_bound
+        assert closed_form_rate(model, D, budget) >= bound - 1e-9
+
+
+@pytest.mark.parametrize("solve", [oracle_min_rate, solve_min2], ids=["oracle", "min2"])
+def test_dual_bound_stays_below_the_rate_at_the_distortion_floor(solve):
+    # D = 0 is this model's floor, and both solvers aim 1e-13 above it,
+    # where the distortion multiplier is large: the dual must be charged at
+    # that aim, since charged at D it sits about lam * 1e-13 above the rate
+    result = solve(build_model(0.5, 0.0, 0.0, 0.0, 0.5), 0.0, 0.0)
+    assert result.dual_bound <= result.rate
+
+
 # ---------------------------------------------------------------------------
-# the pair-search kernel against the full product scans it replaced
+# the grid reference's branch tables
 # ---------------------------------------------------------------------------
 
-def _reference_pair_scan(tables, d_targets, P):
-    """Full-product masked argmin over two branch tables (a, d, m, b, e, n)
-    with the one-sided perception test, per distortion target:
-    lexicographic scan, strict improvements only."""
-    obj0, dsem0, per0, obj1, dsem1, per1 = tables
-    best = [(math.inf, -1, -1) for _ in d_targets]
-    for start in range(0, obj0.size, 512):
-        sl = slice(start, min(start + 512, obj0.size))
-        total = obj0[sl, None] + obj1[None, :]
-        dtot = dsem0[sl, None] + dsem1[None, :]
-        feas_p = per0[sl, None] + per1[None, :] <= P + _TOL
-        for k, D in enumerate(d_targets):
-            feas = feas_p & (dtot <= D + _TOL)
-            if not feas.any():
-                continue
-            masked = np.where(feas, total, np.inf)
-            flat = int(masked.argmin())
-            val = float(masked.flat[flat])
-            if val < best[k][0]:
-                i_local, j = divmod(flat, masked.shape[1])
-                best[k] = (val, start + i_local, j)
-    return best
+@st.composite
+def _piecewise_grids(draw):
+    """A Bernoulli parameter p, budgets from [0, 1/2] with some at or above
+    p and inf, and distortions from [0, 1/2] plus every band edge D1, D2 of
+    the binding budgets and their float neighbours."""
+    p = draw(st.one_of(st.just(0.5), st.floats(0.0, 0.5, exclude_min=True)))
+    budgets = draw(st.lists(st.one_of(st.just(0.0), st.just(INF), st.floats(0.0, 0.5),
+                                      st.floats(p, 0.5)), min_size=1, max_size=4))
+    distortions = draw(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=8))
+    for P in budgets:
+        if P < p < 0.5:
+            for edge in perception_band(p, P):
+                distortions += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
+    return p, np.array(distortions), np.array(budgets)
 
 
-def _reference_min2_scan(obj0, dsem0, per0, obj1, dsem1, per1, D, P):
-    """``_reference_pair_scan`` at one distortion target."""
-    return _reference_pair_scan((obj0, dsem0, per0, obj1, dsem1, per1), [D], P)[0]
-
-
-def _reference_branch_rate_table(star, d_vals, p_vals):
-    """The scalar double loop over rdpf_piecewise that built the solve_min2
-    branch tables before the array kernel."""
-    table = np.empty((d_vals.size, p_vals.size))
-    for di, d in enumerate(d_vals):
-        for pi_, p in enumerate(p_vals):
-            table[di, pi_] = rdpf_piecewise(star, float(d), float(p))
-    return table
-
-
-def _seeded_models(seed):
-    rng = np.random.default_rng(seed)
-    asymmetric = build_model(rng.uniform(0.2, 0.5), *rng.uniform(0.0, 0.25, 2),
-                             *rng.uniform(0.05, 0.4, 2))
-    return asymmetric, dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4))
-
-
-def _targets_from(floor):
-    """Distortion targets from infeasible, through the floor (met within
-    the 1e-12 tolerance at floor - 5e-13), to slack."""
-    return [floor - 0.02, floor - 1e-9, floor - 5e-13, floor, floor + 0.01,
-            0.5 * (floor + 0.5), 0.5, 1.0]
-
-
-def _decode(grid, i, j):
-    """The four coarse axis values of pair (i, j), two per branch."""
-    n = grid.size
-    return tuple(float(v) for v in (grid[i // n], grid[i % n], grid[j // n], grid[j % n]))
-
-
-def _decoder_search(model, axes):
-    """The kernel over the decoder-grid tables the grid oracle searched,
-    with a one-sided budget on the pooled P(Shat = 0) in place of its
-    two-sided perception test."""
-    (a, d, m), (b, e, n) = _columns(model, axes)
-    return grid_ref._PairSearch(a, d, m, b, e, n)
-
-
-@pytest.mark.parametrize("seed, resolution", [(1, 0.05), (2, 0.05), (3, 0.02)])
-def test_pair_search_matches_full_scan_on_oracle_tables(seed, resolution):
-    grid = grid_ref._axis_grid(resolution, 1.0)
-    for model in _seeded_models(seed):
-        search = _decoder_search(model, (grid,) * 4)
-        arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
-        d_targets = _targets_from(float(search.d.min() + search.e.min()))
-        for P in (0.0, 0.4, INF):
-            expected = _reference_pair_scan(arrays, d_targets, P)
-            assert [search.argmin(d, P) for d in d_targets] == expected
-            for d, (_, i, j) in zip(d_targets, expected):
-                if i < 0:
-                    continue
-                # a refinement box around this incumbent, as the grid driver builds it
-                box = [grid_ref._refine_axis(v, resolution, 1.0) for v in _decode(grid, i, j)]
-                fine = _decoder_search(model, box)
-                assert fine.argmin(d, P) == _reference_min2_scan(
-                    fine.a, fine.d, fine.m, fine.b, fine.e, fine.n, d, P)
-
-
-def test_pair_search_breaks_ties_on_mirrored_decoders():
-    # on a DSBS model a decoder (s0, t0, s1, t1) and its mirror
-    # (1 - t1, 1 - s1, 1 - t0, 1 - s0) score the same rate to the last bit,
-    # and their P(Shat = 0) sum to 1; where both are feasible the result
-    # must be the lexicographically smaller pair of the two
-    model = dsbs_model(0.1, 0.3)
-    grid = grid_ref._axis_grid(0.02, 1.0)
-    search = _decoder_search(model, (grid,) * 4)
-    arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
-
-    def flat(s, t):
-        return int(np.abs(grid - s).argmin()) * grid.size + int(np.abs(grid - t).argmin())
-
-    for P in (0.6, INF):
-        rate, i, j = search.argmin(0.2, P)
-        assert (rate, i, j) == _reference_min2_scan(*arrays, 0.2, P)
-        law = DecoderLaw(*_decode(grid, i, j))
-        mi = flat(1.0 - law.t1, 1.0 - law.s1)
-        mj = flat(1.0 - law.t0, 1.0 - law.s0)
-        assert (i, j) < (mi, mj)
-        assert search.a[mi] + search.b[mj] == rate
-        assert search.d[mi] + search.e[mj] <= 0.2 + _TOL
-        assert search.m[mi] + search.n[mj] <= P + _TOL
-
-
-@pytest.mark.parametrize("seed, resolution", [(5, 0.05), (6, 0.02)])
-def test_pair_search_matches_full_scan_on_min2_tables(seed, resolution):
-    rng = np.random.default_rng(seed)
-    for _ in range(2):
-        model = dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4))
-        q = model.q1
-        grid = grid_ref._axis_grid(resolution, 0.5)
-        search = grid_ref._min2_search(model, q, grid, grid, grid, grid)
-        arrays = (search.a, search.d, search.m, search.b, search.e, search.n)
-        for P in _P_BUDGETS:
-            for D in _targets_from(q):
-                expected = _reference_min2_scan(*arrays, D, P)
-                assert search.argmin(D, P) == expected
-                _, i, j = expected
-                if i < 0:
-                    continue
-                box = [grid_ref._refine_axis(v, resolution, 0.5) for v in _decode(grid, i, j)]
-                fine = grid_ref._min2_search(model, q, *box)
-                assert fine.argmin(D, P) == _reference_min2_scan(
-                    fine.a, fine.d, fine.m, fine.b, fine.e, fine.n, D, P)
-
-
-@pytest.mark.parametrize("seed, resolution", [(7, 0.05), (8, 0.02)])
-def test_solve_min2_matches_scalar_branch_tables(seed, resolution, monkeypatch):
-    # the grid reference solve_min2 replaced, on array and on scalar branch
-    # tables; a DSBS model and one with an asymmetric side channel (a* != b*)
-    rng = np.random.default_rng(seed)
-    q = rng.uniform(0.0, 0.2)
-    models = [dsbs_model(rng.uniform(0.0, 0.2), rng.uniform(0.1, 0.4)),
-              build_model(0.5, q, q, *rng.uniform(0.05, 0.4, 2))]
-    cases = [(model, D, P) for model in models for P in (0.0, 1e-4, 0.05, INF)
-             for D in _targets_from(model.q1)]
-
-    def solve_all():
-        return [grid_ref.grid_min2(model, D, P, resolution) for model, D, P in cases]
-
-    kernel = solve_all()
-    monkeypatch.setattr(
-        grid_ref, "rdpf_piecewise_array",
-        # _min2_search passes the axes as a column and a row
-        lambda star, d_col, p_row: _reference_branch_rate_table(star, d_col[:, 0], p_row[0]))
-    for array, scalar in zip(kernel, solve_all()):
-        if scalar is None:
-            assert array is None
-            continue
-        assert array[1] == scalar[1]
-        assert abs(array[0] - scalar[0]) <= 1e-12
-    assert sum(r is None for r in kernel) == 2 * 4 * len(models)  # D = q - 0.02, q - 1e-9
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_piecewise_grids())
+def test_grid_rdpf_table_matches_scalar(grid):
+    # equal dispatch and float expressions; numpy's log2 may differ from
+    # math.log2 in the last bit, which moves a rate of at most ~3 bits by
+    # one or two ulps (4.4e-16 each)
+    p, d_vals, p_vals = grid
+    table = grid_ref._rdpf_table(p, d_vals[:, None], p_vals[None, :])
+    assert table.shape == (d_vals.size, p_vals.size)
+    for (i, j), value in np.ndenumerate(table):
+        assert abs(value - rdpf_piecewise(p, float(d_vals[i]), float(p_vals[j]))) <= 1e-15
 
 
 def test_min2_search_tables_follow_each_branch_posterior():
-    # equal axes share one table only when the branch posteriors agree too
+    # each branch's table comes from its own posterior, also where both
+    # branches share their axes
     grid = grid_ref._axis_grid(0.05, 0.5)
     for model in (build_model(0.5, 0.1, 0.1, 0.1, 0.3), dsbs_model(0.1, 0.2)):
-        search = grid_ref._min2_search(model, 0.1, grid, grid, grid, grid)
-        for star, p_y, obj in ((model.a_star, model.p_a, search.a),
-                               (model.b_star, model.p_b, search.b)):
-            table = rdpf_piecewise_array(min(star, 0.5), grid[:, None], grid[None, :])
+        a, _, _, b, _, _ = grid_ref._min2_tables(model, 0.1, grid, grid, grid, grid)
+        for star, p_y, obj in ((model.a_star, model.p_a, a), (model.b_star, model.p_b, b)):
+            table = grid_ref._rdpf_table(min(star, 0.5), grid[:, None], grid[None, :])
             assert np.array_equal(obj, (p_y * table).ravel())
-
-
-def _brute_force(search, D, P):
-    """Score matrix of a pair search over the whole product."""
-    dtot = search.d[:, None] + search.e[None, :]
-    ptot = search.m[:, None] + search.n[None, :]
-    feasible = (dtot <= D + _TOL) & (ptot <= P + _TOL)
-    return np.where(feasible, search.a[:, None] + search.b[None, :], np.inf)
-
-
-def _rate_bound_of_both(search, D, P):
-    """The row bound from both constraints, also at P = inf, where the P
-    bound reaches every column."""
-    slack = _TOL + grid_ref._SLACK
-    low_d = search.b_min_by_e[np.searchsorted(search.e_sorted, D + slack - search.d,
-                                              side="right")]
-    low_p = search.b_min_by_n[np.searchsorted(search.n_sorted, P + slack - search.m,
-                                              side="right")]
-    return search.a + np.maximum(low_d, low_p)
-
-
-def test_pair_search_matches_brute_force_on_lattice_tables():
-    # entries on a coarse decimal lattice give many exact ties and sums that
-    # round across the constraint edges; up to 3000 rows cross many chunk
-    # boundaries, and few columns keep the two constraints in conflict
-    rng = np.random.default_rng(7)
-
-    def lattice(size, top):
-        return rng.integers(0, top + 1, size) * 0.1
-
-    for _ in range(60):
-        rows, cols = rng.integers(1, 3000), rng.integers(1, 30)
-        search = grid_ref._PairSearch(lattice(rows, 4), 0.2 + lattice(rows, 8), lattice(rows, 10),
-                                    lattice(cols, 4), 0.2 + lattice(cols, 8), lattice(cols, 10))
-        for _ in range(4):
-            D = float(rng.integers(0, 16)) * 0.1
-            P = float(rng.integers(0, 21)) * 0.1 if rng.random() < 0.75 else INF
-            value = _brute_force(search, D, P)
-            assert np.array_equal(search.rate_bound(D, P), _rate_bound_of_both(search, D, P))
-            assert np.all(search.rate_bound(D, P) <= value.min(axis=1))
-            i, j = np.unravel_index(int(value.argmin()), value.shape)
-            best = (float(value[i, j]), int(i), int(j)) if np.isfinite(value[i, j]) \
-                else (math.inf, -1, -1)
-            assert search.argmin(D, P) == best
-
-
-def test_best_first_visits_rows_whose_bound_ties_the_incumbent():
-    # the bound-0 rows come first and find row `late`; a chunk must then
-    # start among the bound-1 rows, whose bound equals the incumbent, and
-    # row `early` wins the tie on its smaller index
-    early = 2 * grid_ref._MAX_CHUNK
-    late = early + 100
-    bound = np.r_[np.ones(early + 1), np.zeros(100)]
-    scores = np.full(late + 1, 2.0)
-    scores[[early, late]] = 1.0
-    assert grid_ref._best_first(bound, lambda rows: scores[rows, None]) == (1.0, early, 0)
-
-
-def test_best_first_stops_at_rows_that_can_only_lose_a_tie():
-    # the first row reaches the least possible score 0; every later row
-    # with bound 0 has a larger index, so at best it ties and loses
-    bound = np.zeros(40 * grid_ref._FIRST_CHUNK)
-    scores = np.zeros(bound.size)
-    scored = []
-
-    def score(rows):
-        scored.extend(rows.tolist())
-        return scores[rows, None]
-
-    assert grid_ref._best_first(bound, score) == (0.0, 0, 0)
-    assert scored == [0]
-
-
-def test_best_first_matches_brute_force_on_tied_lattice_scores():
-    # scores on a quarter lattice tie often, and a row with no finite score
-    # has an inf bound; in half the draws the least-bound row instead has a
-    # finite bound and no finite score, and in a quarter no row has one
-    # (the answer is then (inf, -1, -1))
-    rng = np.random.default_rng(11)
-    for draw in range(300):
-        rows, cols = int(rng.integers(1, 700)), int(rng.integers(1, 6))
-        scores = rng.integers(0, 8, (rows, cols)) * 0.25
-        scores[rng.random((rows, cols)) < (1.0, 0.3, 0.3, 0.9)[draw % 4]] = INF
-        bound = np.maximum(scores.min(axis=1) - rng.integers(0, 3, rows) * 0.25, 0.0)
-        if draw % 4 < 2:
-            first = int(np.argmin(bound))
-            bound[first], scores[first] = 0.0, INF
-        scored = []
-
-        def score(r):
-            scored.extend(r.tolist())
-            return scores[r]
-
-        result = grid_ref._best_first(bound, score)
-        flat = int(np.argmin(scores))
-        i, j = divmod(flat, cols)
-        expected = (float(scores[i, j]), i, j) if np.isfinite(scores[i, j]) else (INF, -1, -1)
-        assert result == expected
-        assert len(scored) == len(set(scored))
-        index = np.arange(rows)
-        live = (bound < result[0]) | ((bound == result[0]) & (index < result[1]))
-        assert set(np.flatnonzero(live).tolist()) <= set(scored)
