@@ -7,12 +7,10 @@ other.
 """
 
 from .coding_simulator import (
-    BlockMetrics,
     TrialConfig,
     TrialReport,
     apply_decoder,
     derive_seed,
-    empirical_metrics,
     random_binning_trial,
     run_decoder_trials,
     sample_block,
@@ -41,8 +39,6 @@ from .probability_core import (
     tv_distance,
 )
 from .rdpf_closed_form import (
-    PiecewiseBreakpoints,
-    breakpoints,
     closed_form_rate,
     rdf_pi,
     rdpf_pi,

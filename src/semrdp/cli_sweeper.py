@@ -208,11 +208,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _coerce(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
+    """The text, which argparse converts with the flag's own type; true and
+    false become booleans for the flags that take no value."""
     if text.lower() in ("true", "false"):
         return text.lower() == "true"
     return text

@@ -101,15 +101,6 @@ class TrialReport:
     n: int
 
 
-@dataclass(frozen=True)
-class BlockMetrics:
-    """Single-block fragment of a TrialReport."""
-
-    empirical_D: float
-    empirical_P_marginal: float
-    empirical_P_blockwise: float
-
-
 def sample_block(model: SemanticModel, n: int, seed: int):
     """n i.i.d. draws of (S, X, Y) from the model joint, deterministic in seed.
 
@@ -160,32 +151,6 @@ def apply_decoder(law: DecoderLaw, x_block: np.ndarray, y_block: np.ndarray,
         raise DomainError("decoder input symbols must be 0 or 1")
     cells = np.array(np.left_shift(x_block, 1) | y_block, dtype=np.int64, order="C")
     return _decode_cells(law.prob_zero_table().ravel(), cells, _rng(seed))
-
-
-def empirical_metrics(s_block: np.ndarray, shat_block: np.ndarray,
-                      block_length: int) -> BlockMetrics:
-    """Empirical distortion and perception of one reconstructed block.
-
-    ``block_length`` is the sub-block size for the empirical perception
-    statistic and must divide the block length; the marginal statistic
-    pools the whole block.
-    """
-    s_block = np.asarray(s_block)
-    shat_block = np.asarray(shat_block)
-    if s_block.shape != shat_block.shape:
-        raise DomainError(
-            f"block length mismatch: {s_block.shape} vs {shat_block.shape}"
-        )
-    n = s_block.size
-    if block_length < 1 or n % block_length != 0:
-        raise DomainError(
-            f"sub-block length {block_length} does not divide block length {n}"
-        )
-    ones = np.array([np.count_nonzero(block.reshape(-1, block_length), axis=1)
-                     for block in (s_block, shat_block)])
-    d, zeros_s, zeros_shat, p_blockwise = _count_metrics(
-        np.count_nonzero(s_block != shat_block), ones, block_length)
-    return BlockMetrics(d, abs(zeros_s / n - zeros_shat / n), p_blockwise)
 
 
 def _count_metrics(mismatches: int, ones: np.ndarray, sub_block: int) -> tuple:

@@ -49,28 +49,12 @@ perception errors cancel, and the exact minimum over stochastic decoders
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, HypothesisError, InfeasibleError
 from .probability_core import _as_probability, binary_entropy, ternary_entropy
 from .semantic_model import SemanticModel
 
 _TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PiecewiseBreakpoints:
-    """Distortion breakpoints of the piecewise rate function.
-
-    d1 and d2 delimit the perception-binding band in the observation
-    domain; d_prime is d1 mapped to the semantic domain and pi_x_prime is
-    the zero-rate plateau onset.
-    """
-
-    d1: float
-    d2: float
-    d_prime: float
-    pi_x_prime: float
 
 
 def rdf_pi(pi: float, D: float) -> float:
@@ -163,19 +147,6 @@ def _require_doubly_symmetric(model: SemanticModel) -> tuple[float, float, float
             "the side information must be informative"
         )
     return model.q1, model.pi_x, model.pi_x_prime
-
-
-def breakpoints(model: SemanticModel, P: float) -> PiecewiseBreakpoints:
-    """Distortion breakpoints of ``closed_form_rate`` for a given perception
-    budget. Requires a finite P; with an unconstrained budget the middle
-    band is empty and there is nothing to report."""
-    q, pi_x, pi_x_prime = _require_doubly_symmetric(model)
-    P = float(P)
-    if not math.isfinite(P) or P < -_TOL:
-        raise DomainError(f"perception budget must be finite and non-negative, got {P}")
-    d1, d2 = perception_band(pi_x, P)
-    d_prime = (1.0 - 2.0 * q) * d1 + q
-    return PiecewiseBreakpoints(d1=d1, d2=d2, d_prime=d_prime, pi_x_prime=pi_x_prime)
 
 
 def closed_form_rate(model: SemanticModel, D: float, P: float) -> float:

@@ -451,10 +451,8 @@ def _plateau_edge(branches, lam: float) -> float:
 def _slope_start(branches, aim: float) -> tuple[float, float]:
     """(start, step) of the lam root at mu = 0: branch y is a Bernoulli(s_y)
     source at distortion min(d, s_y), lam = log2((1 - d) / d) the slope of
-    h(s_y) - h(d) (Blahut 1972). The root solves sum_y w_y min(d, s_y) = aim
-    (step: ~_ROOT_TOL in h), is the jump at lam = 0+, or unbounded at aim <= 0."""
-    if aim <= 0.0:
-        return 0.0, 1.0
+    h(s_y) - h(d) (Blahut 1972). The root solves sum_y w_y min(d, s_y) = aim > 0
+    (step: ~_ROOT_TOL in h), or is the jump at lam = 0+."""
     if sum(w * s for s, _, w in branches) <= aim:  # the cells' distortion at Shat = 0
         return 0.0, _ROOT_WIDTH
     fixed, free = 0.0, sum(w for _, _, w in branches)
@@ -539,9 +537,9 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     bracketed roots, and ``dual_bound`` is its value at the returned
     multipliers. The rate is sum_y w_y rdpf_piecewise(s_y, d_y, p_y) at the
     allocation, clipped at 0; s_y = 0 knows X from Y, at d_y = p_y = 0. Where
-    no distortion is left to aim at (D within rounding of q - 1e-12), the
-    distortion multiplier would pass 2**20; the allocation is then d_y =
-    p_y = 0, Shat = X, and the bound is only 0.
+    no distortion is left to aim at (D within rounding of q - 1e-12), d_y =
+    p_y = 0, Shat = X, is the only feasible allocation, so its rate is the
+    bound.
 
     achieved_P reports the aligned budget p_a p_0 + p_b p_1, an upper bound
     on the true total variation of any decoder realizing the allocation.
@@ -561,12 +559,13 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     aim = (min(max(D, q + _AIM), D + _TOL) - q) / scale
     allocation, rate, dual = _zero_rate_allocation(star, weight, P), 0.0, 0.0
     if sum(w * d for w, (d, _) in zip(weight, allocation)) > aim:
-        try:
+        if aim > 0.0:
             allocation, dual = _min2_dual(star, weight, aim, P)
-        except _Unbounded:
+        else:
             allocation = [(0.0, 0.0)] * 2
         rate = max(0.0, sum(w * rdpf_piecewise(s, d, p)
                             for s, w, (d, p) in zip(star, weight, allocation) if s > 0.0))
+        dual = dual if aim > 0.0 else rate
     (d0, p0), (d1, p1) = allocation
     return SolverResult(rate=rate, achieved_D=scale * (weight[0] * d0 + weight[1] * d1) + q,
                         achieved_P=weight[0] * p0 + weight[1] * p1, argmin=None,

@@ -351,6 +351,22 @@ def test_cli_config_rejects_unknown_keys(command, line, tmp_path, capsys):
     assert key in captured.err and "seed" not in captured.err
 
 
+@pytest.mark.parametrize("line, flag", [
+    ("steps = 2.5", "--steps"), ("steps = 1e1", "--steps"), ("seed = 7.9", "--seed"),
+    ("methods = 1", "methods"),
+])
+def test_cli_config_values_are_converted_by_the_flag_type(line, flag, tmp_path, capsys):
+    # a config value is text, as on the command line: --steps 2.5 is a usage error too
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{line}\n")
+    try:
+        code = main(["curve", *_MODEL, "--config", str(cfg_file)])
+    except SystemExit as usage:  # argparse's own usage error
+        code = usage.code
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_cli_simulated_rate_column(tmp_path):
     out = tmp_path / "sim_curve.csv"
     code = main([

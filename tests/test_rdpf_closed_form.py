@@ -7,7 +7,6 @@ from semrdp import (
     DomainError,
     HypothesisError,
     InfeasibleError,
-    breakpoints,
     build_model,
     closed_form_rate,
     dsbs_model,
@@ -95,25 +94,31 @@ def test_rdpf_piecewise_uniform_source_ignores_perception():
             assert rdpf_piecewise(0.5, d, P) == rdf_pi(0.5, d)
 
 
-def test_breakpoints_examples(model_q01):
-    bp = breakpoints(model_q01, 0.05)
-    assert bp.d_prime == pytest.approx(0.157143, abs=1e-6)
-    assert bp.pi_x_prime == pytest.approx(0.26, abs=1e-12)
-    assert bp.d1 == pytest.approx(0.0714286, abs=1e-6)
-    assert bp.d2 == pytest.approx(0.29, abs=1e-12)
+def _assert_branch_switch(model, P, d_prime, eps=1e-6):
+    """closed_form_rate is rdf_pi just below D' and rdpf_pi just above it,
+    where the two branches still differ by more than the comparison's 1e-13
+    (by about 1.6e-11 at q = 0.1, pi_x = 0.2, P = 0.05)."""
+    q, pi_x = model.q1, model.pi_x
+    for D, binding in ((d_prime - eps, False), (d_prime + eps, True)):
+        if D < q:
+            continue  # below the noise floor: infeasible
+        d_x = (D - q) / (1 - 2 * q)
+        rdf, rdpf = rdf_pi(pi_x, d_x), rdpf_pi(pi_x, d_x, P)
+        assert abs(rdf - rdpf) > 1e-12
+        assert closed_form_rate(model, D, P) == pytest.approx(rdpf if binding else rdf, abs=1e-13)
 
-    bp0 = breakpoints(dsbs_model(0.0, 0.2), 0.05)
-    assert bp0.d_prime == pytest.approx(bp0.d1, abs=1e-15)
 
-    bp_zero_budget = breakpoints(model_q01, 0.0)
-    assert bp_zero_budget.d_prime == pytest.approx(0.1, abs=1e-12)
-
-
-def test_breakpoints_rejections(model_q01):
-    with pytest.raises(HypothesisError):
-        breakpoints(build_model(0.5, 0.1, 0.2, 0.2, 0.2), 0.05)
-    with pytest.raises(DomainError):
-        breakpoints(model_q01, INF)
+def test_closed_form_rate_switches_branch_at_d_prime(model_q01):
+    # D' = (1 - 2q) D1 + q maps the band's lower edge to the semantic domain
+    d1, d2 = perception_band(0.2, 0.05)
+    assert d1 == pytest.approx(0.0714286, abs=1e-6)
+    assert d2 == pytest.approx(0.29, abs=1e-12)
+    d_prime = 0.8 * d1 + 0.1
+    assert d_prime == pytest.approx(0.157143, abs=1e-6)
+    _assert_branch_switch(model_q01, 0.05, d_prime)
+    # P = 0: D1 = 0, so D' = q and perception binds from the noise floor on
+    assert perception_band(0.2, 0.0)[0] == 0.0
+    _assert_branch_switch(model_q01, 0.0, 0.1)
 
 
 def test_closed_form_rate_spot_values(model_q01):
@@ -130,6 +135,8 @@ def test_closed_form_rate_errors(model_q01):
         closed_form_rate(model_q01, 0.05, 0.05)
     with pytest.raises(HypothesisError):
         closed_form_rate(build_model(0.5, 0.1, 0.1, 0.1, 0.3), 0.2, 0.05)
+    with pytest.raises(HypothesisError):
+        closed_form_rate(build_model(0.5, 0.1, 0.2, 0.2, 0.2), 0.2, 0.05)  # q1 != q2
     with pytest.raises(HypothesisError):
         # pi_x = 1/2 leaves the side information uninformative
         closed_form_rate(dsbs_model(0.1, 0.5), 0.3, 0.05)
@@ -182,9 +189,9 @@ def test_plateau_beats_unconstrained_piecewise_at_q0():
 def test_continuity_at_d_prime(model_q01):
     eps = 1e-5
     for P in (0.02, 0.05, 0.1):
-        bp = breakpoints(model_q01, P)
-        left = closed_form_rate(model_q01, bp.d_prime - eps, P)
-        right = closed_form_rate(model_q01, bp.d_prime + eps, P)
+        d_prime = 0.8 * perception_band(0.2, P)[0] + 0.1
+        left = closed_form_rate(model_q01, d_prime - eps, P)
+        right = closed_form_rate(model_q01, d_prime + eps, P)
         assert abs(left - right) <= 1e-3
 
 
@@ -207,6 +214,7 @@ def test_plateau_jump_for_binding_perception(model_q01):
 
 
 def test_q0_breakpoint_collapse():
-    model = dsbs_model(0.0, 0.2)
-    bp = breakpoints(model, 0.05)
-    assert bp.d_prime == pytest.approx(0.0714286, abs=1e-6)
+    # q = 0: D' = (1 - 2q) D1 + q is D1 itself
+    d_prime = perception_band(0.2, 0.05)[0]
+    assert d_prime == pytest.approx(0.0714286, abs=1e-6)
+    _assert_branch_switch(dsbs_model(0.0, 0.2), 0.05, d_prime)

@@ -17,6 +17,7 @@ from semrdp import (
     HypothesisError,
     InfeasibleError,
     JointDistribution,
+    TrialConfig,
     binary_entropy,
     build_model,
     closed_form_rate,
@@ -25,6 +26,7 @@ from semrdp import (
     evaluate_decoder,
     oracle_min_rate,
     rdpf_piecewise,
+    run_decoder_trials,
     shat_marginal,
     solve_min2,
     tv_distance,
@@ -433,10 +435,11 @@ def test_solve_min2_edge_cases():
                                                     for w, v in zip(weight, s)), abs=1e-9)
     with pytest.raises(InfeasibleError, match="distortion floor of this model is 0.1"):
         solve_min2(model, 0.1 - 2e-12, 0.05)
-    # at the tolerance's edge no distortion is left to aim at: the distortion
-    # multiplier is unbounded, so Shat = X comes back with only the bound 0
+    # at the tolerance's edge no distortion is left to aim at: Shat = X is the
+    # only feasible allocation, so its rate is its own certificate
     edge = solve_min2(model, 0.1 - 1e-12, 0.05)
-    assert edge.branch_allocation == (0.0, 0.0, 0.0, 0.0) and edge.dual_bound == 0.0
+    _assert_min2_certified(model, 0.1 - 1e-12, 0.05, edge)
+    assert edge.branch_allocation == (0.0, 0.0, 0.0, 0.0) and edge.dual_bound == edge.rate
     assert edge.achieved_D <= 0.1 and edge.rate == pytest.approx(
         sum(w * binary_entropy(v) for w, v in zip(weight, s)), abs=1e-12)
     # P = 0: mu = inf, both branches at zero perception
@@ -915,6 +918,25 @@ def test_closed_form_is_never_below_the_oracle_certificate(q, pi_x, share, P):
     for budget in (0.0, P, INF):
         bound = oracle_min_rate(model, D, budget).dual_bound
         assert closed_form_rate(model, D, budget) >= bound - 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pi=st.floats(0.0, 0.5), channels=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+       share=st.floats(0.0, 1.0), P=st.sampled_from([0.0, 1e-3, 0.05, INF]))
+def test_simulated_metrics_match_the_exact_ones_at_the_oracle_argmin(pi, channels, share, P):
+    # 10^5 symbols decoded by the argmin, on one fixed seed, land within 4
+    # standard errors of its exact distortion d and perception p. The errors
+    # come from d and p, not from the sample: a symbol's mismatch is
+    # Bernoulli(d), and its 1{Shat = 0} - 1{S = 0} has mean +-p and second
+    # moment d
+    model = _drawn_model(pi, channels)
+    floor = solver._distortion_floor(model, P)[0]
+    law = oracle_min_rate(model, floor + share * (0.5 - floor), P).argmin
+    exact = evaluate_decoder(model, law)
+    d, p, n = exact.distortion, exact.perception, 100_000
+    report = run_decoder_trials(model, law, TrialConfig(n=n, trials=1, seed=20250808))
+    assert abs(report.empirical_D - d) <= 4 * math.sqrt(max(d * (1 - d), 0.0) / n)
+    assert abs(abs(report.empirical_P_signed) - p) <= 4 * math.sqrt(max(d - p * p, 0.0) / n)
 
 
 @pytest.mark.parametrize("solve", [oracle_min_rate, solve_min2], ids=["oracle", "min2"])
