@@ -136,10 +136,14 @@ def test_closed_form_rate_errors(model_q01):
     with pytest.raises(HypothesisError):
         closed_form_rate(build_model(0.5, 0.1, 0.1, 0.1, 0.3), 0.2, 0.05)
     with pytest.raises(HypothesisError):
-        closed_form_rate(build_model(0.5, 0.1, 0.2, 0.2, 0.2), 0.2, 0.05)  # q1 != q2
-    with pytest.raises(HypothesisError):
         # pi_x = 1/2 leaves the side information uninformative
         closed_form_rate(dsbs_model(0.1, 0.5), 0.3, 0.05)
+
+
+def test_closed_form_rate_rejects_unequal_crossovers():
+    # the closed form assumes q1 = q2; here q1 = 0.1 and q2 = 0.2
+    with pytest.raises(HypothesisError):
+        closed_form_rate(build_model(0.5, 0.1, 0.2, 0.2, 0.2), 0.2, 0.05)
 
 
 def test_closed_form_rate_monotone_in_d_and_p(model_q01):
