@@ -207,14 +207,6 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(text: str):
-    """The text, which argparse converts with the flag's own type; true and
-    false become booleans for the flags that take no value."""
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="semrdp",
@@ -391,16 +383,23 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            file_values = {
-                k: _coerce(v) for k, v in _load_config_file(args.config).items()
-            }
+            file_values, unknown = _load_config_file(args.config), []
             sub = commands[args.command]
-            known = {action.dest for action in sub._actions} - {"help", "config"}
-            unknown = sorted(set(file_values) - known)
+            flags = {action.dest: action for action in sub._actions
+                     if action.dest not in ("help", "config")}
+            for key, text in file_values.items():
+                if key not in flags:
+                    unknown.append(key)
+                elif flags[key].nargs == 0:  # a flag without a value to convert
+                    if text.lower() not in ("true", "false"):
+                        raise DomainError(
+                            f"{key} in {args.config} must be true or false, got {text!r}"
+                        )
+                    file_values[key] = text.lower() == "true"
             if unknown:
                 raise DomainError(
                     f"unknown keys in {args.config} for '{args.command}': "
-                    + ", ".join(unknown)
+                    + ", ".join(sorted(unknown))
                 )
             sub.set_defaults(**file_values)
             args = parser.parse_args(argv)

@@ -27,17 +27,12 @@ D2.
 ``closed_form_rate`` lifts this to the indirect, side-informed source:
 for a doubly symmetric model with observation crossover q and posterior
 crossover pi_x, the semantic distortion D maps to the observation domain
-as D_x = (D - q) / (1 - 2q), and
-
-    rate = R_pix(D_x)      on [q, D')            (perception slack)
-           R_pix(D_x, P)   on [D', pi_x')        (perception binding)
-           0               on [pi_x', infinity)  (side information alone
-                                                  meets both constraints)
-
-with D' = (1 - 2q) D1 + q and pi_x' = (1 - 2q) pi_x + q. Decoding straight
-from the side information achieves distortion pi_x' at zero rate with a
-reconstruction law identical to the source law, which is why the zero
-branch starts at pi_x' regardless of P.
+as D_x = (D - q) / (1 - 2q), and the rate is the Bernoulli(pi_x) function
+lifted: rdpf_piecewise(pi_x, D_x, P) below pi_x' = (1 - 2q) pi_x + q, whose
+switch at D1 is the semantic D' = (1 - 2q) D1 + q, and 0 from pi_x' on.
+Decoding straight from the side information achieves distortion pi_x' at
+zero rate with a reconstruction law identical to the source law, which is
+why the zero branch starts at pi_x' regardless of P.
 
 A consequence worth knowing: for perception budgets below pi_x the middle
 expression does not decay to zero as D approaches pi_x' (its left limit is
@@ -134,19 +129,15 @@ def rdpf_piecewise(p: float, D: float, P: float) -> float:
 
 
 def _require_doubly_symmetric(model: SemanticModel) -> tuple[float, float, float]:
-    if not model.is_doubly_symmetric:
+    q = model.common_crossover()
+    # pi_x < 1/2 is P(S=1 | Y=0) = q + (1 - 2q) pi_x < 1/2 in exact arithmetic
+    if model.pi_x is None or model.pi_x >= 0.5:
         raise HypothesisError(
-            "closed form requires the doubly symmetric construction "
-            "(uniform source, q1 == q2, symmetric side channel); got "
-            f"{model!r} with a_star={model.a_star}, b_star={model.b_star}, "
-            f"u_star={model.u_star}, v_star={model.v_star}"
+            "closed form requires a symmetric, informative side channel "
+            f"(a_star == b_star < 1/2); got {model!r} with "
+            f"a_star={model.a_star}, b_star={model.b_star}"
         )
-    if model.u_star >= 0.5:
-        raise HypothesisError(
-            f"requires P(S=1 | Y=0) < 1/2, got {model.u_star}; "
-            "the side information must be informative"
-        )
-    return model.q1, model.pi_x, model.pi_x_prime
+    return q, model.pi_x, model.pi_x_prime
 
 
 def closed_form_rate(model: SemanticModel, D: float, P: float) -> float:
@@ -155,9 +146,9 @@ def closed_form_rate(model: SemanticModel, D: float, P: float) -> float:
     D is measured against the hidden semantic bit, so D >= q is required;
     the observation-domain distortion is D_x = (D - q) / (1 - 2q). P may be
     math.inf. Zero from pi_x_prime onward (decode from side information);
-    below that, the Bernoulli(pi_x) piecewise structure applies at D_x with
-    the perception budget untransformed, since the source and observation
-    marginals coincide for this construction.
+    below that, rdpf_piecewise(pi_x, D_x, P), with the perception budget
+    untransformed, since the source and observation marginals coincide for
+    this construction.
     """
     q, pi_x, pi_x_prime = _require_doubly_symmetric(model)
     D = float(D)
@@ -170,13 +161,7 @@ def closed_form_rate(model: SemanticModel, D: float, P: float) -> float:
         raise InfeasibleError(
             f"semantic distortion {D} is below the observation noise floor q={q}"
         )
+    D = max(D, q)  # within the tolerance below the floor reads as the floor
     if D >= pi_x_prime:
         return 0.0
-    d_x = (max(D, q) - q) / (1.0 - 2.0 * q)
-    if P >= pi_x_prime:
-        return rdf_pi(pi_x, d_x)
-    d1, _ = perception_band(pi_x, P)
-    d_prime = (1.0 - 2.0 * q) * d1 + q
-    if D < d_prime:
-        return rdf_pi(pi_x, d_x)
-    return rdpf_pi(pi_x, d_x, min(P, pi_x))
+    return rdpf_piecewise(pi_x, (D - q) / (1.0 - 2.0 * q), P)

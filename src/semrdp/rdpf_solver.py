@@ -373,23 +373,13 @@ def _validate_args(D: float, P: float, resolution: float | None) -> tuple[float,
 
 
 def _min2_hypotheses(model: SemanticModel) -> float:
-    if abs(model.pi - 0.5) > _TOL or model.q1 != model.q2:
-        raise HypothesisError(
-            "the branch decomposition needs a uniform (S, X) pair with a "
-            "common observation crossover; the distortion conversion and the "
-            "source/observation marginal identity both rely on it"
-        )
-    if model.q1 >= 0.5:
-        raise HypothesisError(
-            f"the distortion conversion divides by 1 - 2q, so q must lie below 1/2, "
-            f"got {model.q1}"
-        )
+    q = model.common_crossover()
     if model.a_star > 0.5 + _TOL or model.b_star > 0.5 + _TOL:
         raise HypothesisError(
             f"branch posteriors must not exceed 1/2, got a*={model.a_star}, "
             f"b*={model.b_star}"
         )
-    return model.q1
+    return q
 
 
 def _zero_perception_cost(s: float, lam: float) -> float:

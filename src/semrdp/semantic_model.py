@@ -13,16 +13,17 @@ Every posterior the closed forms need is exposed as a plain attribute:
     u_star = P(S = 1 | Y = 0), v_star = P(S = 0 | Y = 1)
 
 For the doubly symmetric construction (uniform S, q1 = q2 = q,
-a = b = pi_x) these collapse to a_star = b_star = pi_x and
-u_star = v_star = pi_x_prime = (1 - 2q) * pi_x + q, which is the distortion
-of decoding straight from the side information.
+a = b = pi_x) these collapse to a_star = b_star = pi_x, bit for bit with
+p_a == p_b, and u_star = v_star = pi_x_prime = (1 - 2q) * pi_x + q, which is
+the distortion of decoding straight from the side information.
+``SemanticModel.common_crossover`` checks its (S, X) half for every caller.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DomainError
+from .errors import DegenerateChannelError, DomainError, HypothesisError
 from .probability_core import JointDistribution, _as_probability
 
 _SYMMETRY_TOL = 1e-12
@@ -52,16 +53,16 @@ class SemanticModel:
         """The five construction parameters; keys caches and reprs."""
         return (self.pi, self.q1, self.q2, self.a, self.b)
 
-    @property
-    def is_doubly_symmetric(self) -> bool:
-        """True when the closed forms apply: a uniform (S, X) pair with a
-        common observation crossover and a symmetric side channel."""
-        return (
-            abs(self.pi - 0.5) <= _SYMMETRY_TOL
-            and self.q1 == self.q2
-            and self.pi_x is not None
-            and abs(self.u_star - self.v_star) <= 1e-9
-        )
+    def common_crossover(self) -> float:
+        """q of a uniform (S, X) pair with q1 = q2 = q < 1/2, which both branch
+        decompositions assume; raises HypothesisError otherwise."""
+        if abs(self.pi - 0.5) > _SYMMETRY_TOL or self.q1 != self.q2 or self.q1 >= 0.5:
+            raise HypothesisError(
+                "the branch decomposition needs a uniform (S, X) pair with a common "
+                "observation crossover q < 1/2 (the distortion conversion divides "
+                f"by 1 - 2q); got {self!r}"
+            )
+        return self.q1
 
     def __repr__(self):
         return (
@@ -90,7 +91,10 @@ def build_model(pi: float, q1: float, q2: float, a: float, b: float) -> Semantic
     masses = p_s[:, None, None] * p_x_given_s[:, :, None] * p_y_given_x[None, :, :]
     joint = JointDistribution(masses, ("S", "X", "Y"))
 
-    p_y = masses.sum(axis=(0, 1))
+    # P(Y) from P(X, Y) by two-term sums, which commute: a symmetric P(X, Y)
+    # gives p_a == p_b and a_star == b_star bit for bit
+    p_xy = masses.sum(axis=0)
+    p_y = p_xy.sum(axis=0)
     p_a, p_b = float(p_y[0]), float(p_y[1])
     if p_a <= _SYMMETRY_TOL or p_b <= _SYMMETRY_TOL:
         raise DegenerateChannelError(
@@ -98,7 +102,6 @@ def build_model(pi: float, q1: float, q2: float, a: float, b: float) -> Semantic
             f"with probability ~1; posteriors for the other branch are undefined"
         )
 
-    p_xy = masses.sum(axis=0)
     a_star = float(p_xy[1, 0] / p_a)
     b_star = float(p_xy[0, 1] / p_b)
     p_sy = masses.sum(axis=1)

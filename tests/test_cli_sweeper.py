@@ -367,6 +367,25 @@ def test_cli_config_values_are_converted_by_the_flag_type(line, flag, tmp_path, 
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, quick", [("true", True), ("FALSE", False), ("0", None),
+                                          ("no", None)])
+def test_cli_config_no_value_flag_takes_only_true_or_false(value, quick, tmp_path,
+                                                           monkeypatch, capsys):
+    # --quick takes no value, so a config value is read as true or false and
+    # any other text is a usage error, not a truthy string
+    seen = []
+    monkeypatch.setattr(cli_sweeper, "_cmd_verify", lambda args: seen.append(args.quick) or 0)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"quick = {value}\n")
+    code = main(["verify", "--config", str(cfg_file)])
+    if quick is None:
+        assert code == 2 and seen == []
+        err = capsys.readouterr().err
+        assert err.startswith("semrdp: error: quick ") and repr(value) in err
+    else:
+        assert code == 0 and seen == [quick]
+
+
 def test_cli_simulated_rate_column(tmp_path):
     out = tmp_path / "sim_curve.csv"
     code = main([

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semrdp import (
     DomainError,
@@ -128,6 +130,11 @@ def test_closed_form_rate_spot_values(model_q01):
     for p in (0.02, 0.05, 0.1, 0.2, INF):
         assert closed_form_rate(model_q01, 0.26, p) == 0.0
         assert closed_form_rate(model_q01, 0.4, p) == 0.0
+    # Y tells X (pi_x = 0, so pi_x' = q): rate 0 from the floor, and within
+    # the floor's tolerance below it
+    knows_x = build_model(0.5, 0.1, 0.1, 0.0, 0.0)
+    for p in (0.0, 0.05, INF):
+        assert closed_form_rate(knows_x, 0.1 - 1e-13, p) == closed_form_rate(knows_x, 0.1, p) == 0.0
 
 
 def test_closed_form_rate_errors(model_q01):
@@ -138,12 +145,18 @@ def test_closed_form_rate_errors(model_q01):
     with pytest.raises(HypothesisError):
         # pi_x = 1/2 leaves the side information uninformative
         closed_form_rate(dsbs_model(0.1, 0.5), 0.3, 0.05)
+    # just below 1/2 it answers, also where P(S=1 | Y=0) rounds to 1/2
+    for q in (0.1, 0.3):
+        assert closed_form_rate(dsbs_model(q, math.nextafter(0.5, 0.0)), 0.31, 0.05) > 0.0
 
 
-def test_closed_form_rate_rejects_unequal_crossovers():
-    # the closed form assumes q1 = q2; here q1 = 0.1 and q2 = 0.2
-    with pytest.raises(HypothesisError):
-        closed_form_rate(build_model(0.5, 0.1, 0.2, 0.2, 0.2), 0.2, 0.05)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.49), pi_x=st.floats(1e-6, 0.49))
+def test_closed_form_rate_at_the_floor_without_perception_is_rdf(q, pi_x):
+    # at P = 0, D1 = 0: D = q is the band's edge, where rdpf_piecewise answers
+    # with R(0) = H_b(pi_x) itself
+    model = dsbs_model(q, pi_x)
+    assert closed_form_rate(model, q, 0.0) == rdf_pi(model.pi_x, 0.0)
 
 
 def test_closed_form_rate_monotone_in_d_and_p(model_q01):

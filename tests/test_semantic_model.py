@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semrdp import (
     DegenerateChannelError,
@@ -93,7 +95,16 @@ def test_dsbs_posterior_composition(rng):
         pi_x = float(rng.uniform(0.02, 0.5))
         m = dsbs_model(q, pi_x)
         assert m.u_star == pytest.approx(q + pi_x - 2 * q * pi_x, abs=1e-9)
-        assert m.is_doubly_symmetric
+        assert m.common_crossover() == q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.49), pi_x=st.floats(1e-6, 0.5))
+def test_dsbs_branches_are_bit_equal(q, pi_x):
+    # P(Y) sums a symmetric P(X, Y) two terms at a time, so both branches get
+    # the same posterior and weight, not two an ulp apart
+    m = dsbs_model(q, pi_x)
+    assert m.a_star == m.b_star and m.p_a == m.p_b
 
 
 def test_model_domain_errors():
