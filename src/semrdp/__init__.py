@@ -16,7 +16,6 @@ from .coding_simulator import (
     sample_block,
 )
 from .errors import (
-    AlphabetMismatchError,
     DegenerateChannelError,
     DomainError,
     HypothesisError,
@@ -27,16 +26,12 @@ from .errors import (
 )
 from .probability_core import (
     ChainRuleTerms,
-    FiniteDistribution,
     JointDistribution,
-    bernoulli,
     binary_entropy,
     chain_rule_decomposition,
     conditional_entropy,
     conditional_mutual_information,
-    entropy,
     ternary_entropy,
-    tv_distance,
 )
 from .rdpf_closed_form import (
     closed_form_rate,
@@ -50,7 +45,6 @@ from .rdpf_solver import (
     SolverResult,
     evaluate_decoder,
     oracle_min_rate,
-    shat_marginal,
     solve_min2,
 )
 from .semantic_model import (

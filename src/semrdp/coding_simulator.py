@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .rdpf_solver import DecoderLaw, shat_marginal
+from .rdpf_solver import DecoderLaw
 from .semantic_model import SemanticModel
 
 _CODEBOOK_LOG2_CAP = 24.0
@@ -256,7 +256,7 @@ def random_binning_trial(model: SemanticModel, cfg: TrialConfig,
     failure means the decoder picked a different codeword than the encoder.
     """
     words, bins = _codebook_sizes(cfg)
-    p_one = float(shat_marginal(model, target_law).masses[1])
+    p_one = 1.0 - float((model.joint.masses.sum(axis=0) * target_law.prob_zero_table()).sum())
 
     def reconstruct(cells, rng):
         x, y = (cells >> 1) & 1, cells & 1

@@ -14,10 +14,6 @@ class DomainError(SemRdpError, ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class AlphabetMismatchError(SemRdpError, ValueError):
-    """Two distributions that must share an alphabet have different sizes."""
-
-
 class LabelError(SemRdpError, ValueError):
     """Unknown, duplicated, or overlapping axis labels on a joint distribution."""
 

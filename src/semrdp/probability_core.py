@@ -28,21 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, DomainError, LabelError
+from .errors import DomainError, LabelError
 
 __all__ = [
     "ChainRuleTerms",
-    "FiniteDistribution",
     "JointDistribution",
-    "bernoulli",
     "binary_entropy",
     "chain_rule_decomposition",
     "conditional_entropy",
     "conditional_mutual_information",
-    "entropy",
     "random_joint",
     "ternary_entropy",
-    "tv_distance",
 ]
 
 _PROB_SLACK = 1e-12
@@ -87,63 +83,9 @@ def ternary_entropy(x: float, y: float) -> float:
     return total
 
 
-def _masses(dist) -> np.ndarray:
-    if isinstance(dist, FiniteDistribution):
-        return dist.masses
-    arr = np.asarray(dist, dtype=float).ravel()
-    FiniteDistribution(arr)  # reuse the validation
-    return arr
-
-
-def tv_distance(p, q) -> float:
-    """Total variation distance between two distributions on a common alphabet.
-
-    Computed as half the L1 distance between the mass vectors; accepts
-    FiniteDistribution instances or bare mass arrays.
-    """
-    pm, qm = _masses(p), _masses(q)
-    if pm.shape != qm.shape:
-        raise AlphabetMismatchError(
-            f"alphabet sizes differ: {pm.shape[0]} vs {qm.shape[0]}"
-        )
-    return _tv_of_masses(pm, qm)
-
-
 def _tv_of_masses(pm: np.ndarray, qm: np.ndarray) -> float:
     """Half the L1 distance between two mass vectors of one shape."""
     return float(0.5 * np.abs(pm - qm).sum())
-
-
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Probability masses over a finite alphabet, validated on construction."""
-
-    masses: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.masses, dtype=float).ravel()
-        if arr.size == 0:
-            raise DomainError("a distribution needs at least one mass")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("masses must be finite")
-        if arr.min() < -_PROB_SLACK or arr.max() > 1.0 + _PROB_SLACK:
-            raise DomainError("every mass must lie in [0, 1]")
-        if abs(arr.sum() - 1.0) > _NORM_TOL:
-            raise DomainError(f"masses sum to {arr.sum()}, not 1 within {_NORM_TOL}")
-        arr = np.clip(arr, 0.0, 1.0)
-        arr.flags.writeable = False
-        object.__setattr__(self, "masses", arr)
-
-
-def bernoulli(p1: float) -> FiniteDistribution:
-    """Distribution of a binary variable with P(value = 1) = p1."""
-    p1 = _as_probability(p1, "p1")
-    return FiniteDistribution(np.array([1.0 - p1, p1]))
-
-
-def entropy(dist) -> float:
-    """Shannon entropy in bits of a finite distribution."""
-    return _entropy_of(_masses(dist))
 
 
 def _entropy_of(m: np.ndarray) -> float:
@@ -206,10 +148,6 @@ class JointDistribution:
         drop = tuple(i for i, l in enumerate(self.labels) if l not in keep)
         kept_labels = tuple(l for l in self.labels if l in keep)
         return JointDistribution._trusted(self.masses.sum(axis=drop), kept_labels)
-
-    def distribution(self) -> FiniteDistribution:
-        """The flattened mass vector as a FiniteDistribution."""
-        return FiniteDistribution(self.masses.ravel())
 
 
 def _as_label_tuple(labels) -> tuple[str, ...]:

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HypothesisError, InfeasibleError
-from .probability_core import (FiniteDistribution, JointDistribution, _as_probability,
-                               _tv_of_masses, binary_entropy, conditional_mutual_information)
+from .probability_core import (JointDistribution, _as_probability, _tv_of_masses,
+                               binary_entropy, conditional_mutual_information)
 from .rdpf_closed_form import rdpf_piecewise
 from .semantic_model import SemanticModel
 
@@ -120,18 +120,10 @@ def evaluate_decoder(model: SemanticModel, law: DecoderLaw) -> DecoderMetrics:
     joint4 = JointDistribution._trusted(m4, ("S", "X", "Y", "Shat"))
     rate = conditional_mutual_information(joint4, "X", "Shat", "Y")
     distortion = float(m4[0, :, :, 1].sum() + m4[1, :, :, 0].sum())
-    # a marginal mass can round above 1 (pi = 0, or Shat constant); clip it
-    # as a validated distribution would
+    # a marginal mass can round above 1 (pi = 0, or Shat constant); clip it to 1
     perception = _tv_of_masses(np.minimum(m4.sum(axis=(1, 2, 3)), 1.0),
                                np.minimum(m4.sum(axis=(0, 1, 2)), 1.0))
     return DecoderMetrics(rate=rate, distortion=distortion, perception=perception)
-
-
-def shat_marginal(model: SemanticModel, law: DecoderLaw) -> FiniteDistribution:
-    """Reconstruction marginal p(Shat) induced by a decoding rule."""
-    p_xy = model.joint.masses.sum(axis=0)
-    p0 = float((p_xy * law.prob_zero_table()).sum())
-    return FiniteDistribution(np.array([p0, 1.0 - p0]))
 
 
 # ---------------------------------------------------------------------------

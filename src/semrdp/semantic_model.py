@@ -17,6 +17,7 @@ a = b = pi_x) these collapse to a_star = b_star = pi_x, bit for bit with
 p_a == p_b, and u_star = v_star = pi_x_prime = (1 - 2q) * pi_x + q, which is
 the distortion of decoding straight from the side information.
 ``SemanticModel.common_crossover`` checks its (S, X) half for every caller.
+``pi_x`` is set only where a_star == b_star exactly.
 """
 
 from dataclasses import dataclass
@@ -108,7 +109,7 @@ def build_model(pi: float, q1: float, q2: float, a: float, b: float) -> Semantic
     u_star = float(p_sy[1, 0] / p_a)
     v_star = float(p_sy[0, 1] / p_b)
 
-    pi_x = a_star if abs(a_star - b_star) <= 1e-9 else None
+    pi_x = a_star if a_star == b_star else None
     pi_x_prime = None
     if pi_x is not None and q1 == q2:
         pi_x_prime = (1.0 - 2.0 * q1) * pi_x + q1

@@ -364,6 +364,30 @@ def test_reports_pinned_to_recorded_streams(model_q01):
     assert (binning.trials, binning.n) == (20, 12)
 
 
+def test_binning_codebook_pinned_off_a_uniform_reconstruction():
+    # P(Shat = 1) = 0.446 here, so swapping P(Shat = 0) and P(Shat = 1) in
+    # the codebook law moves the report; a DSBS copy-observation law, where
+    # both are 1/2, cannot tell them apart
+    model = build_model(0.4, 0.1, 0.15, 0.2, 0.3)
+    law = DecoderLaw(0.9, 0.3, 0.6, 0.05)
+    report = random_binning_trial(
+        model, TrialConfig(n=12, trials=20, seed=1001, rate_R1=0.6, rate_R2=0.6), law)
+    assert report == TrialReport(
+        empirical_D=0.19999999999999998, empirical_D_se=0.020412414523193156,
+        empirical_P_marginal=0.025000000000000022,
+        empirical_P_blockwise=0.10833333333333331,
+        empirical_P_signed=0.025, empirical_P_signed_se=0.030886038406067098,
+        bin_decode_failures=0,
+        seeds_used=(1359894154268611347, 3734321803408795338, 9256614545176165294,
+                    17976487602342169978, 16180736267355779647, 18252277309332939917,
+                    2078902461401750613, 18315114365539832738, 3545874175164282848,
+                    14195174856587249710, 1816874336754598079, 14474432133872116669,
+                    14607572445673226110, 8280675105316688193, 4982250552708267083,
+                    8324944625967384957, 3398460513211408688, 6700415723889042888,
+                    11447186887082724473, 8120003851557131076),
+        trials=20, n=12)
+
+
 def test_multi_chunk_report_pinned_to_recorded_streams(model_q01):
     # recorded with whole-block passes; 200,000 symbols cross three chunk boundaries
     report = run_decoder_trials(model_q01, DecoderLaw(0.8, 0.3, 0.6, 0.1),

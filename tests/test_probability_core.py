@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from semrdp import (
-    AlphabetMismatchError,
     DomainError,
-    FiniteDistribution,
     JointDistribution,
     LabelError,
-    bernoulli,
     binary_entropy,
     chain_rule_decomposition,
     conditional_entropy,
     conditional_mutual_information,
-    entropy,
     ternary_entropy,
-    tv_distance,
 )
 from semrdp.probability_core import random_joint
 
@@ -59,50 +54,12 @@ def test_ternary_entropy_domain():
     assert ternary_entropy(0.5, 0.5) == 1.0  # boundary: z = 0
 
 
-def test_tv_distance_examples():
-    assert tv_distance(bernoulli(0.5), bernoulli(0.5)) == 0.0
-    assert tv_distance(bernoulli(0.2), bernoulli(0.5)) == pytest.approx(0.3, abs=1e-12)
-    p = FiniteDistribution(np.array([0.2, 0.3, 0.5]))
-    q = FiniteDistribution(np.array([0.4, 0.3, 0.3]))
-    # half-L1 by hand: (0.2 + 0.0 + 0.2) / 2
-    assert tv_distance(p, q) == pytest.approx(0.2, abs=1e-12)
-
-
-def test_tv_distance_mismatched_alphabets():
-    with pytest.raises(AlphabetMismatchError):
-        tv_distance(bernoulli(0.5), FiniteDistribution(np.array([0.2, 0.3, 0.5])))
-
-
-def test_tv_distance_is_a_metric(rng):
-    for _ in range(1000):
-        size = int(rng.integers(2, 5))
-        dists = []
-        for _ in range(3):
-            raw = rng.random(size)
-            dists.append(FiniteDistribution(raw / raw.sum()))
-        p, q, r = dists
-        assert tv_distance(p, q) == tv_distance(q, p)
-        assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r) + 1e-12
-        assert tv_distance(p, p) == 0.0
-    a, b = bernoulli(0.3), bernoulli(0.3 + 1e-13)
-    assert tv_distance(a, b) <= 1e-12
-
-
 def test_entropy_bounds(rng):
     for _ in range(200):
         size = int(rng.integers(2, 6))
         raw = rng.random(size)
-        d = FiniteDistribution(raw / raw.sum())
-        h = entropy(d)
+        h = conditional_entropy(JointDistribution(raw / raw.sum(), ("A",)), "A")
         assert -1e-12 <= h <= math.log2(size) + 1e-12
-
-
-def test_finite_distribution_validation():
-    with pytest.raises(DomainError):
-        FiniteDistribution(np.array([0.5, 0.6]))
-    with pytest.raises(DomainError):
-        FiniteDistribution(np.array([-0.1, 1.1]))
-    FiniteDistribution(np.array([0.5, 0.5 + 1e-10]))  # within 1e-9 of 1
 
 
 def _independent_bits():
@@ -202,7 +159,7 @@ def test_joint_marginals_are_valid(rng):
     for _ in range(50):
         j = random_joint(rng, zero_fraction=0.2)
         for label in j.labels:
-            j.marginal(label).distribution()  # construction validates
+            JointDistribution(j.marginal(label).masses, (label,))  # construction validates
 
 
 def test_joint_marginals_are_read_only_sums(rng):
@@ -211,7 +168,8 @@ def test_joint_marginals_are_read_only_sums(rng):
     assert m.labels == ("S", "Y")
     assert np.array_equal(m.masses, j.masses.sum(axis=(1, 3)))
     assert not m.masses.flags.writeable
-    assert conditional_entropy(j, ("S", "Y")) == entropy(m.distribution())
+    flat = JointDistribution(m.masses.ravel(), ("SY",))
+    assert conditional_entropy(j, ("S", "Y")) == conditional_entropy(flat, "SY")
     total = j.marginal(())
     assert total.labels == () and total.masses.shape == ()
     assert abs(float(total.masses) - 1.0) < 1e-12

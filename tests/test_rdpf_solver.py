@@ -27,9 +27,7 @@ from semrdp import (
     oracle_min_rate,
     rdpf_piecewise,
     run_decoder_trials,
-    shat_marginal,
     solve_min2,
-    tv_distance,
 )
 from semrdp import rdpf_solver as solver
 from semrdp.rdpf_closed_form import perception_band
@@ -101,7 +99,8 @@ def test_evaluate_decoder_agrees_with_branch_formula(model_q01, rng):
 
 def _evaluate_decoder_validated(model, law):
     """evaluate_decoder as it was before it trusted its own joint: the
-    joint re-validated, and the perception from two validated marginals."""
+    joint re-validated, and the perception from two marginals each clipped
+    into [0, 1]."""
     p3 = model.joint.masses
     p_zero = law.prob_zero_table()[None, :, :]
     m4 = np.empty(p3.shape + (2,))
@@ -110,8 +109,8 @@ def _evaluate_decoder_validated(model, law):
     joint4 = JointDistribution(m4, ("S", "X", "Y", "Shat"))
     rate = conditional_mutual_information(joint4, "X", "Shat", "Y")
     distortion = float(m4[0, :, :, 1].sum() + m4[1, :, :, 0].sum())
-    perception = tv_distance(joint4.marginal("S").distribution(),
-                             joint4.marginal("Shat").distribution())
+    p_s, p_shat = (np.clip(joint4.marginal(label).masses, 0.0, 1.0) for label in ("S", "Shat"))
+    perception = float(0.5 * np.abs(p_s - p_shat).sum())
     return DecoderMetrics(rate=rate, distortion=distortion, perception=perception)
 
 
@@ -130,11 +129,6 @@ def test_evaluate_decoder_matches_the_validated_path():
             assert evaluate_decoder(model, law) == _evaluate_decoder_validated(model, law)
             pairs += 1
     assert pairs == 1200 + 60 * 15
-
-
-def test_shat_marginal(model_q01):
-    marg = shat_marginal(model_q01, DecoderLaw.from_side_information())
-    assert float(marg.masses[0]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_oracle_zero_rate_plateau(model_q01):

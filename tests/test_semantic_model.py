@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from semrdp import (
     DegenerateChannelError,
     DomainError,
-    FiniteDistribution,
+    HypothesisError,
     build_model,
+    closed_form_rate,
     dsbs_model,
-    tv_distance,
 )
 
 
@@ -72,11 +72,11 @@ def test_side_channel_reconstruction(rng):
 
 def test_dsbs_marginals_uniform():
     m = dsbs_model(0.1, 0.2)
-    p_s = FiniteDistribution(m.joint.masses.sum(axis=(1, 2)))
-    p_x = FiniteDistribution(m.joint.masses.sum(axis=(0, 2)))
-    assert tv_distance(p_s, p_x) <= 1e-15
-    assert float(p_s.masses[1]) == pytest.approx(0.5, abs=1e-15)
-    assert float(p_x.masses[1]) == pytest.approx(0.5, abs=1e-15)
+    p_s = m.joint.masses.sum(axis=(1, 2))
+    p_x = m.joint.masses.sum(axis=(0, 2))
+    assert 0.5 * np.abs(p_s - p_x).sum() <= 1e-15
+    assert float(p_s[1]) == pytest.approx(0.5, abs=1e-15)
+    assert float(p_x[1]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_dsbs_examples():
@@ -105,6 +105,24 @@ def test_dsbs_branches_are_bit_equal(q, pi_x):
     # the same posterior and weight, not two an ulp apart
     m = dsbs_model(q, pi_x)
     assert m.a_star == m.b_star and m.p_a == m.p_b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 1.0), a=st.floats(0.0, 1.0))
+def test_symmetric_side_channels_keep_pi_x(q, a):
+    # a uniform S through q1 = q2 and a = b gives a* == b* bit for bit, the
+    # exact test build_model sets pi_x by
+    m = build_model(0.5, q, q, a, a)
+    assert m.pi_x == m.a_star
+
+
+def test_near_symmetric_side_channel_has_no_pi_x():
+    # a* - b* = 3e-10: two posteriors, so the closed form must not answer
+    m = build_model(0.5, 0.1, 0.1, 0.2, 0.2 + 5e-10)
+    assert m.a_star != m.b_star
+    assert m.pi_x is None and m.pi_x_prime is None
+    with pytest.raises(HypothesisError):
+        closed_form_rate(m, 0.2, 0.05)
 
 
 def test_model_domain_errors():
