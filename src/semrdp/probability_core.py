@@ -10,8 +10,6 @@ explicit mass arrays; nothing here is estimated. Conventions:
   before taking logs. Because 1-p is exact for p in [1/2, 1], this makes
   binary_entropy(p) == binary_entropy(1-p) bit-identical for every float
   p in [0, 1].
-- Total variation between mass vectors is half the L1 distance, which on
-  a finite alphabet equals the supremum over events of |p(A) - q(A)|.
 
 Joint distributions carry axis labels (e.g. ("S", "X", "Y")) and the
 conditional measures are evaluated through marginal entropies of label
@@ -81,11 +79,6 @@ def ternary_entropy(x: float, y: float) -> float:
         if v > 0.0:
             total -= v * math.log2(v)
     return total
-
-
-def _tv_of_masses(pm: np.ndarray, qm: np.ndarray) -> float:
-    """Half the L1 distance between two mass vectors of one shape."""
-    return float(0.5 * np.abs(pm - qm).sum())
 
 
 def _entropy_of(m: np.ndarray) -> float:

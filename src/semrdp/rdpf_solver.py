@@ -13,7 +13,8 @@ Two independent routes are provided on purpose:
   rate is convex in them and both constraints are linear, so the oracle
   solves the Lagrangian dual in Blahut's form (Blahut 1972), with total
   variation as a convex perception term (Blau & Michaeli 2019). Each
-  answer carries the dual value, a certified lower bound.
+  answer carries the dual value, a certified lower bound. It runs in plain
+  floats; ``evaluate_decoder`` re-derives its metrics from the joint.
 
 - ``solve_min2``: the branch-decomposed program. It minimizes
   p_a R(a*)(d_0, p_0) + p_b R(b*)(d_1, p_1) over per-branch allocations of
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HypothesisError, InfeasibleError
-from .probability_core import (JointDistribution, _as_probability, _tv_of_masses,
-                               binary_entropy, conditional_mutual_information)
+from .probability_core import (JointDistribution, _as_probability, binary_entropy,
+                               conditional_mutual_information)
 from .rdpf_closed_form import rdpf_piecewise
 from .semantic_model import SemanticModel
 
@@ -110,6 +111,7 @@ def evaluate_decoder(model: SemanticModel, law: DecoderLaw) -> DecoderMetrics:
 
     The rate is I(X; Shat | Y) computed by probability_core on the
     assembled four-variable joint; no shortcut formula is trusted here.
+    It is the independent check of the oracle's four-cell _cell_metrics.
     """
     p3 = model.joint.masses
     p_zero = law.prob_zero_table()[None, :, :]
@@ -121,8 +123,8 @@ def evaluate_decoder(model: SemanticModel, law: DecoderLaw) -> DecoderMetrics:
     rate = conditional_mutual_information(joint4, "X", "Shat", "Y")
     distortion = float(m4[0, :, :, 1].sum() + m4[1, :, :, 0].sum())
     # a marginal mass can round above 1 (pi = 0, or Shat constant); clip it to 1
-    perception = _tv_of_masses(np.minimum(m4.sum(axis=(1, 2, 3)), 1.0),
-                               np.minimum(m4.sum(axis=(0, 1, 2)), 1.0))
+    p_s, p_shat = (np.minimum(m4.sum(axis=axes), 1.0) for axes in ((1, 2, 3), (0, 1, 2)))
+    perception = float(0.5 * np.abs(p_s - p_shat).sum())  # total variation: half the L1 distance
     return DecoderMetrics(rate=rate, distortion=distortion, perception=perception)
 
 
@@ -144,42 +146,59 @@ class _Unbounded(Exception):
     """A multiplier bracket grew past _MULTIPLIER_CAP."""
 
 
-def _knapsack(p0: np.ndarray, p1: np.ndarray, target: float,
-              P: float) -> tuple[float, np.ndarray]:
+def _knapsack(p0: list[float], p1: list[float], target: float,
+              P: float) -> tuple[float, list[float]]:
     """Least Hamming distortion, and a minimizer, over cells z = P(Shat = 0 |
     cell) in [0, 1] whose pooled P(Shat = 0) lies within P of ``target``,
     given p0, p1 = p(S = 0, cell), p(S = 1, cell). A fractional knapsack: the
     MAP rule reaches the Bayes error, and cells move its P(Shat = 0) to the
     nearer budget edge, least distortion per unit of P(Shat = 0) first."""
-    weight, cost = p0 + p1, p1 - p0  # per cell: its mass and the distortion slope in z
-    map_zero = cost < 0
-    z = map_zero.astype(float)
-    floor = float(np.minimum(p0, p1).sum())
-    shift = float(weight[map_zero].sum()) - target
-    excess = abs(shift) - P
+    weight, cost = [a + b for a, b in zip(p0, p1)], [b - a for a, b in zip(p0, p1)]
+    z = [1.0 if c < 0 else 0.0 for c in cost]  # the MAP rule
+    floor = shift = 0.0
+    for a, b, w, v in zip(p0, p1, weight, z):  # left to right, as NumPy sums a few cells
+        floor, shift = floor + min(a, b), shift + w * v
+    excess, lower = abs(shift - target) - P, shift > target
     # only the cells the MAP rule decodes as 0 can lower P(Shat = 0); only the others raise it
-    movable = np.flatnonzero((map_zero if shift > 0 else ~map_zero) & (weight > 0))
-    for k in sorted(movable, key=lambda k: abs(cost[k]) / weight[k]):
+    movable = [k for k, (w, v) in enumerate(zip(weight, z)) if w > 0 and (v == 1.0) == lower]
+    for k in sorted(movable, key=lambda k: abs(cost[k]) / weight[k]):  # ties in cell order
         if excess <= 0:
             break
         step = min(excess, weight[k])
         floor += step * abs(cost[k]) / weight[k]
-        z[k] += -step / weight[k] if shift > 0 else step / weight[k]
+        z[k] += -step / weight[k] if lower else step / weight[k]
         excess -= step
     return floor, z
 
 
 def _distortion_floor(model: SemanticModel, P: float,
-                      merged: bool = False) -> tuple[float, DecoderLaw]:
-    """(least distortion, a decoder reaching it) among decoders whose
-    P(Shat = 0) lies within P of P(S = 0). ``merged`` restricts them to
-    s_y = t_y, where Shat is independent of X given Y: rate 0."""
-    p0, p1 = model.joint.masses  # p(S = s, x, y)
-    if merged:
-        floor, (z0, z1) = _knapsack(p0.sum(axis=0), p1.sum(axis=0), 1.0 - model.pi, P)
-        return floor, DecoderLaw(z0, z0, z1, z1)
-    floor, z = _knapsack(p0.ravel(), p1.ravel(), 1.0 - model.pi, P)  # cells in (x, y) order
-    return floor, DecoderLaw(z[0], z[2], z[1], z[3])
+                      merged: bool = False) -> tuple[float, tuple[float, float, float, float]]:
+    """(least distortion, cells (s0, t0, s1, t1) of a decoder reaching it)
+    among decoders whose P(Shat = 0) lies within P of P(S = 0). ``merged``
+    restricts them to s_y = t_y, where Shat is independent of X given Y: rate 0."""
+    p0, p1, source0 = model.flat_masses[:4], model.flat_masses[4:], 1.0 - model.pi  # (x, y) order
+    if merged:  # one cell per branch y
+        floor, (z0, z1) = _knapsack(*([p[0] + p[2], p[1] + p[3]] for p in (p0, p1)), source0, P)
+        return floor, (z0, z0, z1, z1)
+    floor, z = _knapsack(p0, p1, source0, P)
+    return floor, (z[0], z[2], z[1], z[3])
+
+
+def _cell_metrics(model: SemanticModel, cells: tuple[float, ...]) -> tuple[float, float, float]:
+    """(rate, distortion, perception) of the cells (s0, t0, s1, t1) in floats. The rate is
+    sum_y [P(y) h(P(Shat = 0 | y)) - sum_x p(x, y) h(z_xy)], a branch with equal cells adding
+    exactly 0 (Shat ignores X there); the perception is |P(Shat = 0) - P(S = 0)|."""
+    masses, z = model.flat_masses, (cells[0], cells[2], cells[1], cells[3])  # (x, y) order
+    w = [masses[k] + masses[k + 4] for k in range(4)]
+    rate = d0 = d1 = mass0 = 0.0
+    for k in range(4):  # the distortion sums run as evaluate_decoder's
+        d0, d1 = d0 + masses[k] * (1.0 - z[k]), d1 + masses[k + 4] * z[k]
+        mass0 += w[k] * z[k]
+        if k < 2 and z[k] != z[k + 2]:  # branch y = k
+            b = w[k] + w[k + 2]
+            rate += (b * binary_entropy((w[k] * z[k] + w[k + 2] * z[k + 2]) / b)
+                     - w[k] * binary_entropy(z[k]) - w[k + 2] * binary_entropy(z[k + 2]))
+    return rate, d0 + d1, abs(mass0 - (1.0 - model.pi))
 
 
 def _branch_argmin(px0: float, px1: float, k0: float, k1: float) -> tuple[float, float]:
@@ -272,12 +291,11 @@ def _dual_solve(model: SemanticModel, P: float, aim_d: float):
     in nu (lam re-solved each time): a second root, which opens on the
     nu = 0 root, puts it on the nearer edge of the budget. Each lam root at
     nu != 0 starts from the roots found at nu != 0 (_warm_start)."""
-    p0, p1 = model.joint.masses.reshape(2, 4)[:, [0, 2, 1, 3]]
-    weight, cost = (p0 + p1).tolist(), (p1 - p0).tolist()
+    p0, p1 = ([model.flat_masses[s + k] for k in (0, 2, 1, 3)] for s in (0, 4))  # (y, x) order
+    weight, cost = [a + b for a, b in zip(p0, p1)], [b - a for a, b in zip(p0, p1)]
     branch = [weight[k & 2] + weight[k | 1] for k in range(4)]  # P(Y = y) per cell
-    p_x = [w / b for w, b in zip(weight, branch)]  # p(x | y)
-    base, source0 = float(p0.sum()), 1.0 - model.pi
-    (px0, px1, px2, px3), (c0, c1, c2, c3) = p_x, cost
+    (px0, px1, px2, px3), (c0, c1, c2, c3) = [w / b for w, b in zip(weight, branch)], cost
+    base, source0 = p0[0] + p0[1] + p0[2] + p0[3], 1.0 - model.pi
     g0, g1, g2, g3 = (c / w if w > 0 else 0.0 for c, w in zip(cost, weight))  # lam's slope per cell
 
     def argmin(lam, nu):  # (cells, their distortion)
@@ -309,9 +327,7 @@ def _dual_solve(model: SemanticModel, P: float, aim_d: float):
         z, found = _bracketed_root(residual, first=(excess - P, z, found))
     lam, nu = found
     s, distortion = argmin(lam, nu)  # g is the Lagrangian at its minimizer
-    rate = sum(branch[k] * binary_entropy(p_x[k] * s[k] + p_x[k + 1] * s[k + 1])
-               - weight[k] * binary_entropy(s[k]) - weight[k + 1] * binary_entropy(s[k + 1])
-               for k in (0, 2))
+    rate = _cell_metrics(model, s)[0]
     dual = rate + lam * (distortion - aim_d) + nu * (mass0(s) - source0)
     return z, dual - abs(nu) * P if nu else dual  # |nu| P is 0 at nu = 0, also at P = inf
 
@@ -320,31 +336,32 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
                     resolution: float | None = None) -> SolverResult:
     """Exact minimum of I(X; Shat | Y) over all decoding rules meeting the
     targets within 1e-12; deterministic. ``resolution`` is only validated.
-    The rate is the argmin's as ``evaluate_decoder`` computes it, clipped
-    at 0; ``dual_bound`` is the dual value at the returned multipliers, 0
-    at a zero rate. Where a multiplier would pass 2**20 (D within 1e-13 of
-    the floor on a model with masses or posterior gaps near 0), the argmin
-    is the knapsack's floor decoder and the bound is only 0. Raises
+    The rate (clipped at 0, and exactly 0 where the argmin ignores X given
+    Y), achieved_D and achieved_P are the argmin's by _cell_metrics;
+    ``dual_bound`` is the dual value at the returned multipliers, 0 at a
+    zero rate. Where a multiplier would pass 2**20 (D within 1e-13 of the
+    floor on a model with masses or posterior gaps near 0), the argmin is
+    the knapsack's floor decoder and the bound is only 0. Raises
     InfeasibleError iff the exact distortion floor at P exceeds D."""
     D, P = _validate_args(D, P, resolution)
-    floor, floor_law = _distortion_floor(model, P)
+    floor, floor_cells = _distortion_floor(model, P)
     if floor > D + _TOL:
         raise InfeasibleError(
             f"D <= {D} and P <= {P} cannot both be met: the exact distortion floor "
             f"at this P is {floor:.6g} > D, so no decoder meets both targets"
         )
     aim_d = min(max(D, floor + _AIM), D + _TOL)
-    zero_floor, law = _distortion_floor(model, P, merged=True)
+    zero_floor, cells = _distortion_floor(model, P, merged=True)
     dual = 0.0  # the Lagrangian's minimum at zero multipliers is the zero rate
     if zero_floor > aim_d:
         try:
             cells, dual = _dual_solve(model, P, aim_d)
-            law = DecoderLaw(*cells)
         except _Unbounded:
-            law = floor_law
-    exact = evaluate_decoder(model, law)
-    return SolverResult(rate=max(0.0, exact.rate), achieved_D=exact.distortion,
-                        achieved_P=exact.perception, argmin=law, dual_bound=dual)
+            cells = floor_cells
+    law = DecoderLaw(*cells)
+    rate, distortion, perception = _cell_metrics(model, law.as_tuple())
+    return SolverResult(rate=max(0.0, rate), achieved_D=distortion, achieved_P=perception,
+                        argmin=law, dual_bound=dual)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ the distortion of decoding straight from the side information.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,11 @@ class SemanticModel:
     pi_x: float | None
     pi_x_prime: float | None
     joint: JointDistribution
+
+    @cached_property
+    def flat_masses(self) -> tuple[float, ...]:
+        """p(S = s, X = x, Y = y) as floats in (s, x, y) order, read once."""
+        return tuple(self.joint.masses.ravel().tolist())
 
     @property
     def params(self) -> tuple[float, float, float, float, float]:

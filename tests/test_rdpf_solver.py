@@ -114,20 +114,55 @@ def _evaluate_decoder_validated(model, law):
     return DecoderMetrics(rate=rate, distortion=distortion, perception=perception)
 
 
-def test_evaluate_decoder_matches_the_validated_path():
-    # pi = 0 and a constant Shat put a marginal mass at 1, where the sum can
-    # round above 1 and the validated path clips it; deterministic laws are
-    # the grid corners the oracle returns
+def _float_metrics(model, law):
+    """The oracle's four-cell metrics of a law, clipped as the oracle reports them."""
+    rate, distortion, perception = solver._cell_metrics(model, law.as_tuple())
+    return DecoderMetrics(rate=max(0.0, rate), distortion=distortion, perception=perception)
+
+
+def _assert_near_the_joint_route(result, exact):
+    """The oracle's reported metrics agree with evaluate_decoder's ``exact``
+    ones of its argmin, the independent route through the joint."""
+    assert abs(result.rate - max(0.0, exact.rate)) <= 1e-14
+    assert abs(result.achieved_D - exact.distortion) <= 1e-15
+    assert abs(result.achieved_P - exact.perception) <= 1e-15
+
+
+def _validated_pairs():
+    """(model, law) pairs over pi = 0, 1/2 and uniform draws, with the 16
+    corner laws on every 20th model."""
     rng = np.random.default_rng(17)
     corners = [DecoderLaw(*c) for c in np.ndindex(2, 2, 2, 2)]
-    pairs = 0
     for k in range(1200):
         pi = (0.0, 0.5, rng.uniform(0.0, 0.5))[k % 3]
         model = build_model(pi, *rng.uniform(0.0, 1.0, 4))
         laws = corners if k % 20 == 0 else [DecoderLaw(*rng.uniform(0.0, 1.0, 4))]
         for law in laws:
-            assert evaluate_decoder(model, law) == _evaluate_decoder_validated(model, law)
-            pairs += 1
+            yield model, law
+
+
+def test_evaluate_decoder_matches_the_validated_path():
+    # pi = 0 and a constant Shat put a marginal mass at 1, where the sum can
+    # round above 1 and the validated path clips it; deterministic laws are
+    # the grid corners the oracle returns
+    pairs = 0
+    for model, law in _validated_pairs():
+        assert evaluate_decoder(model, law) == _evaluate_decoder_validated(model, law)
+        pairs += 1
+    assert pairs == 1200 + 60 * 15
+
+
+def test_float_metrics_match_evaluate_decoder():
+    # the oracle reports the four-cell metrics in floats; evaluate_decoder
+    # is the independent route through the 16-mass joint
+    pairs = 0
+    for model, law in _validated_pairs():
+        rate, distortion, perception = solver._cell_metrics(model, law.as_tuple())
+        exact = evaluate_decoder(model, law)
+        assert abs(rate - exact.rate) <= 1e-14
+        assert abs(distortion - exact.distortion) <= 1e-14
+        assert abs(perception - exact.perception) <= 1e-14
+        pairs += 1
     assert pairs == 1200 + 60 * 15
 
 
@@ -206,10 +241,10 @@ def test_distortion_floor_matches_vertex_enumeration(pi, channels, P):
         model = build_model(pi, *channels)
     except DegenerateChannelError:
         assume(False)
-    floor, law = solver._distortion_floor(model, P)
+    floor, cells = solver._distortion_floor(model, P)
     assert floor == pytest.approx(_floor_by_vertices(model, P), abs=1e-12)
     # the knapsack's decoder reaches the floor within the budget
-    metrics = evaluate_decoder(model, law)
+    metrics = evaluate_decoder(model, DecoderLaw(*cells))
     assert metrics.distortion == pytest.approx(floor, abs=1e-12)
     assert metrics.perception <= P + 1e-12
     assert floor >= _bayes_error(model) - 1e-15
@@ -226,6 +261,54 @@ def test_distortion_floor_anchors():
         for P in (0.0, 0.01, INF):
             assert solver._distortion_floor(dsbs_model(q, pi_x), P)[0] == pytest.approx(q,
                                                                                       abs=1e-15)
+
+
+def _knapsack_in_numpy(p0, p1, target, P):
+    """_knapsack as it was before it ran on float lists: NumPy arrays of the
+    cells, the same tie order in the cost-to-weight sort."""
+    weight, cost = p0 + p1, p1 - p0
+    map_zero = cost < 0
+    z = map_zero.astype(float)
+    floor = float(np.minimum(p0, p1).sum())
+    shift = float(weight[map_zero].sum()) - target
+    excess = abs(shift) - P
+    movable = np.flatnonzero((map_zero if shift > 0 else ~map_zero) & (weight > 0))
+    for k in sorted(movable, key=lambda k: abs(cost[k]) / weight[k]):
+        if excess <= 0:
+            break
+        step = min(excess, weight[k])
+        floor += step * abs(cost[k]) / weight[k]
+        z[k] += -step / weight[k] if shift > 0 else step / weight[k]
+        excess -= step
+    return floor, z
+
+
+def test_float_knapsack_is_bit_equal_to_the_numpy_one():
+    # channels at and next to the edges, where cells empty out, tie or sit
+    # one ulp off the MAP rule; pi at 0, 1/2 or drawn; P at 0, tiny, drawn or inf
+    rng = np.random.default_rng(22)
+    edges = (0.0, 1e-9, 1.0 - 1e-9, 0.5, 1.0)
+    draws = 0
+    while draws < 1500:
+        pi = (0.0, 0.5, rng.uniform(0.0, 0.5))[draws % 3]
+        channels = [edges[k] if k < len(edges) else rng.uniform()
+                    for k in rng.integers(0, len(edges) + 2, 4)]
+        try:
+            model = build_model(pi, *channels)
+        except DegenerateChannelError:
+            continue
+        P = (0.0, 1e-3, 0.05, INF, rng.uniform())[draws % 5]
+        merged = draws % 2 == 1
+        p0, p1 = model.joint.masses
+        if merged:
+            floor, (z0, z1) = _knapsack_in_numpy(p0.sum(axis=0), p1.sum(axis=0),
+                                                 1.0 - model.pi, P)
+            cells = (z0, z0, z1, z1)
+        else:
+            floor, z = _knapsack_in_numpy(p0.ravel(), p1.ravel(), 1.0 - model.pi, P)
+            cells = (z[0], z[2], z[1], z[3])
+        assert solver._distortion_floor(model, P, merged) == (floor, cells)
+        draws += 1
 
 
 def _seeded_models(seed):
@@ -277,10 +360,11 @@ def test_oracle_feasible_set_monotonicity(model_q01):
 
 def test_oracle_result_consistency(model_q01):
     result = oracle_min_rate(model_q01, 0.18, 0.05, 0.05)
-    again = evaluate_decoder(model_q01, result.argmin)
+    again = _float_metrics(model_q01, result.argmin)
     assert again.rate == result.rate
     assert again.distortion == result.achieved_D
     assert again.perception == result.achieved_P
+    _assert_near_the_joint_route(result, evaluate_decoder(model_q01, result.argmin))
     assert result.achieved_D <= 0.18 + 1e-9
     assert result.achieved_P <= 0.05 + 1e-9
 
@@ -551,10 +635,12 @@ def _reference_scan(model, D, P, resolution=0.05):
 
 def _assert_certified(model, D, P, result):
     """The argmin meets both targets within the tolerance, re-evaluates to
-    the reported rate, and the dual bound certifies that rate."""
+    the reported metrics, and the dual bound certifies the rate."""
     exact = evaluate_decoder(model, result.argmin)
     assert exact.distortion <= D + 1e-12 and exact.perception <= P + 1e-12
-    assert result.rate == max(0.0, exact.rate)
+    assert _float_metrics(model, result.argmin) == DecoderMetrics(
+        result.rate, result.achieved_D, result.achieved_P)
+    _assert_near_the_joint_route(result, exact)
     assert result.rate - 1e-9 <= result.dual_bound <= result.rate + 1e-9
 
 
@@ -614,7 +700,8 @@ def test_oracle_reaches_the_distortion_only_rate_on_dsbs_models(q, pi_x, share, 
 def test_oracle_edge_cases():
     model = build_model(0.3, 0.1, 0.15, 0.2, 0.3)
     for P in (0.0, 0.05, INF):
-        floor, law = solver._distortion_floor(model, P)
+        floor, cells = solver._distortion_floor(model, P)
+        law = DecoderLaw(*cells)
         # D exactly at the floor, where the knapsack's decoder is feasible
         result = oracle_min_rate(model, floor, P)
         _assert_certified(model, floor, P, result)
@@ -636,6 +723,31 @@ def test_oracle_edge_cases():
         assert result.rate > 0.0
         _assert_certified(noisy, D, P, result)
         assert result.rate <= _reference_scan(noisy, D, P) + 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pi=st.floats(0.0, 0.5), channels=st.tuples(*[st.floats(0.0, 1.0)] * 4))
+def test_oracle_reads_exactly_zero_on_the_zero_rate_boundary(pi, channels):
+    # D0(P), the merged knapsack's floor, is the least distortion at rate 0:
+    # there the oracle answers with a decoder that ignores X given Y, whose
+    # rate is 0 exactly; 1e-3 below it the dual certifies a positive rate
+    model = _drawn_model(pi, channels)
+    for P in (0.0, 0.01, 0.05):
+        zero = solver._distortion_floor(model, P, merged=True)[0]
+        assert oracle_min_rate(model, zero, P).rate == 0.0
+        if zero - solver._distortion_floor(model, P)[0] >= 2e-3:
+            assert oracle_min_rate(model, zero - 1e-3, P).dual_bound > 0.0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), pi_x=st.floats(0.01, 0.5))
+def test_zero_rate_boundary_is_pi_x_prime_on_dsbs_models(q, pi_x):
+    # decoding Shat = Y costs pi_x' at no perception, and no perception
+    # budget buys less distortion at rate 0
+    model = dsbs_model(q, pi_x)
+    for P in (0.0, 0.01, 0.05, 0.2, INF):
+        zero = solver._distortion_floor(model, P, merged=True)[0]
+        assert zero == pytest.approx(model.pi_x_prime, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
