@@ -119,8 +119,8 @@ class JointDistribution:
 
     @classmethod
     def _trusted(cls, arr: np.ndarray, labels: tuple[str, ...]) -> "JointDistribution":
-        """A joint of masses summed from a validated joint's non-negative
-        masses (a NumPy scalar if every axis was summed): no re-check, no clip."""
+        """A joint of masses known valid: sums or products of validated
+        probabilities (a NumPy scalar if every axis was summed). No re-check, no clip."""
         arr = np.asarray(arr)
         arr.flags.writeable = False
         joint = object.__new__(cls)

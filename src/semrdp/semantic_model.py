@@ -48,16 +48,17 @@ class SemanticModel:
     v_star: float
     pi_x: float | None
     pi_x_prime: float | None
-    joint: JointDistribution
+    flat_masses: tuple[float, ...]  # p(S = s, X = x, Y = y) in (s, x, y) order
 
     @cached_property
-    def flat_masses(self) -> tuple[float, ...]:
-        """p(S = s, X = x, Y = y) as floats in (s, x, y) order, read once."""
-        return tuple(self.joint.masses.ravel().tolist())
+    def joint(self) -> JointDistribution:
+        """The masses as a read-only (2, 2, 2) NumPy joint, built on first use."""
+        return JointDistribution._trusted(np.reshape(self.flat_masses, (2, 2, 2)),
+                                          ("S", "X", "Y"))
 
     @property
     def params(self) -> tuple[float, float, float, float, float]:
-        """The five construction parameters; keys caches and reprs."""
+        """The five construction parameters, in build_model's argument order."""
         return (self.pi, self.q1, self.q2, self.a, self.b)
 
     def common_crossover(self) -> float:
@@ -79,7 +80,7 @@ class SemanticModel:
 
 
 def build_model(pi: float, q1: float, q2: float, a: float, b: float) -> SemanticModel:
-    """Assemble the joint over (S, X, Y) and derive all conditionals.
+    """Compute the masses over (S, X, Y) and all conditionals in floats.
 
     Raises DegenerateChannelError when the side channel gives one Y value
     zero probability, since the posteriors given that value are undefined.
@@ -92,28 +93,24 @@ def build_model(pi: float, q1: float, q2: float, a: float, b: float) -> Semantic
     if pi > 0.5 + _SYMMETRY_TOL:
         raise DomainError(f"pi must not exceed 1/2, got {pi}")
 
-    p_s = np.array([1.0 - pi, pi])
-    p_x_given_s = np.array([[1.0 - q1, q1], [q2, 1.0 - q2]])
-    p_y_given_x = np.array([[1.0 - a, a], [b, 1.0 - b]])
-    masses = p_s[:, None, None] * p_x_given_s[:, :, None] * p_y_given_x[None, :, :]
-    joint = JointDistribution(masses, ("S", "X", "Y"))
+    # p(s) p(x | s) p(y | x), multiplied in that order, in (s, x, y) order
+    s00, s01, s10, s11 = (1.0 - pi) * (1.0 - q1), (1.0 - pi) * q1, pi * q2, pi * (1.0 - q2)
+    m = (s00 * (1.0 - a), s00 * a, s01 * b, s01 * (1.0 - b),
+         s10 * (1.0 - a), s10 * a, s11 * b, s11 * (1.0 - b))
 
     # P(Y) from P(X, Y) by two-term sums, which commute: a symmetric P(X, Y)
     # gives p_a == p_b and a_star == b_star bit for bit
-    p_xy = masses.sum(axis=0)
-    p_y = p_xy.sum(axis=0)
-    p_a, p_b = float(p_y[0]), float(p_y[1])
+    p_xy = (m[0] + m[4], m[1] + m[5], m[2] + m[6], m[3] + m[7])  # (x, y) order
+    p_a, p_b = p_xy[0] + p_xy[2], p_xy[1] + p_xy[3]
     if p_a <= _SYMMETRY_TOL or p_b <= _SYMMETRY_TOL:
         raise DegenerateChannelError(
             f"side information takes value {'0' if p_b <= _SYMMETRY_TOL else '1'} "
             f"with probability ~1; posteriors for the other branch are undefined"
         )
 
-    a_star = float(p_xy[1, 0] / p_a)
-    b_star = float(p_xy[0, 1] / p_b)
-    p_sy = masses.sum(axis=1)
-    u_star = float(p_sy[1, 0] / p_a)
-    v_star = float(p_sy[0, 1] / p_b)
+    a_star, b_star = p_xy[2] / p_a, p_xy[1] / p_b
+    # P(S = 1, Y = 0) and P(S = 0, Y = 1), summed over x
+    u_star, v_star = (m[4] + m[6]) / p_a, (m[1] + m[3]) / p_b
 
     pi_x = a_star if a_star == b_star else None
     pi_x_prime = None
@@ -124,7 +121,7 @@ def build_model(pi: float, q1: float, q2: float, a: float, b: float) -> Semantic
         pi=pi, q1=q1, q2=q2, a=a, b=b,
         p_a=p_a, p_b=p_b, a_star=a_star, b_star=b_star,
         u_star=u_star, v_star=v_star, pi_x=pi_x, pi_x_prime=pi_x_prime,
-        joint=joint,
+        flat_masses=m,
     )
 
 

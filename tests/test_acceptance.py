@@ -25,7 +25,9 @@ from semrdp import (
     dsbs_model,
     evaluate_decoder,
 )
-from semrdp.verification import CRITERIA, VerificationConfig, _sandwich_data, zero_rate_threshold
+from semrdp.rdpf_solver import _distortion_floor
+from semrdp.verification import (CRITERIA, ZERO_RATE_WIDTH, VerificationConfig, _sandwich_data,
+                                 zero_rate_threshold)
 
 INF = math.inf
 
@@ -80,6 +82,10 @@ def test_criterion_4_zero_rate_threshold(acceptance_config, sandwich_data):
     assert passed, detail
     threshold = zero_rate_threshold(model, 0.05)
     assert threshold == pytest.approx(0.26, abs=0.01)
+    # the bisection brackets D0(0.05), the merged knapsack's exact boundary
+    zero = _distortion_floor(model, 0.05, merged=True)[0]
+    assert zero == pytest.approx(0.26, abs=1e-12)
+    assert abs(threshold - zero) <= ZERO_RATE_WIDTH
 
 
 def test_criterion_5_distortion_transform(acceptance_config, sandwich_data):

@@ -750,6 +750,31 @@ def test_zero_rate_boundary_is_pi_x_prime_on_dsbs_models(q, pi_x):
         assert zero == pytest.approx(model.pi_x_prime, abs=1e-12)
 
 
+def _min2_zero_rate_boundary(model, P):
+    """The least D at which solve_min2 answers rate 0: q + (1 - 2q) sum_y w_y d_y
+    of its zero-rate allocation."""
+    q = model.common_crossover()
+    weight = (model.p_a, model.p_b)
+    allocation = solver._zero_rate_allocation((min(model.a_star, 0.5), min(model.b_star, 0.5)),
+                                              weight, P)
+    return q + (1.0 - 2.0 * q) * sum(w * d for w, (d, _) in zip(weight, allocation))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), a=st.floats(0.0, 0.5), b=st.floats(0.0, 0.5),
+       P=st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.2, INF]), st.floats(0.0, 1.0)))
+def test_min2_zero_rate_boundary_is_never_below_the_oracle_one(q, a, b, P):
+    # solve_min2 never undercuts the oracle, so it turns 0 no earlier than
+    # D0(P); on DSBS models the two meet once the budget covers pi_x
+    assume(a + b < 1.0)  # both posteriors at most 1/2, Y not constant
+    for model in (build_model(0.5, q, q, a, b), dsbs_model(q, max(a, 1e-6))):
+        zero = solver._distortion_floor(model, P, merged=True)[0]
+        boundary = _min2_zero_rate_boundary(model, P)
+        assert boundary >= zero - 1e-12
+        if model.pi_x_prime is not None and P >= model.pi_x:
+            assert boundary == pytest.approx(zero, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the nested multiplier searches of both exact solvers
 # ---------------------------------------------------------------------------

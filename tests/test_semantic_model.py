@@ -1,16 +1,26 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semrdp import (
+    DecoderLaw,
     DegenerateChannelError,
     DomainError,
     HypothesisError,
+    InfeasibleError,
+    JointDistribution,
+    SemRdpError,
     build_model,
     closed_form_rate,
     dsbs_model,
+    evaluate_decoder,
+    oracle_min_rate,
+    solve_min2,
 )
+from semrdp.probability_core import _as_probability
 
 
 def test_build_model_worked_example():
@@ -134,3 +144,83 @@ def test_model_domain_errors():
         dsbs_model(0.1, 0.0)
     with pytest.raises(DegenerateChannelError):
         build_model(0.5, 0.1, 0.1, 1.0, 0.0)  # Y is constant
+
+
+def _build_in_numpy(pi, q1, q2, a, b):
+    """build_model as it was before it ran in floats: the joint broadcast in
+    NumPy and re-validated, its marginals summed by axis. Returns the
+    attributes by name, and the joint's masses under "masses"."""
+    pi, q1, q2, a, b = (_as_probability(v, name) for v, name in
+                        zip((pi, q1, q2, a, b), ("pi", "q1", "q2", "a", "b")))
+    if pi > 0.5 + 1e-12:
+        raise DomainError(f"pi must not exceed 1/2, got {pi}")
+    p_s = np.array([1.0 - pi, pi])
+    p_x_given_s = np.array([[1.0 - q1, q1], [q2, 1.0 - q2]])
+    p_y_given_x = np.array([[1.0 - a, a], [b, 1.0 - b]])
+    masses = p_s[:, None, None] * p_x_given_s[:, :, None] * p_y_given_x[None, :, :]
+    joint = JointDistribution(masses, ("S", "X", "Y"))
+    p_xy = masses.sum(axis=0)
+    p_y = p_xy.sum(axis=0)
+    p_a, p_b = float(p_y[0]), float(p_y[1])
+    if p_a <= 1e-12 or p_b <= 1e-12:
+        raise DegenerateChannelError(
+            f"side information takes value {'0' if p_b <= 1e-12 else '1'} "
+            f"with probability ~1; posteriors for the other branch are undefined"
+        )
+    a_star, b_star = float(p_xy[1, 0] / p_a), float(p_xy[0, 1] / p_b)
+    p_sy = masses.sum(axis=1)
+    pi_x = a_star if a_star == b_star else None
+    return {"pi": pi, "q1": q1, "q2": q2, "a": a, "b": b, "p_a": p_a, "p_b": p_b,
+            "a_star": a_star, "b_star": b_star,
+            "u_star": float(p_sy[1, 0] / p_a), "v_star": float(p_sy[0, 1] / p_b),
+            "pi_x": pi_x,
+            "pi_x_prime": (1.0 - 2.0 * q1) * pi_x + q1 if pi_x is not None and q1 == q2 else None,
+            "flat_masses": tuple(joint.masses.ravel().tolist()), "masses": joint.masses}
+
+
+def _outcome(build, params):
+    try:
+        return build(*params)
+    except SemRdpError as error:  # compared by type and message
+        return type(error), str(error)
+
+
+_EDGE_OR_UNIFORM = st.one_of(st.sampled_from([0.0, 1e-9, 1.0 - 1e-9, 0.5, 1.0]),
+                             st.floats(0.0, 1.0))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(params=st.tuples(*[_EDGE_OR_UNIFORM] * 5))
+@example(params=(0.7, 0.1, 0.1, 0.2, 0.2))  # pi above 1/2
+@example(params=(0.5, 0.1, 0.1, 1.0, 0.0))  # Y is constant
+@example(params=(0.5, math.nan, 0.1, 0.2, 0.2))
+@example(params=(0.5, 0.1, 0.1, math.inf, 0.2))
+def test_float_build_is_bit_equal_to_the_numpy_build(params):
+    reference = _outcome(_build_in_numpy, params)
+    model = _outcome(build_model, params)
+    if isinstance(reference, tuple):  # both sides reject the parameters alike
+        assert model == reference
+        return
+    for name, value in reference.items():
+        if name != "masses":
+            assert getattr(model, name) == value, name
+    assert np.array_equal(model.joint.masses, reference["masses"])
+    assert model.joint.masses.shape == (2, 2, 2) and model.joint.labels == ("S", "X", "Y")
+    assert not model.joint.masses.flags.writeable
+
+
+def test_solver_paths_never_build_the_joint():
+    # the solvers read flat_masses and the posteriors; only the NumPy
+    # callers build the joint, on first use
+    model, dsbs = build_model(0.4, 0.1, 0.15, 0.2, 0.3), dsbs_model(0.1, 0.2)
+    for D, P in ((0.22, 0.01), (0.25, 0.0), (0.31, 0.05)):  # nested roots, P = 0, rate 0
+        oracle_min_rate(model, D, P)
+    with pytest.raises(InfeasibleError):
+        oracle_min_rate(model, 0.05, 0.05)
+    for D, P in ((0.2, 0.05), (0.2, 0.0), (0.4, 0.05)):
+        solve_min2(dsbs, D, P)
+        closed_form_rate(dsbs, D, P)
+    oracle_min_rate(dsbs, 0.2, 0.05)
+    assert "joint" not in vars(model) and "joint" not in vars(dsbs)
+    evaluate_decoder(model, DecoderLaw.from_side_information())
+    assert "joint" in vars(model)
