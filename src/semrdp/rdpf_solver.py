@@ -28,7 +28,10 @@ Two independent routes are provided on purpose:
   it is solved exactly by the oracle's branch minimizers and bracketed
   roots, one multiplier on each budget, and carries its dual value too.
   Its distortion root without perception multiplier is closed-form (Blahut
-  1972); equal posteriors are priced once, and a zero one is dropped.
+  1972); equal posteriors are priced once, and a zero one is dropped. Where
+  every kept branch has one posterior and both budgets bind, the budgets
+  split equally and the multipliers are closed-form too; the dual value
+  still certifies that answer.
 """
 
 import math
@@ -353,7 +356,7 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
     aim_d = min(max(D, floor + _AIM), D + _TOL)
     zero_floor, cells = _distortion_floor(model, P, merged=True)
     dual = 0.0  # the Lagrangian's minimum at zero multipliers is the zero rate
-    if zero_floor > aim_d:
+    if zero_floor > D + _TOL:  # a zero-rate decoder within the tolerance answers 0
         try:
             cells, dual = _dual_solve(model, P, aim_d)
         except _Unbounded:
@@ -462,6 +465,25 @@ def _slope_start(branches, aim: float) -> tuple[float, float]:
     return max(math.log2((1.0 - d) / d), 0.0), _ROOT_TOL / (_LN2 * free * d * (1.0 - d))
 
 
+def _both_binding(branches, aim: float, P: float):
+    """(cells, (lam, mu)) where every kept branch has one posterior s and
+    perception binds: the RDPF is convex, so each branch sits at d = aim / W,
+    p = (P + _AIM) / W, W = sum_y w_y (Jensen), with P(Shat = 0) = r = c + p.
+    Then s z1 = (d + p) / 2 and c (1 - z0) = (d - p) / 2, and Blahut's
+    z_x = r a_x / (r a_x + 1 - r) gives a_x = 2**-k_x, (k0, k1) = (mu - lam,
+    mu + lam). None where a cell leaves (0, 1) or a multiplier is negative."""
+    s, c, _ = branches[0]
+    W = sum(w for _, _, w in branches)
+    d, p = aim / W, (P + _AIM) / W
+    z1, y0 = (d + p) / (2.0 * s), (d - p) / (2.0 * c)  # y0 = 1 - z0, kept exact
+    if len({s for s, _, _ in branches}) > 1 or not (0.0 < z1 < 1.0 and 0.0 < y0 < 1.0):
+        return None  # also where p >= d or d + p >= 2s
+    odds = (1.0 - (c + p)) / (c + p)  # (1 - r) / r
+    k0, k1 = -math.log2((1.0 - y0) * odds / y0), -math.log2(z1 * odds / (1.0 - z1))
+    lam, mu = (k1 - k0) / 2.0, (k0 + k1) / 2.0
+    return ([1.0 - y0, z1] * len(branches), (lam, mu)) if lam >= 0.0 and mu >= 0.0 else None
+
+
 def _min2_dual(star, weight, aim: float, P: float):
     """(per-branch (d_y, p_y), dual value) of the least sum_y w_y R_y(d_y, p_y)
     with sum_y w_y d_y at ``aim`` and sum_y w_y p_y <= P + _AIM, where the
@@ -478,7 +500,8 @@ def _min2_dual(star, weight, aim: float, P: float):
     above mu_e = max_y nu0_y(lam_inf), with lam_inf the root at mu = inf,
     every branch sits at zero perception and lam = lam_inf, so the mu root
     lies in [0, mu_e]. The lam roots open at _slope_start at mu = 0, else at
-    _warm_start. A branch with s_y = 0 is dropped at d_y = p_y = 0."""
+    _warm_start; with one kept posterior, _both_binding replaces the mu root.
+    A branch with s_y = 0 is dropped at d_y = p_y = 0."""
     branches = [(s, 1.0 - s, w) for s, w in zip(star, weight) if s > 0.0]
     roots = []  # (mu, lam) of the lam roots found at mu > 0
 
@@ -497,7 +520,11 @@ def _min2_dual(star, weight, aim: float, P: float):
         return sum(w * p for (_, _, w), (_, p) in zip(branches, allocation(z))) - (P + _AIM)
 
     z, (lam, mu) = on_distortion(math.inf if P == 0.0 else 0.0)
-    if P > 0.0 and excess(z) > 0.0:
+    binding = P > 0.0 and excess(z) > 0.0
+    direct = binding and _both_binding(branches, aim, P)
+    if direct:
+        z, (lam, mu) = direct
+    elif binding:
         z_inf, (lam_inf, _) = on_distortion(math.inf)
         edge = _plateau_edge(branches, lam_inf)
         roots.append((edge, lam_inf))
@@ -534,11 +561,12 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     Rate 0 when the zero-rate knapsack over both branches meets D;
     otherwise the Lagrangian dual with the oracle's branch minimizers and
     bracketed roots, and ``dual_bound`` is its value at the returned
-    multipliers. The rate is sum_y w_y rdpf_piecewise(s_y, d_y, p_y) at the
-    allocation, clipped at 0; s_y = 0 knows X from Y, at d_y = p_y = 0. Where
-    no distortion is left to aim at (D within rounding of q - 1e-12), d_y =
-    p_y = 0, Shat = X, is the only feasible allocation, so its rate is the
-    bound.
+    multipliers, also where one kept posterior with both budgets binding
+    gives them in closed form. The rate is sum_y w_y rdpf_piecewise(s_y,
+    d_y, p_y) at the allocation, clipped at 0; s_y = 0 knows X from Y, at
+    d_y = p_y = 0. Where no distortion is left to aim at (D within rounding
+    of q - 1e-12), d_y = p_y = 0, Shat = X, is the only feasible
+    allocation, so its rate is the bound.
 
     achieved_P reports the aligned budget p_a p_0 + p_b p_1, an upper bound
     on the true total variation of any decoder realizing the allocation.

@@ -464,8 +464,10 @@ def _assert_min2_certified(model, D, P, result):
     assert result.achieved_D == pytest.approx(
         model.p_a * ((1 - 2 * q) * d0 + q) + model.p_b * ((1 - 2 * q) * d1 + q), abs=1e-15)
     assert result.achieved_P == pytest.approx(model.p_a * p0 + model.p_b * p1, abs=1e-15)
-    rate = (model.p_a * rdpf_piecewise(min(model.a_star, 0.5), d0, p0)
-            + model.p_b * rdpf_piecewise(min(model.b_star, 0.5), d1, p1))
+    # a branch with posterior 0 knows X from Y: no rate, at d = p = 0
+    rate = sum(w * rdpf_piecewise(min(star, 0.5), d, p) if star > 0.0 else 0.0
+               for w, star, d, p in ((model.p_a, model.a_star, d0, p0),
+                                     (model.p_b, model.b_star, d1, p1)))
     # a zero rate is exact; the RDPFs at the zero-rate allocation can round above 0
     assert result.rate == max(0.0, rate) or (result.rate == 0.0 and rate <= 1e-15)
     assert abs(result.rate - result.dual_bound) <= 1e-9
@@ -729,12 +731,14 @@ def test_oracle_edge_cases():
 @given(pi=st.floats(0.0, 0.5), channels=st.tuples(*[st.floats(0.0, 1.0)] * 4))
 def test_oracle_reads_exactly_zero_on_the_zero_rate_boundary(pi, channels):
     # D0(P), the merged knapsack's floor, is the least distortion at rate 0:
-    # there the oracle answers with a decoder that ignores X given Y, whose
-    # rate is 0 exactly; 1e-3 below it the dual certifies a positive rate
+    # there, and within the 1e-12 tolerance below it, the oracle answers with
+    # a decoder that ignores X given Y, whose rate is 0 exactly; 1e-3 below
+    # it the dual certifies a positive rate
     model = _drawn_model(pi, channels)
     for P in (0.0, 0.01, 0.05):
         zero = solver._distortion_floor(model, P, merged=True)[0]
         assert oracle_min_rate(model, zero, P).rate == 0.0
+        assert oracle_min_rate(model, zero - 1e-13, P).rate == 0.0
         if zero - solver._distortion_floor(model, P)[0] >= 2e-3:
             assert oracle_min_rate(model, zero - 1e-3, P).dual_bound > 0.0
 
@@ -773,6 +777,30 @@ def test_min2_zero_rate_boundary_is_never_below_the_oracle_one(q, a, b, P):
         assert boundary >= zero - 1e-12
         if model.pi_x_prime is not None and P >= model.pi_x:
             assert boundary == pytest.approx(zero, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), a=st.floats(0.0, 0.5), b=st.floats(0.0, 0.5),
+       P=st.one_of(st.sampled_from([0.01, 0.05, 0.2]), st.floats(0.0, 0.5)))
+def test_min2_zero_rate_allocation_is_the_least_one(q, a, b, P):
+    # at rate 0 each unit of perception spent on branch y cuts (1 - 2 s_y),
+    # at most s_y per branch: a fractional knapsack with two vertices, one
+    # per order in which the branches take the budget; the allocation's
+    # distortion is the lesser of the two
+    model = _min2_model(q, a, b)
+    star, weight = (min(model.a_star, 0.5), min(model.b_star, 0.5)), (model.p_a, model.p_b)
+    assume(star[0] != star[1])
+
+    def vertex(order):
+        left, total = P, 0.0
+        for y in order:
+            spent = min(star[y], left / weight[y])
+            left -= weight[y] * spent
+            total += weight[y] * (2 * star[y] * (1 - star[y]) - (1 - 2 * star[y]) * spent)
+        return total
+    allocation = solver._zero_rate_allocation(star, weight, P)
+    least = min(vertex((0, 1)), vertex((1, 0)))
+    assert sum(w * d for w, (d, _) in zip(weight, allocation)) == pytest.approx(least, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -835,10 +863,13 @@ def _assert_no_warm_start_from_the_unconstrained_root(roots):
     (0.0328, 0.1689, 0.1972, 0.02),
 ])
 def test_nested_roots_near_the_lam_jump_come_from_the_dual(q, pi_x, D, P, monkeypatch):
+    # one posterior with both budgets binding: the multipliers come in closed
+    # form from the mu = 0 root, and no root runs at mu != 0
     model = dsbs_model(q, pi_x)
     roots = _recorded_roots(monkeypatch)
     result = solve_min2(model, D, P)
-    assert _assert_no_warm_start_from_the_unconstrained_root(roots) < 1e-9
+    (unconstrained,) = [m[0] for _, m in roots]
+    assert unconstrained < 1e-9 and all(m[1] == 0.0 for _, m in roots)
     # the dual's allocation, not the capped multiplier's Shat = X
     _assert_min2_certified(model, D, P, result)
     assert result.branch_allocation != (0.0,) * 4 and result.dual_bound > 0.0
@@ -847,6 +878,24 @@ def test_nested_roots_near_the_lam_jump_come_from_the_dual(q, pi_x, D, P, monkey
     oracle = oracle_min_rate(model, D, P)
     _assert_certified(model, D, P, oracle)
     assert oracle.rate == pytest.approx(closed_form_rate(model, D, INF), abs=1e-9)
+
+
+@pytest.mark.parametrize("q, a, b, D, P", [
+    # a* != b*, derandomized draws whose mu = 0 root jumps at lam = 0+ and
+    # whose perception binds: only the nested roots solve them
+    (0.1689, 0.3532, 0.2182, 0.363, 0.05),
+    (0.081, 0.3635, 0.1713, 0.3158, 0.02),
+    (0.1009, 0.1627, 0.3523, 0.3191, 0.05),
+])
+def test_min2_nested_roots_never_warm_start_from_the_unconstrained_root(q, a, b, D, P,
+                                                                         monkeypatch):
+    model = build_model(0.5, q, q, a, b)
+    roots = _recorded_roots(monkeypatch)
+    result = solve_min2(model, D, P)
+    assert _assert_no_warm_start_from_the_unconstrained_root(roots) < 1e-9
+    _assert_min2_certified(model, D, P, result)
+    assert result.branch_allocation != (0.0,) * 4 and result.dual_bound > 0.0
+    assert abs(result.achieved_D - D) <= 1e-12 and abs(result.achieved_P - P) <= 1e-12
 
 
 def test_oracle_nested_roots_never_warm_start_from_the_unconstrained_root(monkeypatch):
@@ -894,8 +943,10 @@ def test_min2_prices_each_distinct_branch_posterior_once(params, D, priced, monk
         assert found == _min2_cells_priced_per_branch(branches, lam, mu)  # bit-equal
         return found
     monkeypatch.setattr(solver, "_min2_cells", recorded)
-    # perception binds, so the lam roots run at mu = 0, mu = inf and between
+    # perception binds, so the lam roots run at mu = 0, and with two
+    # posteriors at mu = inf and between; at P = 0 the root runs at mu = inf
     assert abs(solve_min2(model, D, 0.05).achieved_P - 0.05) <= 1e-12
+    assert solve_min2(model, D, 0.0).achieved_P <= 1e-12
     assert len(per_call) > 10 and set(per_call) == {(priced, priced)}
     # only bit-equal posteriors share a pricing: one ulp apart is two
     s = model.a_star
@@ -968,7 +1019,10 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
     # starts and the reused nu = 0 root, and 100 and 98 with them;
     # solve_min2's fell to 43 once it priced equal posteriors once and
     # opened its mu = 0 root at the exact multiplier, and to 41.5 (p90 74 to
-    # 48) once build_model made DSBS posteriors bit-equal
+    # 48) once build_model made DSBS posteriors bit-equal; one posterior with
+    # both budgets binding takes its multipliers in closed form from the
+    # mu = 0 root, 3 calls (p90 3), while two posteriors keep the nested
+    # roots at median 82 (p90 100)
     calls = [0]
     real = solver._branch_argmin
 
@@ -984,6 +1038,17 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
         calls[0] = 0
         if abs(solve_min2(dsbs_model(q, pi_x), D, P).achieved_P - P) <= 1e-12:
             min2.append(calls[0])
+    nested = []
+    two = random.Random(16)
+    for k in range(40):
+        q, a, b = (round(two.uniform(lo, hi), 4)
+                   for lo, hi in ((0.02, 0.2), (0.1, 0.4), (0.1, 0.4)))
+        model = build_model(0.5, q, q, a, b)
+        s = model.p_a * model.a_star + model.p_b * model.b_star
+        D, P = q + two.uniform(0.4, 0.9) * (1 - 2 * q) * s, (0.02, 0.05)[k % 2]
+        calls[0] = 0
+        if abs(solve_min2(model, D, P).achieved_P - P) <= 1e-12:
+            nested.append(calls[0])
     for _ in range(20):
         model = build_model(*(round(rng.uniform(lo, hi), 4) for lo, hi in (
             (0.25, 0.5), (0.05, 0.2), (0.05, 0.2), (0.1, 0.35), (0.1, 0.35))))
@@ -994,9 +1059,41 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
         if result.rate > 0.0 and abs(evaluate_decoder(model, result.argmin).perception
                                      - 0.01) <= 1e-12:
             oracle.append(calls[0])
-    assert len(min2) >= 35 and len(oracle) >= 15
-    assert statistics.median(min2) <= 42 and statistics.median(oracle) <= 108
-    assert statistics.quantiles(min2, n=10)[-1] <= 50
+    assert len(min2) >= 35 and len(nested) >= 35 and len(oracle) >= 15
+    assert statistics.median(min2) <= 3 and statistics.quantiles(min2, n=10)[-1] <= 3
+    assert statistics.median(nested) <= 82 and statistics.quantiles(nested, n=10)[-1] <= 100
+    assert statistics.median(oracle) <= 108
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), pi_x=st.floats(0.01, 0.5), dropped=st.booleans(),
+       share=st.floats(0.01, 1.0),
+       P=st.one_of(st.sampled_from([1e-3, 0.02, 0.05]), st.floats(1e-6, 0.3)))
+def test_one_posterior_closed_form_matches_the_nested_roots(q, pi_x, dropped, share, P):
+    # one kept posterior s: a DSBS model, or build_model(0.5, q, q, 0, b),
+    # whose b* = 0 branch is dropped (kept weight W < 1). Where both budgets
+    # bind, _both_binding answers from the mu = 0 root; the nested roots,
+    # with it switched off, are the reference. Per kept branch, with p = P / W,
+    # perception binds from d (1 - 2s) / (1 - 2d) = p, where the
+    # distortion-only reconstruction reaches it, to the zero-rate point
+    model = build_model(0.5, q, q, 0.0, pi_x) if dropped else dsbs_model(q, pi_x)
+    s, W = (model.a_star, model.p_a) if dropped else (pi_x, 1.0)
+    lo, hi = P / W / (1 - 2 * s + 2 * P / W), 2 * s * (1 - s) - (1 - 2 * s) * min(s, P / W)
+    D = q + (1 - 2 * q) * W * (lo + share * (hi - lo))
+    with pytest.MonkeyPatch.context() as mp:
+        found, real = [], solver._both_binding
+        mp.setattr(solver, "_both_binding", lambda *args: found.append(real(*args)) or found[-1])
+        direct = solve_min2(model, D, P)
+        mp.setattr(solver, "_both_binding", lambda *args: None)
+        nested = solve_min2(model, D, P)
+    for result in (direct, nested):
+        _assert_min2_certified(model, D, P, result)
+    assert direct.rate == pytest.approx(nested.rate, abs=1e-12)
+    assert direct.achieved_D == pytest.approx(nested.achieved_D, abs=1e-12)
+    assert direct.achieved_P == pytest.approx(nested.achieved_P, abs=1e-12)
+    assert direct.branch_allocation == pytest.approx(nested.branch_allocation, abs=1e-12)
+    if nested.rate > 0.0 and abs(nested.achieved_P - P) <= 1e-12:  # perception binds
+        assert found and found[0]
 
 
 # ---------------------------------------------------------------------------
