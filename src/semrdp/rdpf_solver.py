@@ -12,7 +12,9 @@ Two independent routes are provided on purpose:
   program below cannot. A decoder is four cells P(Shat = 0 | x, y); the
   rate is convex in them and both constraints are linear, so the oracle
   solves the Lagrangian dual in Blahut's form (Blahut 1972), with total
-  variation as a convex perception term (Blau & Michaeli 2019). Each
+  variation as a convex perception term (Blau & Michaeli 2019). With a
+  uniform S and a common crossover its distortion root without perception
+  multiplier opens at the closed form solve_min2 uses (Gray 1972). Each
   answer carries the dual value, a certified lower bound. It runs in plain
   floats; ``evaluate_decoder`` re-derives its metrics from the joint.
 
@@ -282,7 +284,40 @@ def _warm_start(roots, x: float) -> tuple[float, float]:
     return max(lam, 0.0), max(abs(lam - la), 2.0 ** -30)
 
 
-def _dual_solve(model: SemanticModel, P: float, aim_d: float):
+def _slope_start(branches, aim: float) -> tuple[float, float]:
+    """(start, step) of both solvers' lam root without perception multiplier,
+    lam per unit of observation-domain distortion: branch y = (s_y, 1 - s_y,
+    w_y) is a Bernoulli(s_y) source at distortion min(d, s_y), lam =
+    log2((1 - d) / d) the slope of h(s_y) - h(d) (Blahut 1972). The root solves
+    sum_y w_y min(d, s_y) = aim > 0 (step: ~_ROOT_TOL in h), or is the jump at lam = 0+."""
+    if sum(w * s for s, _, w in branches) <= aim:  # the cells' distortion at Shat = 0
+        return 0.0, _ROOT_WIDTH
+    fixed, free = 0.0, sum(w for _, _, w in branches)
+    for s, _, w in sorted(branches)[:-1]:
+        if fixed + free * s < aim:  # d* > s: the branch sits at s
+            fixed, free = fixed + w * s, free - w
+    d = (aim - fixed) / free
+    return max(math.log2((1.0 - d) / d), 0.0), _ROOT_TOL / (_LN2 * free * d * (1.0 - d))
+
+
+def _oracle_opening(model: SemanticModel, D: float, aim_d: float) -> tuple[float, float]:
+    """(start, step) of the oracle's lam root at nu = 0. With a uniform S and
+    a common crossover q < 1/2 every cell costs -+(1 - 2q) per unit of lam,
+    so that root is X's rate-distortion given Y (Gray 1972) at Hamming
+    distortion (aim_d - q) / (1 - 2q): _slope_start's, over 1 - 2q, since
+    lam charges semantic distortion. Elsewhere from 0 by 1, also where aim_d is
+    pushed past D to the floor + _AIM: lam is 43 or more there, and a root that
+    closes tight lets the dual round a few ulps above the rate."""
+    q, scale = model.q1, 1.0 - 2.0 * model.q1
+    if aim_d != D or model.pi != 0.5 or model.q2 != q or q >= 0.5:
+        return 0.0, 1.0
+    stars = [min(s, 1.0 - s) for s in (model.a_star, model.b_star)]
+    branches = [(s, 1.0 - s, w) for s, w in zip(stars, (model.p_a, model.p_b)) if s > 0.0]
+    start, step = _slope_start(branches, (aim_d - q) / scale)
+    return (start / scale, step / scale) if start else (0.0, step)  # the jump: _ROOT_WIDTH wide
+
+
+def _dual_solve(model: SemanticModel, P: float, aim_d: float, opening: tuple[float, float]):
     """(cells in (s0, t0, s1, t1) order, dual value) where the minimum is
     positive, at a distortion ``aim_d`` within the tolerance of D.
     Multipliers lam >= 0 on distortion and nu on P(Shat = 0) charge the cell
@@ -292,8 +327,8 @@ def _dual_solve(model: SemanticModel, P: float, aim_d: float):
     the minimizer's distortion does not increase in lam: a root puts it on
     aim_d. Unless that meets P with nu = 0, P(Shat = 0) does not increase
     in nu (lam re-solved each time): a second root, which opens on the
-    nu = 0 root, puts it on the nearer edge of the budget. Each lam root at
-    nu != 0 starts from the roots found at nu != 0 (_warm_start)."""
+    nu = 0 root, puts it on the nearer edge of the budget. The lam root at nu = 0 opens
+    at ``opening``; each one at nu != 0 starts from the roots found at nu != 0 (_warm_start)."""
     p0, p1 = ([model.flat_masses[s + k] for k in (0, 2, 1, 3)] for s in (0, 4))  # (y, x) order
     weight, cost = [a + b for a, b in zip(p0, p1)], [b - a for a, b in zip(p0, p1)]
     branch = [weight[k & 2] + weight[k | 1] for k in range(4)]  # P(Y = y) per cell
@@ -315,10 +350,10 @@ def _dual_solve(model: SemanticModel, P: float, aim_d: float):
         def residual(lam):
             z, distortion = argmin(lam, nu)
             return distortion - aim_d, z, (lam, nu)
-        return _bracketed_root(residual, *_warm_start(roots, nu))
+        return _bracketed_root(residual, *(_warm_start(roots, nu) if nu else opening))
 
     # never a warm start from nu = 0: lam can sit at 0+ there, where
-    # _branch_argmin loses its precision
+    # _branch_argmin loses its precision; its own opening is exact or cold
     z, found = on_distortion(0.0)
     sign = math.copysign(1.0, mass0(z) - source0)
     excess = sign * (mass0(z) - source0)
@@ -358,7 +393,7 @@ def oracle_min_rate(model: SemanticModel, D: float, P: float,
     dual = 0.0  # the Lagrangian's minimum at zero multipliers is the zero rate
     if zero_floor > D + _TOL:  # a zero-rate decoder within the tolerance answers 0
         try:
-            cells, dual = _dual_solve(model, P, aim_d)
+            cells, dual = _dual_solve(model, P, aim_d, _oracle_opening(model, D, aim_d))
         except _Unbounded:
             cells = floor_cells
     law = DecoderLaw(*cells)
@@ -448,21 +483,6 @@ def _plateau_edge(branches, lam: float) -> float:
     """mu_e = max_y nu0_y(lam): at mu >= mu_e every branch pays nu0_y, so
     it sits at zero perception."""
     return max(_zero_perception_cost(s, lam) for s in {s for s, _, _ in branches}) + lam
-
-
-def _slope_start(branches, aim: float) -> tuple[float, float]:
-    """(start, step) of the lam root at mu = 0: branch y is a Bernoulli(s_y)
-    source at distortion min(d, s_y), lam = log2((1 - d) / d) the slope of
-    h(s_y) - h(d) (Blahut 1972). The root solves sum_y w_y min(d, s_y) = aim > 0
-    (step: ~_ROOT_TOL in h), or is the jump at lam = 0+."""
-    if sum(w * s for s, _, w in branches) <= aim:  # the cells' distortion at Shat = 0
-        return 0.0, _ROOT_WIDTH
-    fixed, free = 0.0, sum(w for _, _, w in branches)
-    for s, _, w in sorted(branches)[:-1]:
-        if fixed + free * s < aim:  # d* > s: the branch sits at s
-            fixed, free = fixed + w * s, free - w
-    d = (aim - fixed) / free
-    return max(math.log2((1.0 - d) / d), 0.0), _ROOT_TOL / (_LN2 * free * d * (1.0 - d))
 
 
 def _both_binding(branches, aim: float, P: float):

@@ -995,6 +995,38 @@ def test_min2_unconstrained_root_opens_at_its_exact_multiplier(q, a, b, share, P
         assert abs(result.rate - result.dual_bound) <= 1e-9
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.45), pi_x=st.none() | st.floats(0.01, 0.5),
+       a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0),
+       P=st.sampled_from([0.0, 1e-3, 0.02, 0.05, INF]))
+@example(q=0.1, pi_x=None, a=0.7, b=0.6, share=0.2, P=0.02)  # a*, b* > 1/2: s = 1 - a*
+@example(q=0.1, pi_x=None, a=0.0, b=0.3, share=0.1, P=0.05)  # b* = 0: that branch dropped
+@example(q=0.1, pi_x=None, a=0.1, b=0.3, share=0.3, P=0.02)  # the nu root runs after it
+@example(q=0.25, pi_x=None, a=0.0, b=0.5, share=0.5, P=0.0)  # the jump at lam = 0+
+def test_oracle_unconstrained_root_opens_at_its_exact_multiplier(q, pi_x, a, b, share, P):
+    # with a uniform S and a common crossover every cell costs -+(1 - 2q) per
+    # unit of lam, so the nu = 0 root is X's rate-distortion given Y in closed
+    # form; the cold root from lam = 0, with the opening switched off, is the
+    # reference
+    model = dsbs_model(q, pi_x) if pi_x is not None else _drawn_model(0.5, (q, q, a, b))
+    floor = solver._distortion_floor(model, P)[0] + 1e-9
+    D = floor + share * (0.5 - floor)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_evaluations(mp)
+        opened = oracle_min_rate(model, D, P)
+        first = calls[:1]
+        mp.setattr(solver, "_oracle_opening", lambda *args: (0.0, 1.0))
+        cold = oracle_min_rate(model, D, P)
+    for result in (opened, cold):
+        _assert_certified(model, D, P, result)
+    assert opened.rate == pytest.approx(cold.rate, abs=1e-12)
+    assert opened.achieved_D == pytest.approx(cold.achieved_D, abs=1e-12)
+    assert opened.achieved_P == pytest.approx(cold.achieved_P, abs=1e-12)
+    if opened.rate > 0.0:  # the first root is the one at nu = 0
+        _, evaluations, (_, nu) = first[0]
+        assert nu == 0.0 and evaluations <= 2
+
+
 @pytest.mark.parametrize("q, pi_x, D, P", [
     (0.0785, 0.2341, 0.2762, 0.05),  # 22 evaluations from [0, 1] before
     (0.1, 0.2, 0.275, 0.05),  # 17 before
@@ -1022,7 +1054,9 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
     # 48) once build_model made DSBS posteriors bit-equal; one posterior with
     # both budgets binding takes its multipliers in closed form from the
     # mu = 0 root, 3 calls (p90 3), while two posteriors keep the nested
-    # roots at median 82 (p90 100)
+    # roots at median 82 (p90 100); the oracle on positive-rate DSBS queries,
+    # whose nu root never runs, took 26 (p90 32) from the cold lam root and
+    # 6 (p90 6) once it opened at the exact multiplier
     calls = [0]
     real = solver._branch_argmin
 
@@ -1031,13 +1065,20 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
         return real(*args)
     monkeypatch.setattr(solver, "_branch_argmin", counted)
     rng = random.Random(15)
-    min2, oracle = [], []
+    min2, oracle, dsbs = [], [], []
     for k in range(40):
         q, pi_x = round(rng.uniform(0.02, 0.2), 4), round(rng.uniform(0.1, 0.4), 4)
         D, P = q + rng.uniform(0.4, 0.9) * (1 - 2 * q) * pi_x, (0.02, 0.05)[k % 2]
         calls[0] = 0
         if abs(solve_min2(dsbs_model(q, pi_x), D, P).achieved_P - P) <= 1e-12:
             min2.append(calls[0])
+    draw = random.Random(15)
+    for k in range(40):
+        q, pi_x = round(draw.uniform(0.02, 0.2), 4), round(draw.uniform(0.1, 0.4), 4)
+        D, P = q + draw.uniform(0.05, 0.95) * (1 - 2 * q) * pi_x, (0.02, 0.05, INF)[k % 3]
+        calls[0] = 0
+        if oracle_min_rate(dsbs_model(q, pi_x), D, P).rate > 0.0:
+            dsbs.append(calls[0])
     nested = []
     two = random.Random(16)
     for k in range(40):
@@ -1059,10 +1100,11 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
         if result.rate > 0.0 and abs(evaluate_decoder(model, result.argmin).perception
                                      - 0.01) <= 1e-12:
             oracle.append(calls[0])
-    assert len(min2) >= 35 and len(nested) >= 35 and len(oracle) >= 15
+    assert len(min2) >= 35 and len(nested) >= 35 and len(oracle) >= 15 and len(dsbs) >= 35
     assert statistics.median(min2) <= 3 and statistics.quantiles(min2, n=10)[-1] <= 3
     assert statistics.median(nested) <= 82 and statistics.quantiles(nested, n=10)[-1] <= 100
     assert statistics.median(oracle) <= 108
+    assert statistics.median(dsbs) <= 6 and statistics.quantiles(dsbs, n=10)[-1] <= 6
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
