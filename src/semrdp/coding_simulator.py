@@ -5,8 +5,9 @@ measurement, and a desk-scale random-codebook-with-binning experiment.
 All randomness flows from explicit integer seeds expanded through the
 counter-based Philox generator, so encoder and decoder can share one seed
 as their common randomness and every trial is bit-reproducible. Derived
-streams are keyed as (seed, trial, role) tuples through SeedSequence; no
-global random state is touched anywhere.
+streams are keyed as (seed, trial, role) tuples, hashed to SeedSequence's
+64-bit word by this module's copy of its hash; no global random state is
+touched anywhere.
 
 One trial loop serves the decoder trials and the binning experiment: trial
 t samples (S, X, Y) on stream (seed, t, 0) and the caller reconstructs
@@ -25,6 +26,7 @@ round-robin after a uniform shuffle, so equal codebook and bin rates give
 singleton bins and the bin decoding step can never fail.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,19 +39,60 @@ from .semantic_model import SemanticModel
 _CODEBOOK_LOG2_CAP = 24.0
 _CODEBOOK_CHUNK = 1 << 16  # symbols drawn as float64 uniforms at a time (codebooks, trials)
 _SUB_BLOCK = 100  # sub-block length of the decoder trials' blockwise perception
+_MASK32 = 0xFFFFFFFF
 
 
 def derive_seed(base: int, *parts: int) -> int:
-    """A 64-bit stream seed deterministically derived from a base seed and
-    integer role parts, all non-negative."""
-    key = (int(base),) + tuple(int(p) for p in parts)
-    if min(key) < 0:
-        raise DomainError(f"seed and role parts must be non-negative, got {key}")
-    return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
+    """The 64-bit key ``SeedSequence((base, *parts))`` generates from non-negative ints."""
+    return _key_hash(tuple(map(int, (base, *parts))))
+
+
+def _key_hash(key: tuple):
+    """``SeedSequence(key).generate_state(1, np.uint64)[0]`` by a copy of its
+    hash of the little-endian uint32 words of the key's non-negative ints.
+    A part may be an array of one word per key: then every word is a uint64
+    array, whose products keep their low 32 bits under the masks."""
+    words = []
+    for part in key:
+        if isinstance(part, int) and part < 0:
+            raise DomainError(f"seed and role parts must be non-negative, got {part}")
+        words.append(part & _MASK32)
+        while isinstance(part, int) and (part := part >> 32):
+            words.append(part & _MASK32)
+    words += [0] * (4 - len(words))  # zero words pad the pool to four
+    if sizes := [w.size for w in words if isinstance(w, np.ndarray)]:
+        words = [np.full(sizes[0], w, np.uint64) for w in words]
+    const, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(dst, value):
+        result = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value)) & _MASK32
+        pool[dst] = result ^ result >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        mix(dst, pool[src])
+    for word, dst in itertools.product(words[4:], range(4)):
+        mix(dst, word)
+    const, mult = 0x8B51F9DD, 0x58F38DED
+    return hashmix(pool[0]) | hashmix(pool[1]) << 32
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+
+
+def _rekey(rng: np.random.Generator, seed: int) -> None:
+    """Restart ``rng`` on ``_rng(seed)``'s stream, without a new Philox's OS entropy draw."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": (seed, 0)},
+        "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 @dataclass(frozen=True)
@@ -112,17 +155,17 @@ def sample_block(model: SemanticModel, n: int, seed: int):
     """
     if n < 1:
         raise DomainError(f"block length must be positive, got {n}")
-    idx = _sample_cells(model, _rng(seed), np.empty(n), np.empty(n, dtype=bool),
-                        np.empty(n, dtype=np.uint8))
+    idx = _sample_cells(np.cumsum(model.joint.masses.ravel())[:-1], _rng(seed), np.empty(n),
+                        np.empty(n, dtype=bool), np.empty(n, dtype=np.uint8))
     return idx >> 2, (idx >> 1) & 1, idx & 1
 
 
-def _sample_cells(model, rng, u, mask, cells):
+def _sample_cells(thresholds, rng, u, mask, cells):
     """Fill the uint8 ``cells`` with the cell index 4s + 2x + y of one
-    uniform each, drawn into ``u``: the count of thresholds at or below it."""
+    uniform each, drawn into ``u``: the count of ``thresholds`` at or below it."""
     rng.random(out=u)
     cells.fill(0)
-    for threshold in np.cumsum(model.joint.masses.ravel())[:-1]:  # uint8 adds need no cast
+    for threshold in thresholds:  # uint8 adds need no cast
         np.add(cells, np.greater_equal(u, threshold, out=mask).view(np.uint8), out=cells)
     return cells
 
@@ -178,16 +221,20 @@ def _run_trials(model: SemanticModel, cfg: TrialConfig, reconstruct, sub_block: 
     those of whole blocks."""
     u, mask, cells = np.empty(step), np.empty(step, dtype=bool), np.empty(step, dtype=np.uint8)
     ones = np.empty((2, cfg.n // sub_block), dtype=np.min_scalar_type(sub_block))
-    seeds = [derive_seed(cfg.seed, t, 0) for t in range(cfg.trials)]
+    thresholds = np.cumsum(model.joint.masses.ravel())[:-1]
+    role, trial = np.divmod(np.arange(2 * cfg.trials), cfg.trials)
+    keys = _key_hash((int(cfg.seed), trial, role)).tolist()  # roles 0, then roles 1
+    sample_rng, decode_rng = _rng(0), _rng(0)
     per_trial, failures = [], 0
-    for t, block_seed in enumerate(seeds):
-        sample_rng, decode_rng = _rng(block_seed), _rng(derive_seed(cfg.seed, t, 1))
+    for block_seed, decode_seed in zip(keys, keys[cfg.trials:]):
+        _rekey(sample_rng, block_seed)
+        _rekey(decode_rng, decode_seed)
         mismatches = 0
         ones.fill(0)
         for start in range(0, cfg.n, step):
             m = min(step, cfg.n - start)
             shat, failed = reconstruct(
-                _sample_cells(model, sample_rng, u[:m], mask[:m], cells[:m]), decode_rng)
+                _sample_cells(thresholds, sample_rng, u[:m], mask[:m], cells[:m]), decode_rng)
             s = np.right_shift(cells[:m], 2, out=cells[:m])
             mismatches += np.count_nonzero(np.not_equal(s, shat, out=mask[:m]))
             rows = slice(start // sub_block, (start + m - 1) // sub_block + 1)
@@ -209,7 +256,7 @@ def _run_trials(model: SemanticModel, cfg: TrialConfig, reconstruct, sub_block: 
         empirical_P_signed=signed,
         empirical_P_signed_se=signed_se,
         bin_decode_failures=failures,
-        seeds_used=tuple(seeds),
+        seeds_used=tuple(keys[:cfg.trials]),
         trials=cfg.trials,
         n=cfg.n,
     )
@@ -261,19 +308,22 @@ def random_binning_trial(model: SemanticModel, cfg: TrialConfig,
     def reconstruct(cells, rng):
         x, y = (cells >> 1) & 1, cells & 1
         # row chunks draw the same uniforms, in the same order, as one
-        # (words, n) draw, without holding eight bytes per codeword symbol
+        # (words, n) draw, without holding eight bytes per codeword symbol;
+        # distances to b are |b| + c . (1 - 2b), exact in float64
         codebook = np.empty((words, cfg.n), dtype=np.uint8)
+        score, weights = np.empty(words), 1.0 - 2.0 * x
         rows = max(1, _CODEBOOK_CHUNK // cfg.n)
         for start in range(0, words, rows):
             chunk = codebook[start:start + rows]
             np.less(rng.random(chunk.shape), p_one, out=chunk)
+            np.matmul(chunk, weights, out=score[start:start + rows])
+        encoder_pick = int(score.argmin())
+        if bins == words:  # one word per bin, and the shuffle would be the last draw
+            return codebook[encoder_pick], False
         bin_of = np.empty(words, dtype=np.int64)
         bin_of[rng.permutation(words)] = np.arange(words) % bins
-        encoder_pick = int((codebook != x[None, :]).sum(axis=1).argmin())
         members = np.flatnonzero(bin_of == bin_of[encoder_pick])
-        decoder_pick = int(
-            members[(codebook[members] != y[None, :]).sum(axis=1).argmin()]
-        )
+        decoder_pick = int(members[(codebook[members] @ (1.0 - 2.0 * y)).argmin()])
         return codebook[decoder_pick], decoder_pick != encoder_pick
 
     return _run_trials(model, cfg, reconstruct, cfg.n, cfg.n)  # codes see whole blocks

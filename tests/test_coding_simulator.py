@@ -21,7 +21,7 @@ from semrdp import (
     sample_block,
 )
 from semrdp import coding_simulator
-from semrdp.coding_simulator import _rng
+from semrdp.coding_simulator import _key_hash, _rekey, _rng
 
 
 def test_sample_block_deterministic(model_q01):
@@ -149,6 +149,28 @@ def test_binning_bin_sharing_can_fail(model_q01):
     cfg = TrialConfig(n=12, trials=40, seed=1002, rate_R1=0.9, rate_R2=0.25)
     report = random_binning_trial(model_q01, cfg, DecoderLaw.copy_observation())
     assert report.bin_decode_failures > 0
+    # recorded with whole-codebook distance sums, before scoring moved into
+    # the draw loop; shared bins run the shuffle and the member scoring
+    assert report == TrialReport(
+        empirical_D=0.28958333333333336, empirical_D_se=0.020884019538388008,
+        empirical_P_marginal=0.06458333333333333, empirical_P_blockwise=0.13125,
+        empirical_P_signed=-0.06458333333333334, empirical_P_signed_se=0.024329963324769218,
+        bin_decode_failures=32,
+        seeds_used=(6294939704074360075, 8488904211251750515, 2497648665163013937,
+                    3029671549399952032, 10436307066233981594, 10902590753811862064,
+                    15889944429581941540, 14205702325165489612, 490199211854649827,
+                    12164824910222946345, 628568278873318750, 14295905840695093368,
+                    14766969284134701597, 15356822689551959656, 5606882713099357779,
+                    17565673183190531279, 2079774843033302617, 8457078250240821952,
+                    3789880329751796253, 8532095866723300742, 8035208619386622612,
+                    15168069276592259759, 1004930863471493922, 12236735004466365647,
+                    7520382947699937217, 16192116610640579207, 9692216691052481722,
+                    1188806708662542345, 2908508212504157096, 4090997186221274560,
+                    10903585120542648619, 8539213694336224732, 16151751716470602014,
+                    12123932757823251746, 13904749419773301168, 10234310213521696613,
+                    16679211190286924012, 10704289652984716816, 15561571660003225323,
+                    11853438081547398126),
+        trials=40, n=12)
 
 
 def test_binning_rate_margin_trend(model_q01):
@@ -205,6 +227,63 @@ def test_derive_seed_distinct_and_stable():
     for parts in ((-1,), (7, -100), (7, 0, -1)):
         with pytest.raises(DomainError, match="non-negative"):
             derive_seed(*parts)
+
+
+def _seed_sequence_key(key):
+    return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
+
+
+# one to three entropy words each, so keys of up to six words pass the pool of four
+_BASES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70]
+
+
+@pytest.mark.parametrize("base", _BASES)
+def test_key_hash_matches_seed_sequence(base):
+    for parts in ((), (5,), (0, 1), (3, 2**32 + 7, 1), (2**64, 0, 9)):
+        key = (base, *parts)
+        assert _key_hash(key) == derive_seed(*key) == _seed_sequence_key(key)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("trials", [1, 2, 41])
+@pytest.mark.parametrize("base", _BASES)
+def test_key_hash_of_a_batch_matches_seed_sequence(base, trials):
+    t = np.arange(trials, dtype=np.uint32)
+    for key in ((base, t), (base, t, 1), (base, np.concatenate((t, t)),
+                                          np.repeat(np.arange(2, dtype=np.uint32), trials)),
+                (base, 7, t, 0)):
+        keys = _key_hash(key)
+        assert keys.dtype == np.uint64
+        want = [_seed_sequence_key(tuple(int(p[i]) if isinstance(p, np.ndarray) else p
+                                         for p in key)) for i in range(keys.size)]
+        assert keys.tolist() == want
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**63 - 1, 2**63, 2**64 - 1])
+def test_rekey_draws_the_stream_of_a_new_generator(seed):
+    rng = _rng(99)
+    for used in (0, 3):
+        rng.random(used)  # partway through the buffer
+        rng.integers(5, dtype=np.uint32)  # a cached half word
+        _rekey(rng, seed)
+        fresh = _rng(seed)
+        assert np.array_equal(rng.random(5), fresh.random(5))
+        assert np.array_equal(rng.permutation(37), fresh.permutation(37))
+        got, want = np.empty((3, 4)), np.empty((3, 4))
+        rng.random(out=got)
+        fresh.random(out=want)
+        assert np.array_equal(got, want)
+        _rekey(rng, seed)
+        assert np.array_equal(rng.random(50), _rng(seed).random(50))
+
+
+def test_negative_seeds_are_rejected(model_q01):
+    law = DecoderLaw.copy_observation()
+    with pytest.raises(DomainError, match="non-negative"):
+        run_decoder_trials(model_q01, law, TrialConfig(n=10, trials=2, seed=-1))
+    with pytest.raises(DomainError, match="non-negative"):
+        random_binning_trial(model_q01, TrialConfig(n=8, trials=2, seed=-1, rate_R1=0.5,
+                                                    rate_R2=0.5), law)
 
 
 def _reference_sample_block(model, n, seed):
