@@ -28,10 +28,10 @@ from .errors import DomainError, SemRdpError
 from .rdpf_closed_form import closed_form_rate
 from .rdpf_solver import DecoderLaw, oracle_min_rate, solve_min2
 from .semantic_model import SemanticModel, build_model
-from .verification import VerificationConfig, _fmt, _rate_or_inf, run_verification
+from .verification import (VerificationConfig, _check_margins, _csv, _margin_ladder,
+                           _rate_or_inf, run_verification)
 
-_METHOD_ORDER = ("closed_form", "min2", "oracle", "simulate")
-_METHOD_COLUMNS = {
+_METHOD_COLUMNS = {  # in insertion order: the curve schema's column order
     "closed_form": "R_closed",
     "min2": "R_min2",
     "oracle": "R_oracle",
@@ -64,7 +64,7 @@ class SweepConfig:
     fixed_D: float = 0.25
     methods: tuple[str, ...] = ("closed_form",)
     resolution: float = 0.01
-    n: int = 10000
+    n: int = 12
     trials: int = 10
     seed: int = 1234
     margin: float = 0.4
@@ -81,9 +81,11 @@ class SweepConfig:
             )
         if not self.methods:
             raise DomainError("select at least one method")
-        unknown = [m for m in self.methods if m not in _METHOD_ORDER]
+        unknown = [m for m in self.methods if m not in _METHOD_COLUMNS]
         if unknown:
-            raise DomainError(f"unknown methods {unknown}; choose from {_METHOD_ORDER}")
+            raise DomainError(f"unknown methods {unknown}; choose from {tuple(_METHOD_COLUMNS)}")
+        if "simulate" in self.methods:
+            _check_margins([self.margin])
         if self.axis == "P" and not self.fixed_D >= 0.0:
             raise DomainError(
                 f"distortion target D must be a non-negative number, got {self.fixed_D}")
@@ -120,7 +122,7 @@ def sweep_curve(cfg: SweepConfig) -> str:
     deterministic for a fixed config."""
     model = cfg.model()
     points = cfg.axis_points()
-    selected = [m for m in _METHOD_ORDER if m in cfg.methods]
+    selected = [m for m in _METHOD_COLUMNS if m in cfg.methods]
 
     def rate(method, index, d, p):
         if method == "closed_form":
@@ -132,12 +134,10 @@ def sweep_curve(cfg: SweepConfig) -> str:
             return _rate_or_inf(lambda: oracle_min_rate(model, d, p, cfg.resolution).rate)
         return _simulated_rate(model, cfg, index, d, p)
 
-    columns = [[rate(method, index, d, p) for index, (d, p) in enumerate(points)]
+    columns = [[max(rate(method, index, d, p), 0.0) for index, (d, p) in enumerate(points)]
                for method in selected]
-    lines = ["D,P," + ",".join(_METHOD_COLUMNS[m] for m in selected)]
-    for idx, (d, p) in enumerate(points):
-        lines.append(",".join([_fmt(d), _fmt(p)] + [_fmt(max(c[idx], 0.0)) for c in columns]))
-    return "\n".join(lines) + "\n"
+    rows = [(*point, *rates) for point, rates in zip(points, zip(*columns))]
+    return _csv("D,P," + ",".join(_METHOD_COLUMNS[m] for m in selected), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +170,6 @@ def _resolve_model_params(args) -> tuple[float, float, float, float, float]:
     if args.a is None or args.b is None:
         raise DomainError("provide either --pi-x or both --a and --b")
     return (args.pi, q1, q2, args.a, args.b)
-
-
-def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    if not methods:
-        raise DomainError("select at least one method")
-    return methods
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -216,6 +209,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     curve = sub.add_parser("curve", help="sweep an axis and emit rate columns")
+    curve.set_defaults(handler=_cmd_curve)
     _add_model_flags(curve)
     curve.add_argument("--axis", choices=("D", "P"), default="D")
     curve.add_argument("--P", type=float, default=math.inf,
@@ -229,19 +223,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     curve.add_argument("--steps", type=int, default=51)
     curve.add_argument("--methods", default="closed_form")
     curve.add_argument("--resolution", type=float, default=0.01)
-    curve.add_argument("--n", type=int, default=10000)
+    curve.add_argument("--n", type=int, default=SweepConfig.n)
     curve.add_argument("--trials", type=int, default=10)
     curve.add_argument("--seed", type=int, default=1234)
     curve.add_argument("--margin", type=float, default=0.4)
     curve.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
     oracle = sub.add_parser("oracle", help="exact minimum rate at one point")
+    oracle.set_defaults(handler=_cmd_oracle)
     _add_model_flags(oracle)
     oracle.add_argument("--D", type=float, required=True)
     oracle.add_argument("--P", type=float, default=math.inf)
     oracle.add_argument("--out", default=None)
 
     simulate = sub.add_parser("simulate", help="random-codebook binning runs")
+    simulate.set_defaults(handler=_cmd_simulate)
     _add_model_flags(simulate)
     simulate.add_argument("--D", type=float, default=0.2)
     simulate.add_argument("--P", type=float, default=math.inf)
@@ -258,6 +254,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     simulate.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run the verification suite")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("--seed", type=int, default=20250808)
     verify.add_argument("--quick", action="store_true",
                         help="smaller grids and trial counts (not the official run)")
@@ -288,8 +285,8 @@ def _cmd_curve(args) -> int:
     cfg = SweepConfig(
         pi=pi, q1=q1, q2=q2, a=a, b=b,
         axis=args.axis, axis_min=axis_min, axis_max=axis_max, steps=args.steps,
-        fixed_P=args.P, fixed_D=args.D,
-        methods=_parse_methods(args.methods), resolution=args.resolution,
+        fixed_P=args.P, fixed_D=args.D, resolution=args.resolution,
+        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
         n=args.n, trials=args.trials, seed=args.seed, margin=args.margin,
     )
     _emit(sweep_curve(cfg), args.out)
@@ -297,65 +294,30 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    pi, q1, q2, a, b = _resolve_model_params(args)
-    model = build_model(pi, q1, q2, a, b)
-    result = oracle_min_rate(model, args.D, args.P)
-    law = result.argmin
-    text = (
-        "D,P,R_oracle,achieved_D,achieved_P,s0,t0,s1,t1\n"
-        + ",".join(
-            _fmt(v)
-            for v in (args.D, args.P, result.rate, result.achieved_D,
-                      result.achieved_P, law.s0, law.t0, law.s1, law.t1)
-        )
-        + "\n"
-    )
-    _emit(text, args.out)
+    result = oracle_min_rate(build_model(*_resolve_model_params(args)), args.D, args.P)
+    row = (args.D, args.P, result.rate, result.achieved_D, result.achieved_P,
+           *result.argmin.as_tuple())
+    _emit(_csv("D,P,R_oracle,achieved_D,achieved_P,s0,t0,s1,t1", [row]), args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    pi, q1, q2, a, b = _resolve_model_params(args)
-    model = build_model(pi, q1, q2, a, b)
-    header = (
-        "n,trials,seed,rate_R1,rate_R2,empirical_D,empirical_D_se,"
-        "empirical_P_marginal,empirical_P_blockwise,bin_decode_failures"
-    )
-    lines = [header]
-
-    def row(report, cfg):
-        return ",".join(
-            [
-                str(cfg.n), str(cfg.trials), str(cfg.seed),
-                _fmt(cfg.rate_R1), _fmt(cfg.rate_R2),
-                _fmt(report.empirical_D),
-                _fmt(report.empirical_D_se) if report.empirical_D_se is not None else "",
-                _fmt(report.empirical_P_marginal),
-                _fmt(report.empirical_P_blockwise),
-                str(report.bin_decode_failures),
-            ]
-        )
-
+    model = build_model(*_resolve_model_params(args))
     if args.law is not None:
         law = _parse_law(args.law)
         cfg = TrialConfig(n=args.n, trials=args.trials, seed=args.seed)
-        lines.append(row(run_decoder_trials(model, law, cfg), cfg))
+        runs = [(cfg, run_decoder_trials(model, law, cfg))]
     else:
-        base = closed_form_rate(model, args.D, args.P)
-        margins = _parse_floats(args.margins, "--margins")
-        if not all(0.0 <= m < math.inf for m in margins):
-            # each margin keys its seed stream as round(1000 * margin)
-            raise DomainError(f"rate margins must be finite and non-negative, got {margins}")
-        for margin in margins:
-            r1 = base + margin
-            cfg = TrialConfig(
-                n=args.n, trials=args.trials,
-                seed=derive_seed(args.seed, int(round(margin * 1000))),
-                rate_R1=r1, rate_R2=max(r1 - args.r2_gap, 0.0),
-            )
-            report = random_binning_trial(model, cfg, DecoderLaw.copy_observation())
-            lines.append(row(report, cfg))
-    _emit("\n".join(lines) + "\n", args.out)
+        runs = _margin_ladder(model, closed_form_rate(model, args.D, args.P),
+                              _parse_floats(args.margins, "--margins"), args.n, args.trials,
+                              (args.seed,), args.r2_gap)
+    rows = [(str(cfg.n), str(cfg.trials), str(cfg.seed), cfg.rate_R1, cfg.rate_R2,
+             report.empirical_D, "" if report.empirical_D_se is None else report.empirical_D_se,
+             report.empirical_P_marginal, report.empirical_P_blockwise,
+             str(report.bin_decode_failures)) for cfg, report in runs]
+    header = ("n,trials,seed,rate_R1,rate_R2,empirical_D,empirical_D_se,"
+              "empirical_P_marginal,empirical_P_blockwise,bin_decode_failures")
+    _emit(_csv(header, rows), args.out)
     return 0
 
 
@@ -368,12 +330,10 @@ def _cmd_verify(args) -> int:
             binning_trials=40, chain_joints=100,
         )
     summary = run_verification(cfg)
-    if args.out is None:
-        sys.stdout.write(summary.to_text())
-    else:
+    if args.out is not None:
         _emit(summary.to_text(), args.out + ".txt")
         _emit(summary.to_csv(), args.out + ".csv")
-        sys.stdout.write(summary.to_text())
+    sys.stdout.write(summary.to_text())
     return 0 if summary.all_passed else 1
 
 
@@ -403,13 +363,7 @@ def main(argv=None) -> int:
                 )
             sub.set_defaults(**file_values)
             args = parser.parse_args(argv)
-        handler = {
-            "curve": _cmd_curve,
-            "oracle": _cmd_oracle,
-            "simulate": _cmd_simulate,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except SemRdpError as exc:
         print(f"semrdp: error: {exc}", file=sys.stderr)
         return 2

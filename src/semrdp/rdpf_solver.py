@@ -15,8 +15,9 @@ Two independent routes are provided on purpose:
   variation as a convex perception term (Blau & Michaeli 2019). With a
   uniform S and a common crossover its distortion root without perception
   multiplier opens at the closed form solve_min2 uses (Gray 1972). Each
-  answer carries the dual value, a certified lower bound. It runs in plain
-  floats; ``evaluate_decoder`` re-derives its metrics from the joint.
+  answer carries the dual value, a lower bound up to the rounding of its
+  own evaluation. It runs in plain floats; ``evaluate_decoder`` re-derives
+  its metrics from the joint.
 
 - ``solve_min2``: the branch-decomposed program. It minimizes
   p_a R(a*)(d_0, p_0) + p_b R(b*)(d_1, p_1) over per-branch allocations of
@@ -106,8 +107,8 @@ class SolverResult:
     achieved_P: float
     argmin: DecoderLaw | None
     branch_allocation: tuple[float, float, float, float] | None = None
-    # a certified lower bound on the minimum at the aimed distortion, which
-    # lies within 1e-12 of D (solve_min2 also aims its perception _AIM past P)
+    # a lower bound, up to the rounding of its own evaluation, on the minimum at the
+    # aimed distortion, within 1e-12 of D (solve_min2 also aims its perception _AIM past P)
     dual_bound: float | None = None
 
 

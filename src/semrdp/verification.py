@@ -37,6 +37,34 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: text as given, numbers through _fmt."""
+    lines = [",".join([v if isinstance(v, str) else _fmt(v) for v in row]) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _check_margins(margins) -> None:
+    # a margin sits above the closed form, sizes a 2^(n (base + margin))-word
+    # codebook and keys a ladder run's stream as round(1000 * margin)
+    if not all(0.0 <= m < math.inf for m in margins):
+        raise DomainError(f"rate margin(s) must be finite and non-negative, got {margins}")
+
+
+def _margin_ladder(model: SemanticModel, base: float, margins, n: int, trials: int,
+                   seed_parts: tuple[int, ...], r2_gap: float = 0.0):
+    """(TrialConfig, TrialReport) pairs of binning runs with the copy-observation
+    decoder, one per margin m: rate_R1 = base + m, rate_R2 = max(rate_R1 - r2_gap, 0),
+    on the stream derive_seed(*seed_parts, round(1000 m))."""
+    _check_margins(margins)
+    runs = []
+    for margin in margins:
+        r1 = base + margin
+        cfg = TrialConfig(n=n, trials=trials, rate_R1=r1, rate_R2=max(r1 - r2_gap, 0.0),
+                          seed=derive_seed(*seed_parts, int(round(margin * 1000))))
+        runs.append((cfg, random_binning_trial(model, cfg, DecoderLaw.copy_observation())))
+    return runs
+
+
 def _rate_or_inf(fn, *args) -> float:
     """``fn(*args)``, or inf when it raises InfeasibleError."""
     try:
@@ -94,10 +122,7 @@ class VerificationSummary:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["q,P,D,R_closed,R_oracle"]
-        for q, p, d, rc, ro in self.point_rows:
-            lines.append(",".join(_fmt(v) for v in (q, p, d, rc, ro)))
-        return "\n".join(lines) + "\n"
+        return _csv("q,P,D,R_closed,R_oracle", self.point_rows)
 
 
 def _grid(cfg: VerificationConfig, q: float) -> np.ndarray:
@@ -337,30 +362,16 @@ def check_simulation_consistency(cfg: VerificationConfig, data):
 
 def check_binning_trend(cfg: VerificationConfig, data):
     model = dsbs_model(0.1, 0.2)
-    base_rate = closed_form_rate(model, 0.2, math.inf)
-    means, ses = [], []
-    for margin in cfg.binning_margins:
-        rate = base_rate + margin
-        trial_cfg = TrialConfig(
-            n=BINNING_N, trials=cfg.binning_trials,
-            seed=derive_seed(cfg.seed, 8, int(round(margin * 1000))),
-            rate_R1=rate, rate_R2=rate,
-        )
-        report = random_binning_trial(model, trial_cfg, DecoderLaw.copy_observation())
-        means.append(report.empirical_D)
-        ses.append(report.empirical_D_se or 0.0)
+    runs = _margin_ladder(model, closed_form_rate(model, 0.2, math.inf), cfg.binning_margins,
+                          BINNING_N, cfg.binning_trials, (cfg.seed, 8))
+    means = [report.empirical_D for _, report in runs]
+    ses = [report.empirical_D_se or 0.0 for _, report in runs]
     ok = not any(
         high > low + math.sqrt(se_low ** 2 + se_high ** 2)
         for low, high, se_low, se_high in zip(means, means[1:], ses, ses[1:])
     )
-    detail = (
-        f"mean distortion by margin "
-        + ", ".join(
-            f"+{m}: {v:.4f} (se {s:.4f})"
-            for m, v, s in zip(cfg.binning_margins, means, ses)
-        )
-    )
-    return ok, detail
+    return ok, "mean distortion by margin " + ", ".join(
+        f"+{m}: {v:.4f} (se {s:.4f})" for m, v, s in zip(cfg.binning_margins, means, ses))
 
 
 def check_chain_rule_identities(cfg: VerificationConfig, data):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import threading
 from dataclasses import replace
 
@@ -111,6 +112,10 @@ def test_sweep_config_validation():
         with pytest.raises(DomainError, match="distortion target D"):
             _closed_cfg(axis="P", fixed_D=fixed_d)
     _closed_cfg(fixed_D=-0.1)  # a D sweep never reads the fixed D
+    for margin in (-0.01, math.nan, INF):
+        with pytest.raises(DomainError, match=r"rate margin\(s\)"):
+            _closed_cfg(methods=("simulate",), margin=margin)
+        _closed_cfg(margin=margin)  # only a simulated column reads the margin
 
 
 def _sandwich(cfg):
@@ -302,23 +307,38 @@ def test_cli_simulate_plain_law(tmp_path):
 _MODEL = ["--q", "0.1", "--pi-x", "0.2"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", *_MODEL, "--seed", "-1"],
-    ["simulate", *_MODEL, "--law", "1,1,0,0", "--seed", "-1"],
-    ["curve", *_MODEL, "--methods", "simulate", "--steps", "2", "--n", "10",
-     "--trials", "2", "--seed", "-1"],
-    ["verify", "--quick", "--seed", "-1"],
-    ["simulate", *_MODEL, "--margins", "-0.1"],
-    ["simulate", *_MODEL, "--margins", "0.2,x"],
-    ["simulate", *_MODEL, "--law", "1,a,0,0"],
-    ["oracle", *_MODEL, "--D", "nan"],
-    ["curve", *_MODEL, "--axis", "P", "--D", "-0.1"],
+_BAD_MARGIN = r"rate margin\(s\) must be finite and non-negative"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", *_MODEL, "--seed", "-1"], ""),
+    (["simulate", *_MODEL, "--law", "1,1,0,0", "--seed", "-1"], ""),
+    (["curve", *_MODEL, "--methods", "simulate", "--steps", "2", "--n", "10",
+      "--trials", "2", "--seed", "-1"], ""),
+    (["verify", "--quick", "--seed", "-1"], ""),
+    (["simulate", *_MODEL, "--margins", "-0.1"], _BAD_MARGIN),
+    (["simulate", *_MODEL, "--margins", "0.2,x"], ""),
+    (["simulate", *_MODEL, "--law", "1,a,0,0"], ""),
+    (["oracle", *_MODEL, "--D", "nan"], ""),
+    (["curve", *_MODEL, "--axis", "P", "--D", "-0.1"], ""),
+    # a curve margin is checked as simulate's are, before any binning run
+    *((["curve", *_MODEL, "--methods", "closed_form,simulate", "--steps", "2",
+        "--margin", margin], _BAD_MARGIN) for margin in ("-0.01", "nan", "inf")),
 ], ids=["simulate-seed", "law-seed", "curve-seed", "verify-seed", "negative-margin",
-        "text-margin", "text-law", "nan-D", "negative-fixed-D"])
-def test_cli_bad_input_is_a_usage_error(argv, capsys):
+        "text-margin", "text-law", "nan-D", "negative-fixed-D", "negative-curve-margin",
+        "nan-curve-margin", "inf-curve-margin"])
+def test_cli_bad_input_is_a_usage_error(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("semrdp: error: ") and err.count("\n") == 1
+    assert re.search(message, err)
+
+
+def test_cli_simulated_curve_runs_at_the_default_block_length():
+    # the default --n is SweepConfig.n = 12, the block length of simulate and
+    # criterion 8; at 10000 no positive-rate codebook fits the 2^24-word cap
+    assert main(["curve", *_MODEL, "--d-min", "0.1", "--d-max", "0.3", "--steps", "3",
+                 "--methods", "closed_form,simulate"]) == 0
 
 
 def test_cli_config_file_merge(tmp_path):

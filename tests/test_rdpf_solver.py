@@ -1232,6 +1232,36 @@ def test_dual_bound_stays_below_the_rate_at_the_distortion_floor(solve):
     assert result.dual_bound <= result.rate
 
 
+@pytest.mark.parametrize("above_floor", [0.0, 1e-13])
+def test_oracle_falls_back_to_the_floor_decoder_past_the_multiplier_cap(above_floor,
+                                                                       monkeypatch):
+    # a posterior gap of 1e-9 puts the distortion multiplier at the floor
+    # past _MULTIPLIER_CAP: the oracle answers with the knapsack's floor
+    # decoder and only the bound 0, which need not be the minimum when the
+    # floor's LP face holds several decoders, so minimality is not pinned
+    raised = []
+
+    def spied(*args):
+        try:
+            return dual_solve(*args)
+        except solver._Unbounded:
+            raised.append(args)
+            raise
+
+    dual_solve = solver._dual_solve
+    monkeypatch.setattr(solver, "_dual_solve", spied)
+    model, P = build_model(0.5, 1e-9, 1.0, 0.0, 0.5), 0.0
+    D = solver._distortion_floor(model, P)[0] + above_floor
+    result = oracle_min_rate(model, D, P)
+    assert len(raised) == 1
+    assert result.dual_bound == 0.0 and result.rate > 0.0
+    assert abs(result.achieved_D - D) <= 1e-12 and result.achieved_P <= P + 1e-12
+    exact = evaluate_decoder(model, result.argmin)
+    assert abs(exact.rate - result.rate) <= 1e-12
+    assert abs(exact.distortion - result.achieved_D) <= 1e-12
+    assert abs(exact.perception - result.achieved_P) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the grid reference's branch tables
 # ---------------------------------------------------------------------------
