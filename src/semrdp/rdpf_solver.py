@@ -24,20 +24,16 @@ Two independent routes are provided on purpose:
   observation-domain distortion d_y and perception p_y, subject to the
   semantic-distortion budget p_a ((1-2q) d_0 + q) + p_b ((1-2q) d_1 + q) <= D
   and the aligned perception budget p_a p_0 + p_b p_1 <= P. The aligned
-  sum upper-bounds the true total variation, so every allocation is
-  realizable and solve_min2 never undercuts the oracle; near the zero-rate
-  plateau cancellation makes the oracle better. Each branch RDPF is convex
-  (Blau & Michaeli 2019), so the program is a separable convex allocation:
-  it is solved exactly by the oracle's branch minimizers and bracketed
-  roots, one multiplier on each budget, and carries its dual value too.
-  Its distortion root without perception multiplier is closed-form (Blahut
-  1972); equal posteriors are priced once, and a zero one is dropped. Where
-  every kept branch has one posterior and both budgets bind, the budgets
-  split equally and the multipliers are closed-form too; the dual value
-  still certifies that answer.
+  sum upper-bounds the true total variation, so every allocation is a
+  decoder, which it returns, and it never undercuts the oracle; near the
+  zero-rate plateau cancellation makes the oracle better. Each branch RDPF
+  and its slopes are closed-form and convex (Blau & Michaeli 2019); the
+  branches share the slopes, found in allocation space by at most two nested
+  bracketed roots (none for equal posteriors), whose dual value certifies it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +101,7 @@ class SolverResult:
     rate: float
     achieved_D: float
     achieved_P: float
-    argmin: DecoderLaw | None
+    argmin: DecoderLaw
     branch_allocation: tuple[float, float, float, float] | None = None
     # a lower bound, up to the rounding of its own evaluation, on the minimum at the
     # aimed distortion, within 1e-12 of D (solve_min2 also aims its perception _AIM past P)
@@ -271,8 +267,8 @@ def _bracketed_root(residual, start: float = 0.0, step: float = 1.0, first=None)
 
 
 def _warm_start(roots, x: float) -> tuple[float, float]:
-    """(start, step) of a lam root at x, given the (x, lam) of the roots
-    found so far: from 0 by 1 before any, from the one root by 1, and then
+    """(start, step) of the oracle's lam root at nu = x, given the (x, lam) of
+    the roots found so far: from 0 by 1 before any, from the one root by 1, and then
     from the linear interpolation of the two nearest in x, stepping by its
     distance from the nearer one, at least 2**-30."""
     if not roots:
@@ -285,20 +281,26 @@ def _warm_start(roots, x: float) -> tuple[float, float]:
     return max(lam, 0.0), max(abs(lam - la), 2.0 ** -30)
 
 
-def _slope_start(branches, aim: float) -> tuple[float, float]:
-    """(start, step) of both solvers' lam root without perception multiplier,
-    lam per unit of observation-domain distortion: branch y = (s_y, 1 - s_y,
-    w_y) is a Bernoulli(s_y) source at distortion min(d, s_y), lam =
-    log2((1 - d) / d) the slope of h(s_y) - h(d) (Blahut 1972). The root solves
-    sum_y w_y min(d, s_y) = aim > 0 (step: ~_ROOT_TOL in h), or is the jump at lam = 0+."""
+def _water_level(branches, aim: float) -> tuple[float, float]:
+    """(d, weight below it): without perception multiplier branch y = (s_y,
+    1 - s_y, w_y) is a Bernoulli(s_y) source at distortion min(d, s_y) with
+    slope lam = log2((1 - d) / d) (Blahut 1972), sum_y w_y min(d, s_y) = aim >
+    0; d = 1/2, lam = 0+, with no weight where sum_y w_y s_y <= aim."""
     if sum(w * s for s, _, w in branches) <= aim:  # the cells' distortion at Shat = 0
-        return 0.0, _ROOT_WIDTH
+        return 0.5, 0.0
     fixed, free = 0.0, sum(w for _, _, w in branches)
     for s, _, w in sorted(branches)[:-1]:
         if fixed + free * s < aim:  # d* > s: the branch sits at s
             fixed, free = fixed + w * s, free - w
-    d = (aim - fixed) / free
-    return max(math.log2((1.0 - d) / d), 0.0), _ROOT_TOL / (_LN2 * free * d * (1.0 - d))
+    return (aim - fixed) / free, free
+
+
+def _slope_start(branches, aim: float) -> tuple[float, float]:
+    """(start, step) of a lam root without perception multiplier at
+    _water_level (step: ~_ROOT_TOL in h), or the jump at lam = 0+."""
+    d, free = _water_level(branches, aim)
+    return ((max(math.log2((1.0 - d) / d), 0.0), _ROOT_TOL / (_LN2 * free * d * (1.0 - d)))
+            if free else (0.0, _ROOT_WIDTH))
 
 
 def _oracle_opening(model: SemanticModel, D: float, aim_d: float) -> tuple[float, float]:
@@ -463,113 +465,112 @@ def _zero_rate_allocation(star, weight, P: float):
     return allocation
 
 
-def _min2_cells(branches, lam: float, mu: float):
-    """(cells P(Shat = 0 | X = x) of the branch minimizers, weighted distortion)
-    at multipliers (lam, mu); branch y = (s, c, w) pays (k0, k1) = (nu - lam,
-    nu + lam), nu = min(nu0_y(lam), mu), once per run of equal posteriors."""
-    cells, distortion, last = [], 0.0, None
-    for s, c, w in branches:
-        if s != last:
-            k0 = _zero_perception_cost(s, lam)
-            if k0 + lam > mu:
-                k0 = mu - lam
-            z0, z1 = _branch_argmin(c, s, k0, k0 + 2.0 * lam)
-            d, last = c * (1.0 - z0) + s * z1, s
-        cells += (z0, z1)
-        distortion += w * d
-    return cells, distortion
+def _min2_cells(branches, lam: float, mu: float) -> list[float]:
+    """Cells P(Shat = 0 | X = x) of the branch minimizers at multipliers (lam, mu):
+    branch y = (s, c, w) pays (k0, k1) = (nu - lam, nu + lam), nu = min(nu0_y(lam), mu)."""
+    cells = []
+    for s, c, _ in branches:
+        k0 = _zero_perception_cost(s, lam)
+        if k0 + lam > mu:
+            k0 = mu - lam
+        cells += _branch_argmin(c, s, k0, k0 + 2.0 * lam)
+    return cells
 
 
-def _plateau_edge(branches, lam: float) -> float:
-    """mu_e = max_y nu0_y(lam): at mu >= mu_e every branch pays nu0_y, so
-    it sits at zero perception."""
-    return max(_zero_perception_cost(s, lam) for s in {s for s, _, _ in branches}) + lam
+def _branch_map(s: float, d: float, p: float) -> tuple[float, float, float, float]:
+    """(z0, z1, 2**-lam, 2**-mu): the cells P(Shat = 0 | X = x) and the slopes
+    lam = -dR/dd, mu = -dR/dp of the RDPF R (Blau & Michaeli 2019) of a
+    Bernoulli(s) branch, 0 < s <= 1/2, c = 1 - s, at distortion d and
+    perception p. Rate 0 from d = 2sc - (1 - 2s) min(p, s), at P(Shat = 0) =
+    c + min(p, s); below, where the distortion-only perception d (1 - 2s) /
+    (1 - 2d) is within p, mu = 0 and lam = log2((1 - d) / d) (Blahut 1972);
+    else P(Shat = 0) = r = c + p, s z1 = (d + p) / 2, c (1 - z0) = (d - p) / 2,
+    and z_x = r a_x / (r a_x + 1 - r) gives a_x = 2**-(mu -+ lam)."""
+    c, spent = 1.0 - s, min(p, s)
+    plus, minus = d + p, d - p  # 2 s z1 and 2 c (1 - z0) where perception binds
+    if d >= 2.0 * s * c - (1.0 - 2.0 * s) * spent or d + spent >= 2.0 * s:  # z1 >= 1 in floats
+        return c + spent, c + spent, 1.0, 1.0
+    if minus <= 0.0 or d * (1.0 - 2.0 * s) <= p * (1.0 - 2.0 * d):
+        r = (c - d) / (1.0 - 2.0 * d)
+        return r * (1.0 - d) / c, r * d / s, d / (1.0 - d), 1.0
+    odds1, odds0 = math.sqrt(plus / (2.0 * s - plus)), math.sqrt(minus / (2.0 * c - minus))
+    return (1.0 - minus / (2.0 * c), plus / (2.0 * s), odds1 * odds0,
+            (s - p) / (c + p) * odds1 / odds0)
 
 
-def _both_binding(branches, aim: float, P: float):
-    """(cells, (lam, mu)) where every kept branch has one posterior s and
-    perception binds: the RDPF is convex, so each branch sits at d = aim / W,
-    p = (P + _AIM) / W, W = sum_y w_y (Jensen), with P(Shat = 0) = r = c + p.
-    Then s z1 = (d + p) / 2 and c (1 - z0) = (d - p) / 2, and Blahut's
-    z_x = r a_x / (r a_x + 1 - r) gives a_x = 2**-k_x, (k0, k1) = (mu - lam,
-    mu + lam). None where a cell leaves (0, 1) or a multiplier is negative."""
-    s, c, _ = branches[0]
-    W = sum(w for _, _, w in branches)
-    d, p = aim / W, (P + _AIM) / W
-    z1, y0 = (d + p) / (2.0 * s), (d - p) / (2.0 * c)  # y0 = 1 - z0, kept exact
-    if len({s for s, _, _ in branches}) > 1 or not (0.0 < z1 < 1.0 and 0.0 < y0 < 1.0):
-        return None  # also where p >= d or d + p >= 2s
-    odds = (1.0 - (c + p)) / (c + p)  # (1 - r) / r
-    k0, k1 = -math.log2((1.0 - y0) * odds / y0), -math.log2(z1 * odds / (1.0 - z1))
-    lam, mu = (k1 - k0) / 2.0, (k0 + k1) / 2.0
-    return ([1.0 - y0, z1] * len(branches), (lam, mu)) if lam >= 0.0 and mu >= 0.0 else None
+def _falling_root(residual, lo: float, hi: float):
+    """The value at the root of a residual that does not increase on [lo, hi],
+    ``residual(x)`` = (h, value): an end already on the root's side, else the
+    end with the smaller |h| once regula falsi (Illinois) closes in floats."""
+    (h_lo, v_lo), (h_hi, v_hi) = residual(lo), residual(hi)
+    f_lo, f_hi, side = h_lo, h_hi, 0
+    while h_lo > 0.0 > h_hi:
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            break
+        h, v = residual(x)
+        if h >= 0.0:
+            lo, h_lo, v_lo, f_lo = x, h, v, h
+            f_hi *= 0.5 if side < 0 else 1.0
+        else:
+            hi, h_hi, v_hi, f_hi = x, h, v, h
+            f_lo *= 0.5 if side > 0 else 1.0
+        side = -1 if h >= 0.0 else 1
+    return v_lo if h_lo <= -h_hi else v_hi
 
 
-def _min2_dual(star, weight, aim: float, P: float):
-    """(per-branch (d_y, p_y), dual value) of the least sum_y w_y R_y(d_y, p_y)
-    with sum_y w_y d_y at ``aim`` and sum_y w_y p_y <= P + _AIM, where the
-    minimum is positive. Branch y is a Bernoulli(s_y) source whose value 0
-    has mass c_y = 1 - s_y. Multipliers lam on distortion and mu on perception charge
-    its cells P(Shat = 0 | X = x) as the oracle's branches, with nu_y =
-    min(nu0_y(lam), mu) on P(Shat = 0): nu0_y keeps the branch at zero
-    perception, so |nu_y| <= mu prices |P(Shat = 0) - c_y|. The dual is
-    g = sum_y w_y (I_y + lam d_y + nu_y (m_y - c_y)) - lam aim - mu (P + _AIM).
-    A root on lam puts the distortion on aim; unless that meets P with
-    mu = 0, a second root on mu (lam re-solved each time) puts the
-    perception at P + _AIM, inside the tolerance: it never reads exactly 0
-    in floats. At P = 0, mu = inf and only the lam root runs. For mu at or
-    above mu_e = max_y nu0_y(lam_inf), with lam_inf the root at mu = inf,
-    every branch sits at zero perception and lam = lam_inf, so the mu root
-    lies in [0, mu_e]. The lam roots open at _slope_start at mu = 0, else at
-    _warm_start; with one kept posterior, _both_binding replaces the mu root.
-    A branch with s_y = 0 is dropped at d_y = p_y = 0."""
-    branches = [(s, 1.0 - s, w) for s, w in zip(star, weight) if s > 0.0]
-    roots = []  # (mu, lam) of the lam roots found at mu > 0
+def _min2_solve(star, weight, aim: float, budget: float):
+    """(per branch (d_y, p_y, _branch_map there), dual value) of the least
+    sum_y w_y R_y(d_y, p_y), sum_y w_y d_y at ``aim``, sum_y w_y p_y <= ``budget``,
+    where positive; equal posteriors s_y are one branch (s, 1 - s, w), a zero
+    one drops at Shat = X. Branches share the slopes (lam, mu) of _branch_map,
+    or one sits at a kink (p_y = 0 or s_y) that admits the other's: at
+    _water_level if that meets the budget (mu = 0), else one at (aim / w,
+    budget / w), or two by a root on p_0 in [0, budget / w_0] (ends: p_y = 0)
+    for equal mu over one on d_0 for equal lam. The dual sum_y w_y (I_y + lam
+    d_y + nu_y (m_y - c_y)) - lam aim - mu budget is at _min2_cells' cells."""
+    kept = {s: sum(w for t, w in zip(star, weight) if t == s) for s in star if s > 0.0}
+    branches = [(s, 1.0 - s, w) for s, w in kept.items()]
+    level = _water_level(branches, aim)[0]
+    split = [(d, d * (1.0 - 2.0 * s) / (1.0 - 2.0 * d) if s < 0.5 else 0.0)
+             for s, d in ((s, min(level, s)) for s, _, _ in branches)]
+    found = [(d, p, _branch_map(s, d, p)) for (s, _, _), (d, p) in zip(branches, split)]
+    lam, mu = math.log2((1.0 - level) / level), 0.0
+    if sum(w * p for (_, _, w), (_, p, _) in zip(branches, found)) > budget:
+        if len(branches) == 1:
+            (s, _, w), = branches
+            found = [(aim / w, budget / w, _branch_map(s, aim / w, budget / w))]
+        else:
+            (s0, _, w0), (s1, _, w1) = branches
 
-    def allocation(z):  # per branch (P(X != Shat), |P(Shat = 0) - c|)
-        return [(c * (1.0 - z0) + s * z1, abs(c * z0 + s * z1 - c))
-                for (s, c, _), z0, z1 in zip(branches, z[::2], z[1::2])]
+            def on_distortion(p0):  # lam_0 = lam_1 at perceptions (p0, p1)
+                p1 = max((budget - w0 * p0) / w1, 0.0)
 
-    def on_distortion(mu):
-        def residual(lam):
-            cells, distortion = _min2_cells(branches, lam, mu)
-            return distortion - aim, cells, (lam, mu)
-        return _bracketed_root(residual, *(_warm_start(roots, mu) if mu else
-                                           _slope_start(branches, aim)))
-
-    def excess(z):  # the weighted perception past its aim
-        return sum(w * p for (_, _, w), (_, p) in zip(branches, allocation(z))) - (P + _AIM)
-
-    z, (lam, mu) = on_distortion(math.inf if P == 0.0 else 0.0)
-    binding = P > 0.0 and excess(z) > 0.0
-    direct = binding and _both_binding(branches, aim, P)
-    if direct:
-        z, (lam, mu) = direct
-    elif binding:
-        z_inf, (lam_inf, _) = on_distortion(math.inf)
-        edge = _plateau_edge(branches, lam_inf)
-        roots.append((edge, lam_inf))
-
-        def on_perception(mu):
-            if mu >= edge:  # zero perception: its excess is -(P + _AIM) up to rounding
-                return -(P + _AIM), z_inf, (lam_inf, mu)
-            z_mu, found = on_distortion(mu)
-            roots.append((mu, found[0]))
-            return excess(z_mu), z_mu, found
-        z, (lam, mu) = _bracketed_root(on_perception, step=edge, first=(excess(z), z, (lam, mu)))
-    cells = _min2_cells(branches, lam, mu)[0]  # g is the Lagrangian at its minimizer
-    # charged at the aims; mu P is inf * 0 at P = 0 or inf
-    dual = -lam * aim - (mu * (P + _AIM) if 0.0 < P < math.inf else 0.0)
-    last = None
+                def residual(d0):
+                    d1 = max((aim - w0 * d0) / w1, 0.0)
+                    m0, m1 = _branch_map(s0, d0, p0), _branch_map(s1, d1, p1)
+                    return m1[2] - m0[2], [(d0, p0, m0), (d1, p1, m1)]
+                at = _falling_root(residual, 0.0, aim / w0)
+                return at[1][2][3] - at[0][2][3], at  # mu_0 = mu_1 at its root in p0
+            found = (_falling_root(on_distortion, 0.0, budget / w0) if budget
+                     else on_distortion(0.0)[1])  # P = 0: both at zero perception
+        # each slope from the branch farthest from where it is not unique or resolved in floats:
+        # the zero-rate edge for lam, also p_y = 0 and s_y for mu; at P = 0 every nu_y = nu0_y
+        room = [(2.0 * s * c - (1.0 - 2.0 * s) * min(p, s) - d, min(p, s - p), m)
+                for (s, c, _), (d, p, m) in zip(branches, found)]
+        lam = -math.log2(max(room, key=lambda r: r[0])[2][2])
+        mu = -math.log2(max(room, key=lambda r: min(r[:2]))[2][3]) if budget else math.inf
+    cells = _min2_cells(branches, lam, mu)  # g is the Lagrangian at its minimizer
+    # charged at the aims; mu budget is inf * 0 at P = 0 and 0 * inf at P = inf
+    charge = lam * aim + (mu * budget if 0.0 < budget < math.inf else 0.0)
+    dual = -charge
     for (s, c, w), z0, z1 in zip(branches, cells[::2], cells[1::2]):
-        if s != last:
-            nu = min(_zero_perception_cost(s, lam) + lam, mu)
-            m = c * z0 + s * z1  # P(Shat = 0) on the branch
-            info = binary_entropy(m) - c * binary_entropy(z0) - s * binary_entropy(z1)
-            term, last = info + lam * (c * (1.0 - z0) + s * z1) + nu * (m - c), s
-        dual += w * term
-    kept = iter(allocation(z))
-    return [next(kept) if s > 0.0 else (0.0, 0.0) for s in star], dual
+        nu = min(_zero_perception_cost(s, lam) + lam, mu)
+        m = c * z0 + s * z1  # P(Shat = 0) on the branch
+        info = binary_entropy(m) - c * binary_entropy(z0) - s * binary_entropy(z1)
+        dual += w * (info + lam * (c * (1.0 - z0) + s * z1) + nu * (m - c))
+    dual -= 8.0 * sys.float_info.epsilon * (1.0 + charge)  # a few ulps a term
+    return [dict(zip(kept, found)).get(s, (0.0, 0.0, (1.0, 0.0))) for s in star], dual
 
 
 def solve_min2(model: SemanticModel, D: float, P: float,
@@ -579,20 +580,16 @@ def solve_min2(model: SemanticModel, D: float, P: float,
     both budgets; deterministic. ``resolution`` is only validated. Raises
     InfeasibleError iff D < q.
 
-    Rate 0 when the zero-rate knapsack over both branches meets D;
-    otherwise the Lagrangian dual with the oracle's branch minimizers and
-    bracketed roots, and ``dual_bound`` is its value at the returned
-    multipliers, also where one kept posterior with both budgets binding
-    gives them in closed form. The rate is sum_y w_y rdpf_piecewise(s_y,
-    d_y, p_y) at the allocation, clipped at 0; s_y = 0 knows X from Y, at
-    d_y = p_y = 0. Where no distortion is left to aim at (D within rounding
-    of q - 1e-12), d_y = p_y = 0, Shat = X, is the only feasible
-    allocation, so its rate is the bound.
-
-    achieved_P reports the aligned budget p_a p_0 + p_b p_1, an upper bound
-    on the true total variation of any decoder realizing the allocation.
-    The result can exceed the oracle near the zero-rate plateau, where only
-    sign cancellation across branches reaches lower rates.
+    Rate 0 when the zero-rate knapsack over both branches meets D; otherwise
+    _min2_solve's allocation, with ``dual_bound`` its dual value, and the
+    rate sum_y w_y rdpf_piecewise(s_y, d_y, p_y) there, clipped at 0. With no
+    distortion left to aim at (D within rounding of q - 1e-12), Shat = X at
+    d_y = p_y = 0 is the only allocation, so its rate is the bound. ``argmin``
+    decodes the allocation: branch 0's cells are (s0, t0) and branch 1's are
+    flipped (b* = P(X = 0 | Y = 1)); achieved_P, the aligned budget p_a p_0 +
+    p_b p_1, bounds its true total variation |p_a p_0 - p_b p_1|. The result
+    can exceed the oracle near the zero-rate plateau, where only sign
+    cancellation across branches reaches lower rates.
     """
     D, P = _validate_args(D, P, resolution)
     q = _min2_hypotheses(model)
@@ -601,20 +598,22 @@ def solve_min2(model: SemanticModel, D: float, P: float,
             f"no branch allocation meets D <= {D}, P <= {P}; the semantic "
             f"distortion floor of this model is {q}"
         )
-    star = (min(model.a_star, 0.5), min(model.b_star, 0.5))
-    weight = (model.p_a, model.p_b)
+    star, weight = (min(model.a_star, 0.5), min(model.b_star, 0.5)), (model.p_a, model.p_b)
     scale = 1.0 - 2.0 * q  # semantic distortion (1 - 2q) d + q per branch
     aim = (min(max(D, q + _AIM), D + _TOL) - q) / scale
     allocation, rate, dual = _zero_rate_allocation(star, weight, P), 0.0, 0.0
+    cells = [(1.0 - s + p,) * 2 for s, (_, p) in zip(star, allocation)]
     if sum(w * d for w, (d, _) in zip(weight, allocation)) > aim:
+        allocation, cells = [(0.0, 0.0)] * 2, [(1.0, 0.0)] * 2  # Shat = X
         if aim > 0.0:
-            allocation, dual = _min2_dual(star, weight, aim, P)
-        else:
-            allocation = [(0.0, 0.0)] * 2
+            found, dual = _min2_solve(star, weight, aim, P + _AIM if P > 0.0 else 0.0)
+            allocation, cells = [(d, p) for d, p, _ in found], [m[:2] for _, _, m in found]
         rate = max(0.0, sum(w * rdpf_piecewise(s, d, p)
                             for s, w, (d, p) in zip(star, weight, allocation) if s > 0.0))
         dual = dual if aim > 0.0 else rate
     (d0, p0), (d1, p1) = allocation
+    (s0, t0), (z0, z1) = cells
     return SolverResult(rate=rate, achieved_D=scale * (weight[0] * d0 + weight[1] * d1) + q,
-                        achieved_P=weight[0] * p0 + weight[1] * p1, argmin=None,
+                        achieved_P=weight[0] * p0 + weight[1] * p1,
+                        argmin=DecoderLaw(s0, t0, 1.0 - z1, 1.0 - z0),
                         branch_allocation=(d0, d1, p0, p1), dual_bound=dual)

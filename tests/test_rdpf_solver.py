@@ -379,7 +379,7 @@ def test_solve_min2_symmetric_optimum(model_q01):
     assert p1 == pytest.approx(0.05, abs=1e-9)
     assert result.achieved_D <= 0.2 + 1e-9
     assert result.achieved_P <= 0.05 + 1e-9
-    assert result.argmin is None
+    _assert_min2_certified(model_q01, 0.2, 0.05, result)
 
 
 def test_solve_min2_unconstrained_perception(model_q01):
@@ -457,7 +457,9 @@ def test_min2_matches_oracle_when_perception_is_slack(model_q01):
 
 def _assert_min2_certified(model, D, P, result):
     """Both budgets met within the tolerance, the rate is the branch RDPFs
-    at the allocation, and the dual value certifies it."""
+    at the allocation, the dual value certifies it, and the decoder realizes
+    it: its true total variation |p_a p_0 - p_b p_1| is at most the aligned
+    sum."""
     assert result.achieved_D <= D + 1e-12 and result.achieved_P <= P + 1e-12
     d0, d1, p0, p1 = result.branch_allocation
     q = model.q1
@@ -471,7 +473,10 @@ def _assert_min2_certified(model, D, P, result):
     # a zero rate is exact; the RDPFs at the zero-rate allocation can round above 0
     assert result.rate == max(0.0, rate) or (result.rate == 0.0 and rate <= 1e-15)
     assert abs(result.rate - result.dual_bound) <= 1e-9
-    assert result.argmin is None
+    exact = evaluate_decoder(model, result.argmin)
+    assert abs(exact.rate - result.rate) <= 1e-12
+    assert abs(exact.distortion - result.achieved_D) <= 1e-12
+    assert exact.perception <= result.achieved_P + 1e-12
 
 
 def _min2_model(q, a, b):
@@ -485,6 +490,8 @@ def _min2_model(q, a, b):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(q=st.floats(0.0, 0.45), a=st.floats(1e-9, 1.0), b=st.floats(1e-9, 1.0),
        share=st.floats(0.0, 1.0), P=st.sampled_from([0.0, 1e-3, 0.05, INF]))
+@example(q=0.1, a=0.2, b=0.2, share=0.4375, P=0.05)  # D = 0.275: the jump at lam = 0+
+@example(q=0.0, a=0.0, b=0.5, share=0.5, P=1e-3)  # aim = sum_y w_y s_y: flat on (0, lam*]
 def test_solve_min2_is_certified_between_the_oracle_and_the_grid(q, a, b, share, P):
     # every allocation is a decoder, so the oracle's certified lower bound
     # is below the program; the grid searches a subset of its allocations
@@ -536,8 +543,8 @@ def test_solve_min2_edge_cases():
     # P = 0: mu = inf, both branches at zero perception
     result = solve_min2(model, 0.25, 0.0)
     _assert_min2_certified(model, 0.25, 0.0, result)
-    # a budget far below the float noise of the perception sum, which the
-    # mu root never reaches, still gets a finite mu
+    # a budget far below the perception aim's 1e-13 past P still gets a
+    # finite mu
     tiny = solve_min2(model, 0.25, 1e-300)
     _assert_min2_certified(model, 0.25, 1e-300, tiny)
     assert tiny.rate == pytest.approx(result.rate, abs=1e-9)
@@ -804,36 +811,247 @@ def test_min2_zero_rate_allocation_is_the_least_one(q, a, b, P):
 
 
 # ---------------------------------------------------------------------------
-# the nested multiplier searches of both exact solvers
+# the branch-decomposed solve in allocation space
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(q=st.floats(0.0, 0.45), a=st.floats(1e-9, 1.0), b=st.floats(1e-9, 1.0),
-       share=st.floats(0.01, 0.99))
-def test_min2_plateau_edge_holds_every_branch_at_zero_perception(q, a, b, share):
-    # at mu >= mu_e = max_y nu0_y(lam_inf) every branch pays its own nu0_y,
-    # so the cells are those of the mu = inf root and lam stays lam_inf:
-    # the mu root's bracket is exactly [0, mu_e]
-    model = _min2_model(q, a, b)
-    star = (min(model.a_star, 0.5), min(model.b_star, 0.5))
-    branches = [(s, 1.0 - s, w) for s, w in zip(star, (model.p_a, model.p_b))]
-    aim = share * sum(w * 2 * s * (1 - s) for s, _, w in branches)  # below the zero-rate distortion
+@pytest.mark.parametrize("s", [0.03, 0.1, 0.2333, 0.35, 0.48, 0.5])
+def test_branch_map_gives_the_slopes_and_the_minimizer_of_the_branch_rdpf(s):
+    # lam = -dR/dd and mu = -dR/dp against central differences of
+    # rdpf_piecewise, inside the distortion-only band (mu = 0), the band where
+    # perception binds, and the zero-rate region; the cells realize (d, p) at
+    # the rate R(d, p)
+    rng, c, h = random.Random(round(1e4 * s)), 1.0 - s, 1e-7
+    for _ in range(30):
+        p = rng.uniform(0.0, s) * 0.9
+        low, high = perception_band(s, p) if s < 0.5 else (0.5, 0.5)
+        for d in (rng.uniform(0.05, 0.95) * low, low + rng.uniform(0.05, 0.95) * (high - low),
+                  high + rng.uniform(0.01, 0.5) * (0.5 - high)):
+            if not 0.0 < d < 0.5 or min(abs(d - low), abs(d - high)) < 1e-4 or p < 1e-4:
+                continue
+            z0, z1, t, u = solver._branch_map(s, d, p)
+            lam, mu = -math.log2(t), -math.log2(u)
+            slope_d = (rdpf_piecewise(s, d + h, p) - rdpf_piecewise(s, d - h, p)) / (2 * h)
+            slope_p = (rdpf_piecewise(s, d, p + h) - rdpf_piecewise(s, d, p - h)) / (2 * h)
+            assert lam == pytest.approx(-slope_d, abs=1e-6)
+            assert mu == pytest.approx(-slope_p, abs=1e-6)
+            m = c * z0 + s * z1  # P(Shat = 0)
+            rate = binary_entropy(m) - c * binary_entropy(z0) - s * binary_entropy(z1)
+            assert rate == pytest.approx(rdpf_piecewise(s, d, p), abs=1e-12)
+            if d < high:  # below the zero-rate region the distortion binds
+                assert c * (1.0 - z0) + s * z1 == pytest.approx(d, abs=1e-15)
+            assert m - c == pytest.approx(min(p, d * (1 - 2 * s) / (1 - 2 * d)), abs=1e-15)
+    # at d = 0 the branch decodes Shat = X with lam = inf (2**-lam = 0)
+    assert solver._branch_map(s, 0.0, 0.0)[:3] == (1.0, 0.0, 0.0)
 
-    def residual(lam):
-        cells, distortion = solver._min2_cells(branches, lam, INF)
-        return distortion - aim, cells, lam
-    z_inf, lam_inf = solver._bracketed_root(residual)
-    edge = solver._plateau_edge(branches, lam_inf)
-    cells = solver._min2_cells(branches, lam_inf, edge)[0]
-    assert cells == solver._min2_cells(branches, lam_inf, INF)[0]
-    perception = sum(w * abs(c * z0 + s * z1 - c)
-                     for (s, c, w), z0, z1 in zip(branches, cells[::2], cells[1::2]))
-    # the branch minimizer's stationary r loses about 1e-16 / lam
-    assert perception <= 1e-15 / min(lam_inf, 1.0)
-    distortion = sum(w * (c * (1 - z0) + s * z1)
-                     for (s, c, w), z0, z1 in zip(branches, z_inf[::2], z_inf[1::2]))
-    assert distortion == pytest.approx(aim, abs=1e-12)
 
+# (q, a, b, D, P) -> solve_min2's (rate, d0, d1, p0, p1, achieved_D, achieved_P)
+# on build_model(0.5, q, q, a, b), as the nested multiplier roots it replaced
+# answered them (a lam root inside a bracketed mu root, with warm starts and
+# mixed cells). The draws are P-binding, positive-rate targets with a* != b*
+# from random.Random(29): q in [0.02, 0.3], a and b in [0.05, 0.45], D at
+# 0.3-0.95 of the way from q to the distortion at Shat = 0, P in {0.01, 0.02,
+# 0.05}; interior answers have both p_y > 0 and corner answers one p_y = 0.
+_NESTED_ROOT_ANSWERS = [
+    # interior
+    ((0.1735, 0.1883, 0.3879, 0.2652, 0.05),
+     (0.278553070679121, 0.143770009473837, 0.135421135723822, 0.033796607202489,
+      0.074284845077579, 0.2652, 0.0500000000001)),
+    ((0.2796, 0.2072, 0.0575, 0.2983, 0.02),
+     (0.295403765745072, 0.0375870794052563, 0.0459993401834686, 0.0300977294109284,
+      0.0125318784744608, 0.2983, 0.0200000000001)),
+    ((0.2026, 0.3712, 0.0842, 0.2871, 0.05),
+     (0.170167228312789, 0.117082994491101, 0.155904385360879, 0.115997628282752,
+      0.0134372113710937, 0.2871, 0.0500000000001)),
+    ((0.1722, 0.219, 0.1613, 0.2704, 0.02),
+     (0.14189014394485, 0.139530685173318, 0.158923272830053, 0.0377742354036895,
+      0.00416501652576651, 0.2704, 0.0200000000000999)),
+    ((0.2884, 0.239, 0.1075, 0.325, 0.02),
+     (0.252885819344579, 0.0759027682758361, 0.0946056647340489, 0.0392197377453972,
+      0.00524759855795176, 0.325, 0.0200000000001)),
+    ((0.2247, 0.4059, 0.393, 0.3284, 0.05),
+     (0.272869219967555, 0.188308661354968, 0.188370526060723, 0.0508092292384025,
+      0.0492113829785497, 0.3284, 0.0500000000001)),
+    ((0.1154, 0.0777, 0.2091, 0.1783, 0.05),
+     (0.177208641242157, 0.0871013452400698, 0.0748331566394882, 0.0367223757424772,
+      0.0672948469780813, 0.1783, 0.0500000000001)),
+    ((0.1393, 0.1625, 0.297, 0.2058, 0.05),
+     (0.329431326404428, 0.0934161543318687, 0.090563963129064, 0.0417886786423211,
+      0.0607634247030466, 0.2058, 0.0500000000001)),
+    ((0.265, 0.3296, 0.4369, 0.405, 0.05),
+     (0.0904175479046214, 0.301292895407443, 0.293629503490986, 0.0305058235043777,
+      0.0741804655918031, 0.405, 0.0500000000001)),
+    ((0.0775, 0.1613, 0.4389, 0.1572, 0.02),
+     (0.42345406775043, 0.0972558321965952, 0.0891265255261183, 0.00830991576839801,
+      0.0406744900532875, 0.1572, 0.0200000000001001)),
+    ((0.2749, 0.1044, 0.1103, 0.3182, 0.01),
+     (0.104099598798972, 0.0979524627599649, 0.0943854434029053, 0.007683626751815,
+      0.0123438686757361, 0.3182, 0.0100000000001)),
+    ((0.1651, 0.0734, 0.0654, 0.2022, 0.01),
+     (0.101761263814507, 0.0533215733656466, 0.0574249368420987, 0.0124820562065976,
+      0.00755734151116583, 0.2022, 0.0100000000001)),
+    ((0.0688, 0.2296, 0.1422, 0.1198, 0.01),
+     (0.379569969622091, 0.055545111190996, 0.0621520269334136, 0.0166759141683267,
+      0.00439724179711709, 0.1198, 0.0100000000001)),
+    ((0.2014, 0.2013, 0.1393, 0.2454, 0.05),
+     (0.277554380534789, 0.0729401548381576, 0.0743281119798102, 0.054422594743147,
+      0.0460937910839246, 0.2454, 0.0500000000000999)),
+    ((0.0882, 0.1834, 0.4026, 0.2801, 0.05),
+     (0.106587696408886, 0.249167827121113, 0.207758067635603, 0.00196129554005675,
+      0.12501125573484, 0.2801, 0.0500000000000999)),
+    ((0.0523, 0.332, 0.1509, 0.1497, 0.02),
+     (0.307763773537186, 0.0993865454763031, 0.115289778413374, 0.0425851689378686,
+      0.00434087304798869, 0.1497, 0.0200000000001)),
+    ((0.1007, 0.3195, 0.2239, 0.2191, 0.02),
+     (0.25651306436799, 0.142830326134617, 0.152741110928266, 0.0340044458798461,
+      0.0084395574538767, 0.2191, 0.0200000000001001)),
+    ((0.0756, 0.2399, 0.0678, 0.1852, 0.05),
+     (0.0800884377677584, 0.0818939485445102, 0.162483522610721, 0.0818939485445103,
+      0.0274720586982339, 0.1852, 0.0500000000001)),
+    ((0.1151, 0.1204, 0.431, 0.2416, 0.05),
+     (0.195728395587875, 0.174366387170682, 0.145245440885647, 0.0157742055506643,
+      0.115065747324484, 0.2416, 0.0500000000000999)),
+    ((0.2816, 0.15, 0.2667, 0.3278, 0.02),
+     (0.268173210232877, 0.112358047100884, 0.0974394094202468, 0.0066141539536515,
+      0.0369228736331454, 0.3278, 0.0200000000001)),
+    ((0.1036, 0.3136, 0.3438, 0.3107, 0.05),
+     (0.104064270097861, 0.26324811316119, 0.259078018600639, 0.0426321085876706,
+      0.0578267701930106, 0.3107, 0.0500000000001)),
+    ((0.2348, 0.1775, 0.077, 0.2828, 0.05),
+     (0.117844017879078, 0.0787924475797107, 0.100065123593978, 0.0712876977771785,
+      0.0326003778733558, 0.2828, 0.0500000000001)),
+    ((0.2471, 0.3331, 0.3729, 0.3869, 0.02),
+     (0.1067588178288, 0.278725498227084, 0.273868871122085, 0.0113036291428683,
+      0.029417294748433, 0.3869, 0.0200000000000999)),
+    ((0.0545, 0.3239, 0.1654, 0.24, 0.05),
+     (0.0949096288740799, 0.180884178673007, 0.22802938860545, 0.112891101529258,
+      0.00431777131059907, 0.24, 0.0500000000001)),
+    # corner
+    ((0.1718, 0.3844, 0.1297, 0.3296, 0.01),
+     (0.0772220686348078, 0.192089883684795, 0.269100021724937, 0.0268348316116996,
+      2.22044604925031e-16, 0.3296, 0.0100000000001)),
+    ((0.1415, 0.2132, 0.3671, 0.28, 0.01),
+     (0.187462403900528, 0.201866130541287, 0.181300804398538, 1.11022302462516e-16,
+      0.0236378678645548, 0.28, 0.0100000000001)),
+    ((0.1844, 0.3081, 0.2089, 0.2989, 0.01),
+     (0.17807564304706, 0.171610842519901, 0.189423186862965, 0.0222024866787299,
+      1.11022302462516e-16, 0.2989, 0.0100000000001)),
+    ((0.092, 0.0589, 0.128, 0.1516, 0.01),
+     (0.117689016626242, 0.087610461484059, 0.0563047448704928, 1.11022302462516e-16,
+      0.0214845848106133, 0.1516, 0.0100000000001)),
+    ((0.2395, 0.0722, 0.1788, 0.2716, 0.01),
+     (0.22928610158244, 0.0709319873917844, 0.0500685369268494, 1.11022302462516e-16,
+      0.0223863890756659, 0.2716, 0.0100000000001)),
+    ((0.2403, 0.0608, 0.18, 0.2646, 0.01),
+     (0.262474737374599, 0.0535820265579387, 0.0381477056645803, 1.11022302462516e-16,
+      0.0227066303362851, 0.2646, 0.0100000000001)),
+    ((0.1164, 0.2383, 0.3084, 0.3154, 0.02),
+     (0.0733731927363555, 0.270243961707157, 0.246888362397504, 0,
+      0.0430153779978493, 0.3154, 0.0200000000001)),
+    ((0.0855, 0.4185, 0.1195, 0.2464, 0.05),
+     (0.131321209342453, 0.16097297292117, 0.211960334356941, 0.142653352354066,
+      1.11022302462516e-16, 0.2464, 0.0500000000001001)),
+    ((0.1736, 0.4386, 0.2355, 0.2842, 0.01),
+     (0.275165325370904, 0.162091577019285, 0.174280825774265, 0.0250972518511733,
+      0, 0.2842, 0.0100000000001)),
+    ((0.0661, 0.1307, 0.3688, 0.1759, 0.02),
+     (0.267253770280953, 0.136808154861542, 0.109819559620572, 0,
+      0.0525003281273132, 0.1759, 0.0200000000001)),
+    ((0.0225, 0.1979, 0.3772, 0.1457, 0.01),
+     (0.32213624751086, 0.134639711214417, 0.120908809271385, 1.11022302462516e-16,
+      0.0243694407215792, 0.1457, 0.0100000000001001)),
+    ((0.0404, 0.1527, 0.4446, 0.2652, 0.01),
+     (0.10690704601794, 0.26442851615889, 0.208312067130337, 1.11022302462516e-16,
+      0.0282445982208726, 0.2652, 0.0100000000001)),
+    ((0.0772, 0.0663, 0.4475, 0.2592, 0.02),
+     (0.0863953227189899, 0.259689035215369, 0.116000453651377, 1.11022302462516e-16,
+      0.0646412411121524, 0.2592, 0.0200000000001)),
+    ((0.215, 0.1886, 0.4138, 0.3562, 0.01),
+     (0.10855662057826, 0.262978880373762, 0.223589148499347, 2.22044604925031e-16,
+      0.025813113061693, 0.3562, 0.0100000000001)),
+    ((0.1638, 0.3816, 0.1306, 0.3207, 0.02),
+     (0.0796497484904266, 0.182719353304887, 0.263652838135806, 0.0534045393861148,
+      0, 0.3207, 0.0200000000001)),
+    ((0.0912, 0.346, 0.1428, 0.1809, 0.01),
+     (0.313364593201466, 0.0966844224705794, 0.118338225367791, 0.0251004016066765,
+      1.11022302462516e-16, 0.1809, 0.0100000000001)),
+    ((0.2674, 0.1767, 0.1106, 0.3075, 0.01),
+     (0.207138734986219, 0.0774709594067664, 0.0938456422434548, 0.0214155691189634,
+      0, 0.3075, 0.0100000000000999)),
+    ((0.0207, 0.4487, 0.3221, 0.3011, 0.01),
+     (0.103730188116741, 0.28777491794266, 0.29618072717961, 0.0228990153425692,
+      0, 0.3011, 0.0100000000001)),
+    ((0.0436, 0.3088, 0.0844, 0.199, 0.01),
+     (0.10558573112636, 0.118011588064711, 0.203333069130204, 0.0257864878806084,
+      1.11022302462516e-16, 0.199, 0.0100000000001)),
+    ((0.1557, 0.293, 0.122, 0.2827, 0.05),
+     (0.0797257269087414, 0.143910723231491, 0.213119020423296, 0.120627261761399,
+      2.22044604925031e-16, 0.2827, 0.0500000000001)),
+    ((0.031, 0.4219, 0.2927, 0.2926, 0.02),
+     (0.104974991003869, 0.270848326010895, 0.285093689072958, 0.045934772623105,
+      2.22044604925031e-16, 0.2926, 0.0200000000001)),
+    ((0.2445, 0.3439, 0.1158, 0.3292, 0.01),
+     (0.161576651168994, 0.132344676530309, 0.186751887876657, 0.0259100919810855,
+      1.11022302462516e-16, 0.3292, 0.0100000000001)),
+    ((0.0842, 0.4408, 0.2949, 0.3721, 0.01),
+     (0.0443798558154837, 0.336553715993545, 0.35339005460346, 0.0234164617728599,
+      2.22044604925031e-16, 0.3721, 0.0100000000001)),
+    ((0.2908, 0.418, 0.2297, 0.3874, 0.02),
+     (0.148181434755127, 0.217167045859653, 0.240246226620965, 0.0492792903784649,
+      0, 0.3874, 0.0200000000001)),
+]
+
+
+@pytest.mark.parametrize("target, expected", _NESTED_ROOT_ANSWERS)
+def test_min2_matches_the_nested_multiplier_roots_it_replaced(target, expected):
+    q, a, b, D, P = target
+    model = build_model(0.5, q, q, a, b)
+    result = solve_min2(model, D, P)
+    found = (result.rate, *result.branch_allocation, result.achieved_D, result.achieved_P)
+    assert found == pytest.approx(expected, abs=1e-12)
+    _assert_min2_certified(model, D, P, result)
+
+
+@pytest.mark.parametrize("q, a, b, D, P", [
+    # a posterior near 1e-9 whose branch ends at its zero-rate edge, where its
+    # slopes are not resolved in floats: lam must come from the other branch
+    (0.0162, 1e-9, 0.699, 0.1802, 1e-13),
+    (1e-9, 1e-9, 0.81, 0.1065, 1e-13),
+    (0.2147, 1e-9, 0.8509, 0.382, 1e-300),
+    (0.0, 1e-9, 0.458, 0.089, 1e-300),
+    # one branch at p_y = d_y = s_y, where it admits a range of slopes: both
+    # come from the other branch
+    (0.284, 0.8178, 0.0054, 0.345, 0.01),
+    (0.3819, 0.0728, 0.485, 0.4342, 0.1),
+    (0.3662, 0.0025, 0.9034, 0.4106, 0.01),
+])
+def test_min2_dual_takes_its_slopes_from_a_branch_off_its_kinks(q, a, b, D, P):
+    model = build_model(0.5, q, q, a, b)
+    result = solve_min2(model, D, P)
+    _assert_min2_certified(model, D, P, result)
+    assert result.rate >= oracle_min_rate(model, D, P).dual_bound - 1e-9
+
+
+def test_min2_meets_the_perception_budget_at_uniform_branch_posteriors():
+    # pi_x = 1/2 puts both branches at s = 1/2, where the distortion-only
+    # reconstruction is already uniform: its excess perception is exactly 0,
+    # also where lam is near 0 (D near 1/2), where the branch minimizers lose
+    # about 1e-16 / lam; a perception read off those cells overshot P by 0.019
+    result = solve_min2(dsbs_model(0.1, 0.5), 0.499999999999, 1e-12)
+    assert result.achieved_P <= 2e-12
+    _assert_min2_certified(dsbs_model(0.1, 0.5), 0.499999999999, 1e-12, result)
+    rng = random.Random(12)
+    for k in range(240):
+        q = round(rng.uniform(0.0, 0.45), 4)
+        D = 0.5 - 10.0 ** -(9 + k % 4) * rng.uniform(0.0, 1.0)
+        P = (1e-9, 1e-12)[k // 4 % 2]
+        result = solve_min2(dsbs_model(q, 0.5), D, P)
+        assert result.achieved_P <= P + 1e-12
+        _assert_min2_certified(dsbs_model(q, 0.5), D, P, result)
+
+
+# ---------------------------------------------------------------------------
+# the nested multiplier searches of the oracle
+# ---------------------------------------------------------------------------
 
 def _recorded_roots(monkeypatch):
     """(start, multipliers) of every _bracketed_root call, in order of return."""
@@ -857,45 +1075,32 @@ def _assert_no_warm_start_from_the_unconstrained_root(roots):
 
 
 @pytest.mark.parametrize("q, pi_x, D, P", [
-    (0.1, 0.2, 0.275, 0.05),  # the mu = 0 root jumps at lam = 0+
-    # two draws whose mu = 0 root settles at lam ~ 1e-11
+    (0.1, 0.2, 0.275, 0.05),  # the distortion-only split jumps at lam = 0+
+    # two draws whose distortion-only lam is ~1e-11
     (0.0785, 0.2341, 0.2762, 0.05),
     (0.0328, 0.1689, 0.1972, 0.02),
+    # a* != b*, the side channel (a, b) in place of pi_x: derandomized draws
+    # whose distortion-only split jumps at lam = 0+ and whose perception binds
+    pytest.param(0.1689, (0.3532, 0.2182), 0.363, 0.05, id="0.1689-0.3532-0.2182-0.363-0.05"),
+    pytest.param(0.081, (0.3635, 0.1713), 0.3158, 0.02, id="0.081-0.3635-0.1713-0.3158-0.02"),
+    pytest.param(0.1009, (0.1627, 0.3523), 0.3191, 0.05, id="0.1009-0.1627-0.3523-0.3191-0.05"),
 ])
-def test_nested_roots_near_the_lam_jump_come_from_the_dual(q, pi_x, D, P, monkeypatch):
-    # one posterior with both budgets binding: the multipliers come in closed
-    # form from the mu = 0 root, and no root runs at mu != 0
-    model = dsbs_model(q, pi_x)
-    roots = _recorded_roots(monkeypatch)
+def test_nested_roots_near_the_lam_jump_come_from_the_dual(q, pi_x, D, P):
+    # solve_min2 answers from its branch maps, where branch minimizers at lam
+    # near 0 would lose their precision; the oracle's nested roots stay
+    # certified by their dual there
+    two = isinstance(pi_x, tuple)
+    model = build_model(0.5, q, q, *pi_x) if two else dsbs_model(q, pi_x)
     result = solve_min2(model, D, P)
-    (unconstrained,) = [m[0] for _, m in roots]
-    assert unconstrained < 1e-9 and all(m[1] == 0.0 for _, m in roots)
-    # the dual's allocation, not the capped multiplier's Shat = X
+    # the branch maps' allocation, not the capped multiplier's Shat = X
     _assert_min2_certified(model, D, P, result)
     assert result.branch_allocation != (0.0,) * 4 and result.dual_bound > 0.0
     assert abs(result.achieved_D - D) <= 1e-12 and abs(result.achieved_P - P) <= 1e-12
-    # mirror averaging: the oracle reaches the distortion-only rate, here 0
     oracle = oracle_min_rate(model, D, P)
     _assert_certified(model, D, P, oracle)
-    assert oracle.rate == pytest.approx(closed_form_rate(model, D, INF), abs=1e-9)
-
-
-@pytest.mark.parametrize("q, a, b, D, P", [
-    # a* != b*, derandomized draws whose mu = 0 root jumps at lam = 0+ and
-    # whose perception binds: only the nested roots solve them
-    (0.1689, 0.3532, 0.2182, 0.363, 0.05),
-    (0.081, 0.3635, 0.1713, 0.3158, 0.02),
-    (0.1009, 0.1627, 0.3523, 0.3191, 0.05),
-])
-def test_min2_nested_roots_never_warm_start_from_the_unconstrained_root(q, a, b, D, P,
-                                                                         monkeypatch):
-    model = build_model(0.5, q, q, a, b)
-    roots = _recorded_roots(monkeypatch)
-    result = solve_min2(model, D, P)
-    assert _assert_no_warm_start_from_the_unconstrained_root(roots) < 1e-9
-    _assert_min2_certified(model, D, P, result)
-    assert result.branch_allocation != (0.0,) * 4 and result.dual_bound > 0.0
-    assert abs(result.achieved_D - D) <= 1e-12 and abs(result.achieved_P - P) <= 1e-12
+    assert result.rate >= oracle.dual_bound - 1e-9
+    if not two:  # mirror averaging: the oracle reaches the distortion-only rate, here 0
+        assert oracle.rate == pytest.approx(closed_form_rate(model, D, INF), abs=1e-9)
 
 
 def test_oracle_nested_roots_never_warm_start_from_the_unconstrained_root(monkeypatch):
@@ -909,16 +1114,14 @@ def test_oracle_nested_roots_never_warm_start_from_the_unconstrained_root(monkey
 
 
 def _min2_cells_priced_per_branch(branches, lam, mu):
-    """_min2_cells as it was before it priced a repeated posterior once."""
-    cells, distortion = [], 0.0
+    """_min2_cells with every branch priced on its own."""
+    cells = []
     for s, c, w in branches:
         k0 = solver._zero_perception_cost(s, lam)
         if k0 + lam > mu:
             k0 = mu - lam
-        z0, z1 = solver._branch_argmin(c, s, k0, k0 + 2.0 * lam)
-        cells += (z0, z1)
-        distortion += w * (c * (1.0 - z0) + s * z1)
-    return cells, distortion
+        cells += solver._branch_argmin(c, s, k0, k0 + 2.0 * lam)
+    return cells
 
 
 @pytest.mark.parametrize("params, D, priced", [
@@ -943,11 +1146,11 @@ def test_min2_prices_each_distinct_branch_posterior_once(params, D, priced, monk
         assert found == _min2_cells_priced_per_branch(branches, lam, mu)  # bit-equal
         return found
     monkeypatch.setattr(solver, "_min2_cells", recorded)
-    # perception binds, so the lam roots run at mu = 0, and with two
-    # posteriors at mu = inf and between; at P = 0 the root runs at mu = inf
+    # a positive-rate query prices its branches once, for its dual value,
+    # whether perception binds or sits at 0
     assert abs(solve_min2(model, D, 0.05).achieved_P - 0.05) <= 1e-12
     assert solve_min2(model, D, 0.0).achieved_P <= 1e-12
-    assert len(per_call) > 10 and set(per_call) == {(priced, priced)}
+    assert len(per_call) == 2 and set(per_call) == {(priced, priced)}
     # only bit-equal posteriors share a pricing: one ulp apart is two
     s = model.a_star
     branches = [(s, 1.0 - s, 0.5), (math.nextafter(s, 1.0), 1.0 - s, 0.5)]
@@ -972,27 +1175,6 @@ def _recorded_evaluations(mp):
         return cells, call[2]
     mp.setattr(solver, "_bracketed_root", recorded)
     return calls
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(q=st.floats(0.0, 0.45), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
-       share=st.floats(0.0, 1.0), P=st.sampled_from([1e-3, 0.02, 0.05, INF]))
-@example(q=0.1, a=0.2, b=0.2, share=0.4375, P=0.05)  # D = 0.275: the jump at lam = 0+
-@example(q=0.0, a=0.0, b=0.5, share=0.5, P=1e-3)  # aim = sum_y w_y s_y: flat on (0, lam*]
-def test_min2_unconstrained_root_opens_at_its_exact_multiplier(q, a, b, share, P):
-    # at mu = 0 each branch is a distortion-only Bernoulli source, so the lam
-    # root is known in closed form; the bracket only confirms it
-    assume(a + b <= 1.0)  # a zero posterior included
-    model = _drawn_model(0.5, (q, q, a, b))
-    D = q + share * (0.5 - q)
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _recorded_evaluations(mp)
-        result = solve_min2(model, D, P)
-    if calls:  # the first root is the one at mu = 0
-        start, evaluations, (lam, mu) = calls[0]
-        assert mu == 0.0 and evaluations <= 3
-        assert result.achieved_D <= D + 1e-12 and result.achieved_P <= P + 1e-12
-        assert abs(result.rate - result.dual_bound) <= 1e-9
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1027,23 +1209,6 @@ def test_oracle_unconstrained_root_opens_at_its_exact_multiplier(q, pi_x, a, b, 
         assert nu == 0.0 and evaluations <= 2
 
 
-@pytest.mark.parametrize("q, pi_x, D, P", [
-    (0.0785, 0.2341, 0.2762, 0.05),  # 22 evaluations from [0, 1] before
-    (0.1, 0.2, 0.275, 0.05),  # 17 before
-])
-def test_min2_unconstrained_root_at_the_jump_takes_two_evaluations(q, pi_x, D, P, monkeypatch):
-    # past sum_y w_y s_y the mu = 0 root is the jump at lam = 0+, where
-    # regula falsi from [0, 1] crawled; the bracket [0, _ROOT_WIDTH] mixes
-    # its ends there at once
-    calls = _recorded_evaluations(monkeypatch)
-    result = solve_min2(dsbs_model(q, pi_x), D, P)
-    start, evaluations, (lam, mu) = calls[0]
-    assert (start, mu) == (0.0, 0.0) and 0.0 < lam <= solver._ROOT_WIDTH
-    assert evaluations <= 3
-    _assert_min2_certified(dsbs_model(q, pi_x), D, P, result)
-    assert abs(result.achieved_P - P) <= 1e-12
-
-
 def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
     # the count is deterministic, so a slower multiplier search fails here;
     # the medians of _branch_argmin calls per P-binding query were 138
@@ -1052,11 +1217,13 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
     # solve_min2's fell to 43 once it priced equal posteriors once and
     # opened its mu = 0 root at the exact multiplier, and to 41.5 (p90 74 to
     # 48) once build_model made DSBS posteriors bit-equal; one posterior with
-    # both budgets binding takes its multipliers in closed form from the
-    # mu = 0 root, 3 calls (p90 3), while two posteriors keep the nested
-    # roots at median 82 (p90 100); the oracle on positive-rate DSBS queries,
-    # whose nu root never runs, took 26 (p90 32) from the cold lam root and
-    # 6 (p90 6) once it opened at the exact multiplier
+    # both budgets binding then took 3 calls (p90 3) and two posteriors 82
+    # (p90 100) in nested multiplier roots. In allocation space _branch_argmin
+    # runs only in the dual's one pricing, once per distinct posterior: 1 and
+    # 2 calls; the two-posterior roots take a median of 210 _branch_map
+    # evaluations (p90 282); the oracle on positive-rate DSBS queries, whose
+    # nu root never runs, took 26 (p90 32) from the cold lam root and 6 (p90
+    # 6) once it opened at the exact multiplier
     calls = [0]
     real = solver._branch_argmin
 
@@ -1064,6 +1231,12 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
         calls[0] += 1
         return real(*args)
     monkeypatch.setattr(solver, "_branch_argmin", counted)
+    maps, real_map = [0], solver._branch_map
+
+    def mapped(*args):
+        maps[0] += 1
+        return real_map(*args)
+    monkeypatch.setattr(solver, "_branch_map", mapped)
     rng = random.Random(15)
     min2, oracle, dsbs = [], [], []
     for k in range(40):
@@ -1079,7 +1252,7 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
         calls[0] = 0
         if oracle_min_rate(dsbs_model(q, pi_x), D, P).rate > 0.0:
             dsbs.append(calls[0])
-    nested = []
+    two_posterior, evaluations = [], []
     two = random.Random(16)
     for k in range(40):
         q, a, b = (round(two.uniform(lo, hi), 4)
@@ -1087,9 +1260,10 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
         model = build_model(0.5, q, q, a, b)
         s = model.p_a * model.a_star + model.p_b * model.b_star
         D, P = q + two.uniform(0.4, 0.9) * (1 - 2 * q) * s, (0.02, 0.05)[k % 2]
-        calls[0] = 0
+        calls[0] = maps[0] = 0
         if abs(solve_min2(model, D, P).achieved_P - P) <= 1e-12:
-            nested.append(calls[0])
+            two_posterior.append(calls[0])
+            evaluations.append(maps[0])
     for _ in range(20):
         model = build_model(*(round(rng.uniform(lo, hi), 4) for lo, hi in (
             (0.25, 0.5), (0.05, 0.2), (0.05, 0.2), (0.1, 0.35), (0.1, 0.35))))
@@ -1100,42 +1274,14 @@ def test_p_binding_queries_stay_within_their_evaluation_budget(monkeypatch):
         if result.rate > 0.0 and abs(evaluate_decoder(model, result.argmin).perception
                                      - 0.01) <= 1e-12:
             oracle.append(calls[0])
-    assert len(min2) >= 35 and len(nested) >= 35 and len(oracle) >= 15 and len(dsbs) >= 35
-    assert statistics.median(min2) <= 3 and statistics.quantiles(min2, n=10)[-1] <= 3
-    assert statistics.median(nested) <= 82 and statistics.quantiles(nested, n=10)[-1] <= 100
+    assert len(min2) >= 35 and len(two_posterior) >= 35 and len(oracle) >= 15 and len(dsbs) >= 35
+    assert statistics.median(min2) <= 1 and statistics.quantiles(min2, n=10)[-1] <= 1
+    assert statistics.median(two_posterior) <= 2
+    assert statistics.quantiles(two_posterior, n=10)[-1] <= 2
+    assert statistics.median(evaluations) <= 210
+    assert statistics.quantiles(evaluations, n=10)[-1] <= 282
     assert statistics.median(oracle) <= 108
     assert statistics.median(dsbs) <= 6 and statistics.quantiles(dsbs, n=10)[-1] <= 6
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(q=st.floats(0.0, 0.45), pi_x=st.floats(0.01, 0.5), dropped=st.booleans(),
-       share=st.floats(0.01, 1.0),
-       P=st.one_of(st.sampled_from([1e-3, 0.02, 0.05]), st.floats(1e-6, 0.3)))
-def test_one_posterior_closed_form_matches_the_nested_roots(q, pi_x, dropped, share, P):
-    # one kept posterior s: a DSBS model, or build_model(0.5, q, q, 0, b),
-    # whose b* = 0 branch is dropped (kept weight W < 1). Where both budgets
-    # bind, _both_binding answers from the mu = 0 root; the nested roots,
-    # with it switched off, are the reference. Per kept branch, with p = P / W,
-    # perception binds from d (1 - 2s) / (1 - 2d) = p, where the
-    # distortion-only reconstruction reaches it, to the zero-rate point
-    model = build_model(0.5, q, q, 0.0, pi_x) if dropped else dsbs_model(q, pi_x)
-    s, W = (model.a_star, model.p_a) if dropped else (pi_x, 1.0)
-    lo, hi = P / W / (1 - 2 * s + 2 * P / W), 2 * s * (1 - s) - (1 - 2 * s) * min(s, P / W)
-    D = q + (1 - 2 * q) * W * (lo + share * (hi - lo))
-    with pytest.MonkeyPatch.context() as mp:
-        found, real = [], solver._both_binding
-        mp.setattr(solver, "_both_binding", lambda *args: found.append(real(*args)) or found[-1])
-        direct = solve_min2(model, D, P)
-        mp.setattr(solver, "_both_binding", lambda *args: None)
-        nested = solve_min2(model, D, P)
-    for result in (direct, nested):
-        _assert_min2_certified(model, D, P, result)
-    assert direct.rate == pytest.approx(nested.rate, abs=1e-12)
-    assert direct.achieved_D == pytest.approx(nested.achieved_D, abs=1e-12)
-    assert direct.achieved_P == pytest.approx(nested.achieved_P, abs=1e-12)
-    assert direct.branch_allocation == pytest.approx(nested.branch_allocation, abs=1e-12)
-    if nested.rate > 0.0 and abs(nested.achieved_P - P) <= 1e-12:  # perception binds
-        assert found and found[0]
 
 
 # ---------------------------------------------------------------------------
