@@ -1103,6 +1103,26 @@ def test_nested_roots_near_the_lam_jump_come_from_the_dual(q, pi_x, D, P):
         assert oracle.rate == pytest.approx(closed_form_rate(model, D, INF), abs=1e-9)
 
 
+@pytest.mark.parametrize("q, pi_x, D, P", [
+    (0.0785, 0.2341, 0.2762, 0.05),  # 22 evaluations from [0, 1] once
+    (0.1, 0.2, 0.275, 0.05),  # 17 once
+])
+def test_min2_unconstrained_root_at_the_jump_takes_two_evaluations(q, pi_x, D, P, monkeypatch):
+    # past sum_y w_y s_y the distortion-only split is the jump at lam = 0+,
+    # where regula falsi from [0, 1] crawled; the branch maps answer there
+    # with no multiplier root and at most two branch minimizations
+    calls, evaluations, real = _recorded_evaluations(monkeypatch), [0], solver._branch_argmin
+
+    def counted(*args):
+        evaluations[0] += 1
+        return real(*args)
+    monkeypatch.setattr(solver, "_branch_argmin", counted)
+    result = solve_min2(dsbs_model(q, pi_x), D, P)
+    assert calls == [] and evaluations[0] <= 2
+    _assert_min2_certified(dsbs_model(q, pi_x), D, P, result)
+    assert abs(result.achieved_P - P) <= 1e-12
+
+
 def test_oracle_nested_roots_never_warm_start_from_the_unconstrained_root(monkeypatch):
     model = build_model(0.4, 0.1, 0.15, 0.2, 0.3)
     roots = _recorded_roots(monkeypatch)
